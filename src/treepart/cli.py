@@ -84,14 +84,17 @@ def _cmd_decompose(args) -> int:
     if step1.startswith("import:"):
         import_td = parse_td(_read(step1[len("import:"):]))
         step1 = "import"
-    params = PipelineParams(
-        k=args.k,
-        step1=step1,
-        seed=args.seed,
-        import_td=import_td,
-        b_override=args.b,
-    )
-    out = run(g, params)
+    try:
+        params = PipelineParams(
+            k=args.k,
+            step1=step1,
+            seed=args.seed,
+            import_td=import_td,
+            b_override=args.b,
+        )
+        out = run(g, params)
+    except ValueError as exc:
+        raise CliError(str(exc))
     if args.trace:
         _write(args.trace, "".join(r.format() + "\n" for r in out.trace))
     if not out.accepted:

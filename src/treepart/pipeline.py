@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .decomp import TreeDecomposition, TreePartition
+from .decomp import TreeDecomposition, TreePartition, Violation, verify_td
 from .graph import Graph, biconnected_components, connected_components
 from .separators import b_reduction, build_gb, candidate_pairs
 from .treewidth import balance_td, exact_td, heuristic_td, treewidth_lower_bound
@@ -37,7 +37,6 @@ class PipelineParams:
     seed: int = 0
     import_td: TreeDecomposition | None = None
     b_override: int | None = None
-    parallel_pairs: bool = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -101,32 +100,44 @@ class PipelineOutcome:
     trace: list = field(default_factory=list)
 
 
-def _extract_sub_td(td: TreeDecomposition, vertices, new_id) -> TreeDecomposition:
+def _td_index(td: TreeDecomposition):
+    """(vertex -> ascending node ids, node -> ascending incident tree-edge
+    ids) of a decomposition, built in one pass over its bags and edges."""
+    where = {}
+    for i, bag in enumerate(td.bags):
+        for v in bag:
+            where.setdefault(v, []).append(i)
+    incident = [[] for _ in td.bags]
+    for e, (i, j) in enumerate(td.tree_edges):
+        incident[i].append(e)
+        incident[j].append(e)
+    return where, incident
+
+
+def _extract_sub_td(td: TreeDecomposition, new_id, index) -> TreeDecomposition:
     """Restriction of a decomposition to a connected vertex subset.
 
-    Keeps only the nodes whose bags meet the subset; for a set inducing a
+    new_id maps the subset to its new vertex ids; index is `_td_index(td)`.
+    Keeps only the nodes whose bags meet the subset, in node order, and the
+    tree edges between them, in `tree_edges` order; for a set inducing a
     connected subgraph these nodes form a connected subtree, because
     adjacent vertices share a bag and each vertex's occupancy is connected.
+    Cost: linear in the kept nodes' bags and tree degrees.
     """
-    vset = set(vertices)
-    keep = []
-    for i, bag in enumerate(td.bags):
-        inter = [new_id[v] for v in bag if v in vset]
-        if inter:
-            keep.append((i, sorted(inter)))
-    node_id = {i: j for j, (i, _) in enumerate(keep)}
-    bags = [bag for _, bag in keep]
-    edges = [
-        (node_id[i], node_id[j])
-        for i, j in td.tree_edges
-        if i in node_id and j in node_id
-    ]
+    where, incident = index
+    nodes = sorted({i for v in new_id for i in where.get(v, ())})
+    node_id = {i: j for j, i in enumerate(nodes)}
+    bags = [sorted(new_id[v] for v in td.bags[i] if v in new_id) for i in nodes]
+    edges = []
+    for e in sorted({e for i in nodes for e in incident[i]}):
+        i, j = td.tree_edges[e]
+        if i in node_id and j in node_id:
+            edges.append((node_id[i], node_id[j]))
     return TreeDecomposition(bags, edges, root=0)
 
 
-def _step1_td(gc: Graph, params: PipelineParams, old_ids) -> TreeDecomposition:
+def _step1_td(gc: Graph, params: PipelineParams, old_ids, lb: int) -> TreeDecomposition:
     if params.step1 == "exact":
-        lb = treewidth_lower_bound(gc)
         for k_try in range(max(lb, 0), gc.n + 1):
             td = exact_td(gc, k_try)
             if td is not None:
@@ -134,7 +145,7 @@ def _step1_td(gc: Graph, params: PipelineParams, old_ids) -> TreeDecomposition:
         raise AssertionError("exhausted widths without a decomposition")
     if params.step1 == "import":
         new_id = {v: i for i, v in enumerate(old_ids)}
-        return _extract_sub_td(params.import_td, old_ids, new_id)
+        return _extract_sub_td(params.import_td, new_id, _td_index(params.import_td))
     if params.step1.startswith("heur:"):
         return heuristic_td(gc, params.step1[5:], params.seed)
     raise ValueError(f"unknown step1 mode {params.step1!r}")
@@ -148,7 +159,7 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats):
     lb = treewidth_lower_bound(gc)
     if lb > 2 * k - 1:
         return "reject", TreewidthLB(lb, 2 * k - 1)
-    td = _step1_td(gc, params, old_ids)
+    td = _step1_td(gc, params, old_ids, lb)
     w = td.width()
     stats["step1"]["w"] = max(stats["step1"].get("w", 0), w)
     stats["step1"]["lb"] = max(stats["step1"].get("lb", 0), lb)
@@ -162,7 +173,7 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats):
         if params.b_override < b:
             raise ValueError(f"b_override {params.b_override} below required {b}")
         b = params.b_override
-    gb = build_gb(gc, b, candidate_pairs(td), parallel=params.parallel_pairs)
+    gb = build_gb(gc, b, candidate_pairs(td))
     gb_comps = connected_components(gb)
     stats["step2"]["b"] = max(stats["step2"].get("b", 0), b)
     stats["step2"]["gb_edges"] = stats["step2"].get("gb_edges", 0) + gb.m
@@ -184,6 +195,7 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats):
     h = red.h
     tbags = [sorted({red.part_of[v] for v in bag}) for bag in td.bags]
     tdh = TreeDecomposition(tbags, list(td.tree_edges), td.root if td.root is not None else 0)
+    tdh_index = _td_index(tdh)
     bf = biconnected_components(h)
     stats["step3"]["h_n"] = stats["step3"].get("h_n", 0) + h.n
     stats["step3"]["blocks"] = stats["step3"].get("blocks", 0) + len(bf.blocks)
@@ -213,7 +225,7 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats):
     for bidx, blk in enumerate(bf.blocks):
         sub, sub_old = h.induced(blk)
         new_id = {v: i for i, v in enumerate(sub_old)}
-        btd = balance_td(sub, _extract_sub_td(tdh, blk, new_id))
+        btd = balance_td(sub, _extract_sub_td(tdh, new_id, tdh_index))
         cut = bf.parent_cut[bidx]
         if cut is not None:
             tp_local = partition_isolated(sub, btd, new_id[cut])
@@ -239,7 +251,19 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats):
 
 def run(g: Graph, params: PipelineParams) -> PipelineOutcome:
     """Run the full pipeline on g; disconnected inputs are handled per
-    component and the resulting trees joined by arbitrary bag-to-bag edges."""
+    component and the resulting trees joined by arbitrary bag-to-bag edges.
+
+    With step1="import", params.import_td must be a tree decomposition of g:
+    a failed `verify_td` clause raises ValueError naming it.
+    """
+    if params.step1 == "import":
+        res = verify_td(g, params.import_td)
+        if isinstance(res, Violation):
+            raise ValueError(
+                f"import_td is not a tree decomposition of the input: "
+                f"{res.clause} at {res.witness!r}"
+            )
+
     stats = {s: {} for s in ("step1", "step2", "step3", "step4", "step5")}
     if g.n == 0:
         trace = [TraceRecord(s, stats[s]) for s in stats]

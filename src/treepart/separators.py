@@ -8,7 +8,6 @@ pairs alike.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .graph import Graph, connected_components, quotient
@@ -112,33 +111,21 @@ def candidate_pairs(td) -> list:
     return sorted(pairs)
 
 
-def build_gb(g: Graph, b: int, pairs, parallel: bool = False) -> Graph:
+def build_gb(g: Graph, b: int, pairs) -> Graph:
     """Auxiliary graph joining the given pairs whose separator is >= b.
 
     The degree of each endpoint (in G-st) upper-bounds mu, so pairs that
     cannot reach b are skipped without running a flow.  Output does not
-    depend on pair order or on the parallel flag.
+    depend on pair order.
     """
     if b < 1:
         raise ValueError("b must be >= 1")
-
-    def check(pair):
-        u, v = pair
-        adj = g.has_edge(u, v)
-        bound = min(g.degree(u), g.degree(v)) - (1 if adj else 0)
-        if bound < b:
-            return None
-        if mu(g, u, v, cap=b) >= b:
-            return (min(u, v), max(u, v))
-        return None
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            hits = list(pool.map(check, pairs))
-    else:
-        hits = [check(p) for p in pairs]
-    edges = sorted(h for h in hits if h is not None)
-    return Graph(g.n, edges)
+    edges = []
+    for u, v in pairs:
+        bound = min(g.degree(u), g.degree(v)) - (1 if g.has_edge(u, v) else 0)
+        if bound >= b and mu(g, u, v, cap=b) >= b:
+            edges.append((min(u, v), max(u, v)))
+    return Graph(g.n, sorted(edges))
 
 
 @dataclass

@@ -9,6 +9,7 @@ tree node attaches to the node of the bag member eliminated next.
 
 from __future__ import annotations
 
+import heapq
 import random
 import sys
 
@@ -40,9 +41,22 @@ def _td_from_elimination(n: int, order, elim_bags) -> TreeDecomposition:
 def heuristic_td(g: Graph, strategy: str = "min-degree", seed: int = 0) -> TreeDecomposition:
     """Greedy elimination-order decomposition.
 
-    strategy is "min-degree" or "min-fill"; ties are broken by a seeded
-    per-vertex salt and then by vertex id, so the result is deterministic
-    for a fixed seed.
+    strategy is "min-degree" or "min-fill".  Each step eliminates the alive
+    vertex with the least (score, salt, id), where salt is a seeded
+    per-vertex random number, so the result is deterministic for a fixed
+    seed.
+
+    The next vertex comes off a heap with lazy invalidation: an entry is
+    live while its vertex is alive and its score is the vertex's current
+    score.  After eliminating v only the scores that can change are
+    recomputed: those of N(v), and for min-fill also those of the
+    neighbors of every vertex that gained a fill edge (a subset of
+    N(N(v))).  So every alive vertex always has a live entry, the heap
+    minimum is the minimum over all alive vertices, and the order is the
+    one a full scan per step would pick.  Cost: O(n log n) plus the
+    rescoring, O(sum of deg(v) log n) for min-degree and
+    O(sum of d^2 per rescored vertex) for min-fill, where degrees are taken
+    in the fill graph; near-linear on sparse graphs of bounded width.
     """
     if strategy not in ("min-degree", "min-fill"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -52,71 +66,110 @@ def heuristic_td(g: Graph, strategy: str = "min-degree", seed: int = 0) -> TreeD
     rnd = random.Random(seed)
     salt = [rnd.random() for _ in range(n)]
     nbr = [set(g.adj[v]) for v in range(n)]
-    alive = set(range(n))
+    min_fill = strategy == "min-fill"
+
+    def score(v):
+        nv = nbr[v]
+        d = len(nv)
+        if not min_fill:
+            return d
+        # non-adjacent pairs of N(v): all pairs minus the adjacent ones
+        return (d * (d - 1) - sum(len(nbr[u] & nv) for u in nv)) // 2
+
+    cur = [score(v) for v in range(n)]
+    heap = [(cur[v], salt[v], v) for v in range(n)]
+    heapq.heapify(heap)
+    alive = [True] * n
     order = []
     elim_bags = {}
-
-    def fill_score(v):
-        nv = sorted(nbr[v])
-        return sum(
-            1
-            for i in range(len(nv))
-            for j in range(i + 1, len(nv))
-            if nv[j] not in nbr[nv[i]]
-        )
-
-    score = (lambda v: len(nbr[v])) if strategy == "min-degree" else fill_score
-    for _ in range(n):
-        v = min(alive, key=lambda u: (score(u), salt[u], u))
+    while heap:
+        s, _, v = heapq.heappop(heap)
+        if not alive[v] or s != cur[v]:
+            continue
+        alive[v] = False
         order.append(v)
-        elim_bags[v] = nbr[v] | {v}
         nv = nbr[v]
+        elim_bags[v] = nv | {v}
+        rescore = set(nv)
         for u in nv:
+            before = len(nbr[u])
             nbr[u] |= nv
             nbr[u].discard(u)
             nbr[u].discard(v)
-        alive.remove(v)
+            if min_fill and len(nbr[u]) >= before:  # u gained a fill edge
+                rescore |= nbr[u]
+        for u in rescore:
+            s = score(u)
+            if s != cur[u]:
+                cur[u] = s
+                heapq.heappush(heap, (s, salt[u], u))
     return _td_from_elimination(n, order, elim_bags)
+
+
+def _pop_min_degree(heap, nbr, alive) -> int:
+    """Pop the alive vertex of least (degree, id) from a lazily invalidated
+    heap of (degree, id) entries; an entry is live while its vertex is
+    alive and its degree is current."""
+    while True:
+        d, v = heapq.heappop(heap)
+        if alive[v] and d == len(nbr[v]):
+            return v
 
 
 def treewidth_lower_bound(g: Graph) -> int:
     """Certified treewidth lower bound: max of the degeneracy and the
     minor-min-degree bound obtained by contracting minimum-degree vertices
-    into least-common-neighbor neighbors."""
+    into least-common-neighbor neighbors.
+
+    Both loops pick the alive vertex of least (degree, id) from a heap with
+    lazy invalidation; a fresh entry is pushed for every vertex whose
+    degree was touched by the step (the neighbors of the deleted or
+    contracted vertex), so the pick is the one a full scan would make.
+    Cost: O((n + m) log n) for the degeneracy, and for the contraction
+    O(sum of d^2 + d log n) over the picked minimum degrees d.
+    """
     n = g.n
     if n == 0:
         return 0
 
     # degeneracy by repeated minimum-degree deletion
     nbr = [set(g.adj[v]) for v in range(n)]
-    alive = set(range(n))
+    alive = [True] * n
+    heap = [(len(nbr[v]), v) for v in range(n)]
+    heapq.heapify(heap)
     degen = 0
-    while alive:
-        v = min(alive, key=lambda u: (len(nbr[u]), u))
+    for _ in range(n):
+        v = _pop_min_degree(heap, nbr, alive)
+        alive[v] = False
         degen = max(degen, len(nbr[v]))
         for u in nbr[v]:
             nbr[u].discard(v)
-        alive.remove(v)
+            heapq.heappush(heap, (len(nbr[u]), u))
 
     # contraction refinement
     nbr = [set(g.adj[v]) for v in range(n)]
-    alive = set(range(n))
+    alive = [True] * n
+    heap = [(len(nbr[v]), v) for v in range(n)]
+    heapq.heapify(heap)
     mmd = 0
-    while len(alive) > 1:
-        v = min(alive, key=lambda u: (len(nbr[u]), u))
-        d = len(nbr[v])
+    for _ in range(n - 1):
+        v = _pop_min_degree(heap, nbr, alive)
+        alive[v] = False
+        nv = nbr[v]
+        d = len(nv)
         mmd = max(mmd, d)
-        alive.remove(v)
         if d == 0:
             continue
-        u = min(nbr[v], key=lambda w: (len(nbr[w] & nbr[v]), w))
-        for w in nbr[v]:
+        u = min(nv, key=lambda w: (len(nbr[w] & nv), w))
+        for w in nv:
             nbr[w].discard(v)
             if w != u:
                 nbr[w].add(u)
                 nbr[u].add(w)
         nbr[u].discard(u)
-        nbr[v].clear()
+        for w in nv:
+            heapq.heappush(heap, (len(nbr[w]), w))
+        nv.clear()
     return max(degen, mmd)
 
 
@@ -213,6 +266,13 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
     one boundary edge) and nodes on the path between the two boundary
     attachment points (chosen so both boundary-retaining components at most
     halve), which bounds the depth by O(log #nodes).
+
+    Cost: O(r) per region of r binarized nodes, so O(N log N) for N nodes.
+    One BFS per region gives subtree sizes, from which every candidate's
+    largest component (centroid case) or boundary-holding components (path
+    case) are read off exactly; the pick minimizes the same (size, node)
+    key as a component search per candidate would, so outputs are
+    identical to that O(r^2) search.
     """
     if td.num_nodes == 0:
         return TreeDecomposition([[]], [], root=0)
@@ -244,13 +304,14 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
     for u in range(td.num_nodes):
         cs = kids[u]
         cur = u
-        while len(cs) > 2:
+        i = 0
+        while len(cs) - i > 2:
             dup = len(nb)
             nb.append(nb[u])
-            chl[cur] = [cs[0], dup]
-            cs = cs[1:]
+            chl[cur] = [cs[i], dup]
+            i += 1
             cur = dup
-        chl[cur] = cs
+        chl[cur] = cs[i:]
     badj = [[] for _ in range(len(nb))]
     for u, cs in chl.items():
         for v in cs:
@@ -276,50 +337,51 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
                     stack.append(v)
         return comp
 
-    def centroid(region) -> int:
-        best = None
-        for c in sorted(region):
-            worst = 0
-            left = region - {c}
-            while left:
-                comp = component_of(region, c, min(left))
-                worst = max(worst, len(comp))
-                left -= comp
-            if best is None or (worst, c) < best:
-                best = (worst, c)
-        return best[1]
+    size = [0] * len(nb)  # subtree sizes of the region rooted by sizes()
+    up = [-1] * len(nb)  # parents of the region rooted by sizes()
+    heavy = [0] * len(nb)  # largest child subtree of the region rooted by sizes()
 
-    def tree_path(region, a, b):
-        prev = {a: None}
-        queue = [a]
-        qi = 0
-        while queue[qi] != b:
-            u = queue[qi]
-            qi += 1
+    def sizes(region, root) -> None:
+        """Root the region at `root` by one BFS and fill size/up/heavy."""
+        up[root] = -1
+        order = [root]
+        for u in order:
+            size[u] = 1
+            heavy[u] = 0
             for v in badj[u]:
-                if v in region and v not in prev:
-                    prev[v] = u
-                    queue.append(v)
-        path = [b]
-        while path[-1] != a:
-            path.append(prev[path[-1]])
-        return path
+                if v != up[u] and v in region:
+                    up[v] = u
+                    order.append(v)
+        for u in reversed(order[1:]):
+            p = up[u]
+            size[p] += size[u]
+            if size[u] > heavy[p]:
+                heavy[p] = size[u]
 
     def build(region, boundary) -> int:
-        if len(region) == 1:
+        r = len(region)
+        if r == 1:
             c = next(iter(region))
         elif len(boundary) <= 1:
-            c = centroid(region)
+            # centroid: the components of region - c are the child subtrees
+            # of c and the r - size[c] nodes above it
+            sizes(region, next(iter(region)))
+            c = min(region, key=lambda x: (max(heavy[x], r - size[x]), x))
         else:
+            # walk the a2 -> a1 path; rooted at a1, the component holding a1
+            # is the part above the candidate, and the one holding a2 is the
+            # subtree of the path node below it (`below` nodes)
             (_, a1), (_, a2) = boundary
+            sizes(region, a1)
             best = None
-            for cand in tree_path(region, a1, a2):
-                worst = 0
-                for _, a in boundary:
-                    if a != cand:
-                        worst = max(worst, len(component_of(region, cand, a)))
+            cand, below = a2, 0
+            while True:
+                worst = max(r - size[cand], below)
                 if best is None or (worst, cand) < best:
                     best = (worst, cand)
+                if cand == a1:
+                    break
+                cand, below = up[cand], size[cand]
             c = best[1]
         bag = set(nb[c])
         for x, _ in boundary:

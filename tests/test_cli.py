@@ -31,6 +31,17 @@ def test_decompose_reject_exit_code(tmp_path, capsys):
     assert "status=reject reason=treewidth-lb" in capsys.readouterr().out
 
 
+def test_decompose_invalid_import_exit_2(tmp_path, capsys):
+    src = write_gr(tmp_path, "c8.gr", Graph(8, [(i, (i + 1) % 8) for i in range(8)]))
+    td = tmp_path / "bad.td"
+    # two bags that leave vertices 7 and 8 (1-indexed) uncovered
+    td.write_text("s td 2 4 8\nb 1 1 2 3 4\nb 2 5 6\n1 2\n")
+    assert main(["decompose", "-k", "2", "--step1", f"import:{td}", src]) == 2
+    captured = capsys.readouterr()
+    assert "vertex-coverage" in captured.err
+    assert "RESULT" not in captured.out
+
+
 def test_verify_invalid_exit_code(tmp_path, capsys):
     src = write_gr(tmp_path, "p3.gr", Graph(3, [(0, 1), (1, 2)]))
     bad = tmp_path / "bad.tp"

@@ -1,6 +1,6 @@
 import pytest
 
-from treepart.decomp import Violation, verify_tp
+from treepart.decomp import TreeDecomposition, Violation, verify_td, verify_tp
 from treepart.exact import exact_tpw
 from treepart.families import random_graph, random_tree
 from treepart.graph import Graph
@@ -153,3 +153,12 @@ def test_disconnected_input():
 def test_empty_graph():
     out = run(Graph(0), PipelineParams(k=1))
     assert out.accepted and out.width == 0
+
+
+def test_invalid_import_td_is_refused():
+    # C8 with two bags that miss vertices 6 and 7 and the edges through them
+    g = cycle(8)
+    td = TreeDecomposition([[0, 1, 2, 3], [4, 5]], [(0, 1)], root=0)
+    assert verify_td(g, td) == Violation("vertex-coverage", 6)
+    with pytest.raises(ValueError, match="vertex-coverage"):
+        run(g, PipelineParams(k=2, step1="import", import_td=td))

@@ -68,12 +68,6 @@ def test_build_gb_cycle_all_pairs():
     assert gb.edges() == [(0, 2), (1, 3)]
 
 
-def test_build_gb_parallel_deterministic():
-    g = random_graph(12, 0.4, 7)
-    pairs = list(itertools.combinations(range(g.n), 2))
-    assert build_gb(g, 2, pairs).edges() == build_gb(g, 2, pairs, parallel=True).edges()
-
-
 def test_b_reduction_quotient_weights():
     g = cycle(4)
     gb = Graph(4, [(0, 2), (1, 3)])
