@@ -11,33 +11,18 @@ from __future__ import annotations
 
 import logging
 
-from .decomp import TreeCutDecomposition, TreePartition, Violation, tcd_cuts, verify_tp, verify_tcd
-from .graph import Graph, SubdivisionMap, subdivide
+from .decomp import (
+    TreeCutDecomposition,
+    TreePartition,
+    Violation,
+    non_nice_node,
+    tcd_cuts,
+    verify_tp,
+    verify_tcd,
+)
+from .graph import Graph, SubdivisionMap, subdivide, tree_bfs
 
 log = logging.getLogger(__name__)
-
-
-def _tree_parents(num_nodes: int, tree_edges, root: int):
-    adj = [[] for _ in range(num_nodes)]
-    for i, j in tree_edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    parent = [-1] * num_nodes
-    depth = [0] * num_nodes
-    order = [root]
-    seen = [False] * num_nodes
-    seen[root] = True
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                depth[v] = depth[u] + 1
-                order.append(v)
-    return parent, depth, order
 
 
 def _tree_path(parent, depth, a, b):
@@ -72,36 +57,22 @@ def tcd_to_subdivision_tp(g: Graph, tcd: TreeCutDecomposition):
         raise ValueError(f"invalid tree-cut decomposition: {res}")
     width, nice = res
     if not nice:
-        cut, parent, order, below, _ = tcd_cuts(g, tcd)
-        adj = tcd.node_adj()
-        offender = None
-        for t in order[1:]:
-            if cut[t] <= 2:
-                p = parent[t]
-                sib_vertices = set()
-                for s in adj[p]:
-                    if s != t and parent[s] == p:
-                        sib_vertices |= below[s]
-                if any(
-                    w in sib_vertices for v in below[t] for w in g.adj[v]
-                ):
-                    offender = t
-                    break
+        offender = non_nice_node(g, tcd, tcd_cuts(g, tcd))
         raise ValueError(
             f"decomposition is not nice: thin node {offender} has edges "
             "into a sibling subtree"
         )
 
-    parent, depth, _ = _tree_parents(tcd.num_nodes, tcd.tree_edges, tcd.root)
-    node_of = {}
-    for i, bag in enumerate(tcd.bags):
-        for v in bag:
-            node_of[v] = i
+    # sorted adjacency: the walk lists children in ascending order, which
+    # fixes the bag numbering of the output
+    parent, order = tree_bfs([sorted(a) for a in tcd.node_adj()], tcd.root)
+    depth = [0] * tcd.num_nodes
+    for t in order[1:]:
+        depth[t] = depth[parent[t]] + 1
+    node_of = tcd.bag_of()
     counts = {}
     for u, v in g.edges():
-        counts[(u, v)] = depth_dist = len(
-            _tree_path(parent, depth, node_of[u], node_of[v])
-        ) - 1
+        counts[(u, v)] = len(_tree_path(parent, depth, node_of[u], node_of[v])) - 1
     g2, smap = subdivide(g, counts)
 
     bags = [list(b) for b in tcd.bags]
@@ -115,18 +86,7 @@ def tcd_to_subdivision_tp(g: Graph, tcd: TreeCutDecomposition):
 
     # contract nodes that stayed empty: their children re-attach upward
     alive = [bool(b) for b in bags]
-    kids = [[] for b in bags]
-    for t in range(tcd.num_nodes):
-        if parent[t] != -1:
-            kids[parent[t]].append(t)
     live_anchor = [None] * tcd.num_nodes  # nearest live ancestor-or-self
-
-    order = [tcd.root]
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
-        order.extend(kids[u])
     new_id = {}
     edges = []
     first_live = None
@@ -174,7 +134,7 @@ def tp_lift_subdivision(g: Graph, tp: TreePartition, counts) -> TreePartition:
     if g2.n == g.n:
         return tp
 
-    parent, _, _ = _tree_parents(len(tp.bags), tp.tree_edges, 0)
+    parent, _ = tree_bfs(tp.node_adj(), 0)
     node_of = tp.bag_of()
     bags = [list(b) for b in tp.bags]
     edges = list(tp.tree_edges)

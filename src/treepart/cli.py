@@ -13,7 +13,6 @@ import itertools
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import families, gadgets
@@ -309,9 +308,7 @@ def _cmd_bench(args) -> int:
     paths = sorted(Path(args.corpus).glob("*.gr"))
     if not paths:
         raise CliError(f"no .gr files in {args.corpus}")
-    jobs = [(p, k) for p in paths for k in args.k]
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        rows = list(pool.map(lambda pk: _bench_one(*pk), jobs))
+    rows = [_bench_one(p, k) for p in paths for k in args.k]
     rows.sort(key=lambda r: (r["instance"], r["k"]))
     cols = [
         "instance", "n", "m", "k", "status", "width", "reason", "millis",
@@ -392,7 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("-k", type=int, nargs="+", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--jobs", type=int, default=4)
     p.set_defaults(fn=_cmd_bench)
     return top
 

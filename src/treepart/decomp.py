@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph
+from .graph import Graph, tree_bfs
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,12 @@ class Violation:
 
 
 @dataclass
-class TreeDecomposition:
-    """Tree plus covering bags.  Nodes are 0..len(bags)-1."""
+class BaggedTree:
+    """Tree on nodes 0..len(bags)-1 with one vertex list (bag) per node.
+
+    The base of the three decomposition types: they differ in what their
+    bags must satisfy, which the verifiers below check.
+    """
 
     bags: list  # node -> sorted vertex list
     tree_edges: list  # (i, j) pairs
@@ -41,48 +45,8 @@ class TreeDecomposition:
     def num_nodes(self):
         return len(self.bags)
 
-    def width(self):
-        return max((len(b) for b in self.bags), default=1) - 1
-
     def node_adj(self):
-        adj = [[] for _ in self.bags]
-        for i, j in self.tree_edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
-
-    def depth(self):
-        """Depth of the rooted tree (root at depth 0); requires root set."""
-        if self.root is None:
-            raise ValueError("decomposition is not rooted")
-        adj = self.node_adj()
-        best = 0
-        stack = [(self.root, -1, 0)]
-        while stack:
-            u, p, d = stack.pop()
-            best = max(best, d)
-            for v in adj[u]:
-                if v != p:
-                    stack.append((v, u, d + 1))
-        return best
-
-
-@dataclass
-class TreePartition:
-    """Tree whose bags partition the host's vertex set."""
-
-    bags: list  # node -> sorted vertex list
-    tree_edges: list
-    root: int | None = None
-
-    @property
-    def num_nodes(self):
-        return len(self.bags)
-
-    def width(self):
-        return max((len(b) for b in self.bags), default=0)
-
-    def node_adj(self):
+        """Node adjacency lists, neighbors in `tree_edges` order."""
         adj = [[] for _ in self.bags]
         for i, j in self.tree_edges:
             adj[i].append(j)
@@ -99,31 +63,46 @@ class TreePartition:
 
 
 @dataclass
-class TreeCutDecomposition:
+class TreeDecomposition(BaggedTree):
+    """Tree plus covering bags.  Nodes are 0..len(bags)-1."""
+
+    def width(self):
+        return max((len(b) for b in self.bags), default=1) - 1
+
+    def depth(self):
+        """Depth of the rooted tree (root at depth 0); requires root set."""
+        if self.root is None:
+            raise ValueError("decomposition is not rooted")
+        parent, order = tree_bfs(self.node_adj(), self.root)
+        best, x = 0, order[-1]  # breadth-first order ends at a deepest node
+        while parent[x] != -1:
+            best += 1
+            x = parent[x]
+        return best
+
+
+@dataclass
+class TreePartition(BaggedTree):
+    """Tree whose bags partition the host's vertex set."""
+
+    def width(self):
+        return max((len(b) for b in self.bags), default=0)
+
+
+@dataclass
+class TreeCutDecomposition(BaggedTree):
     """Rooted tree with a near partition of the host's vertices.
 
     Stored adh/tor values, if any, are ignored by the verifier; everything
     is recomputed from the bags and the host graph.
     """
 
-    bags: list
-    tree_edges: list
     root: int = 0
 
-    @property
-    def num_nodes(self):
-        return len(self.bags)
 
-    def node_adj(self):
-        adj = [[] for _ in self.bags]
-        for i, j in self.tree_edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
-
-
-def _check_tree_shape(num_nodes: int, tree_edges) -> None:
+def _check_tree_shape(t: BaggedTree) -> None:
     """Raise ValueError unless the edges form a tree over 0..num_nodes-1."""
+    num_nodes, tree_edges = t.num_nodes, t.tree_edges
     for i, j in tree_edges:
         if not (0 <= i < num_nodes and 0 <= j < num_nodes) or i == j:
             raise ValueError(f"bad tree edge ({i},{j})")
@@ -135,22 +114,7 @@ def _check_tree_shape(num_nodes: int, tree_edges) -> None:
         raise ValueError(
             f"tree must have {num_nodes - 1} edges, got {len(tree_edges)}"
         )
-    adj = [[] for _ in range(num_nodes)]
-    for i, j in tree_edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = [False] * num_nodes
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    if count != num_nodes:
+    if len(tree_bfs(t.node_adj(), 0)[1]) != num_nodes:
         raise ValueError("tree is disconnected")
 
 
@@ -164,7 +128,7 @@ def _check_bag_indices(g: Graph, bags) -> None:
 def verify_td(g: Graph, td: TreeDecomposition):
     """Width of a valid tree decomposition, or the first Violation."""
     _check_bag_indices(g, td.bags)
-    _check_tree_shape(td.num_nodes, td.tree_edges)
+    _check_tree_shape(td)
     if g.n == 0:
         return max((len(b) for b in td.bags), default=1) - 1
 
@@ -199,7 +163,7 @@ def verify_td(g: Graph, td: TreeDecomposition):
 def verify_tp(g: Graph, tp: TreePartition):
     """Width of a valid tree-partition, or the first Violation."""
     _check_bag_indices(g, tp.bags)
-    _check_tree_shape(tp.num_nodes, tp.tree_edges)
+    _check_tree_shape(tp)
     if g.n == 0 and tp.num_nodes == 0:
         return 0
 
@@ -242,30 +206,11 @@ def tcd_cuts(g: Graph, tcd: TreeCutDecomposition):
     """cut(e) sizes for every tree edge, keyed by the child endpoint.
 
     Requires the tree shape to be valid.  cut(e) counts host edges with one
-    endpoint below e and one above.
+    endpoint below e and one above.  Returns (cut, parent, order, below):
+    the tree rooted by `tree_bfs` and below[t], the vertex set of the
+    subtree rooted at t.
     """
-    adj = [[] for _ in range(tcd.num_nodes)]
-    for i, j in tcd.tree_edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    parent = [-1] * tcd.num_nodes
-    order = [tcd.root]
-    seen = [False] * tcd.num_nodes
-    seen[tcd.root] = True
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                order.append(v)
-    node_of = {}
-    for i, bag in enumerate(tcd.bags):
-        for v in bag:
-            node_of[v] = i
-    # below[t] = vertex set of the subtree rooted at t
+    parent, order = tree_bfs(tcd.node_adj(), tcd.root)
     below = [set(b) for b in tcd.bags]
     for u in reversed(order):
         p = parent[u]
@@ -280,13 +225,34 @@ def tcd_cuts(g: Graph, tcd: TreeCutDecomposition):
                 if w not in sub:
                     c += 1
         cut[t] = c
-    return cut, parent, order, below, node_of
+    return cut, parent, order, below
+
+
+def non_nice_node(g: Graph, tcd: TreeCutDecomposition, cuts):
+    """First thin node, in the order of `tcd_cuts`, whose subtree has an
+    edge into a sibling subtree, or None when the decomposition is nice.
+
+    A node is thin when the cut of its parent edge is at most 2; cuts is
+    `tcd_cuts(g, tcd)`.
+    """
+    cut, parent, order, below = cuts
+    adj = tcd.node_adj()
+    for t in order[1:]:
+        if cut[t] <= 2:
+            p = parent[t]
+            sib_vertices = set()
+            for s in adj[p]:
+                if s != t and parent[s] == p:
+                    sib_vertices |= below[s]
+            if any(w in sib_vertices for v in below[t] for w in g.adj[v]):
+                return t
+    return None
 
 
 def verify_tcd(g: Graph, tcd: TreeCutDecomposition):
     """(width, nice) of a valid tree-cut decomposition, or a Violation."""
     _check_bag_indices(g, tcd.bags)
-    _check_tree_shape(tcd.num_nodes, tcd.tree_edges)
+    _check_tree_shape(tcd)
     if not (0 <= tcd.root < max(tcd.num_nodes, 1)):
         raise ValueError(f"bad root {tcd.root}")
 
@@ -300,36 +266,16 @@ def verify_tcd(g: Graph, tcd: TreeCutDecomposition):
         if node_of[v] == -1:
             return Violation("near-partition-coverage", v)
 
-    cut, parent, order, below, _ = tcd_cuts(g, tcd)
-    adj = [[] for _ in range(tcd.num_nodes)]
-    for i, j in tcd.tree_edges:
-        adj[i].append(j)
-        adj[j].append(i)
-
+    cuts = tcd_cuts(g, tcd)
+    cut, parent = cuts[0], cuts[1]
     width = 0
-    for t in range(tcd.num_nodes):
+    for t, nbrs in enumerate(tcd.node_adj()):
         bold_incident = 0
-        for u in adj[t]:
+        for u in nbrs:
             child = u if parent[u] == t else t
             if cut.get(child, 0) >= 3:
                 bold_incident += 1
         tor = len(tcd.bags[t]) + bold_incident
         adh = cut.get(t, 0)  # 0 for the root
         width = max(width, tor, adh)
-
-    # nice: thin nodes' subtrees have no neighbors in sibling subtrees
-    nice = True
-    for t in order[1:]:
-        if cut[t] <= 2:  # thin node
-            p = parent[t]
-            siblings = [s for s in adj[p] if s != t and parent[s] == p]
-            sib_vertices = set()
-            for s in siblings:
-                sib_vertices |= below[s]
-            for v in below[t]:
-                if any(w in sib_vertices for w in g.adj[v]):
-                    nice = False
-                    break
-        if not nice:
-            break
-    return width, nice
+    return width, non_nice_node(g, tcd, cuts) is None

@@ -117,43 +117,54 @@ def exact_tpw(g: Graph, kmax: int, cap: int = 12):
 # ---------------------------------------------------------------------------
 
 
-def _set_partitions(items):
-    """All set partitions of a list, as lists of lists."""
+def _set_partitions(items, max_part=None):
+    """All set partitions of a list, as lists of lists, in a fixed order.
+
+    With max_part, a part stops growing once it holds max_part items,
+    which yields exactly the partitions whose parts all have at most
+    max(max_part, 1) items, in the same relative order: parts only grow as
+    the recursion adds items.
+    """
     if not items:
         yield []
         return
     first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
+    for part in _set_partitions(rest, max_part):
         for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+            if max_part is None or len(part[i]) < max_part:
+                yield part[:i] + [[first] + part[i]] + part[i + 1 :]
         yield [[first]] + part
 
 
-def _quotient_is_forest(g: Graph, parts) -> bool:
+def _find(root, x):
+    while root[x] != x:
+        root[x] = root[root[x]]
+        x = root[x]
+    return x
+
+
+def _quotient_forest(edges, parts):
+    """(quotient edge set, union-find table joining its edges) for a
+    partition of the vertices, or None when the quotient edges close a
+    cycle.  edges are the host graph's edges."""
     part_of = {}
     for i, p in enumerate(parts):
         for v in p:
             part_of[v] = i
-    edges = set()
-    for u, v in g.edges():
+    quotient_edges = set()
+    for u, v in edges:
         a, b = part_of[u], part_of[v]
         if a != b:
-            edges.add((min(a, b), max(a, b)))
-    # forest check by union-find
+            quotient_edges.add((a, b) if a < b else (b, a))
+    if len(quotient_edges) >= len(parts):  # too many edges for a forest
+        return None
     root = list(range(len(parts)))
-
-    def find(x):
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
+    for a, b in quotient_edges:
+        ra, rb = _find(root, a), _find(root, b)
         if ra == rb:
-            return False
+            return None
         root[ra] = rb
-    return True
+    return quotient_edges, root
 
 
 def tpw_by_enumeration(g: Graph, cap: int = 7):
@@ -167,12 +178,13 @@ def tpw_by_enumeration(g: Graph, cap: int = 7):
         raise CapacityError(f"n={g.n} exceeds cap {cap}")
     if g.n == 0:
         return 0
+    edges = g.edges()
     best = g.n
     for parts in _set_partitions(list(range(g.n))):
         w = max(len(p) for p in parts)
         if w >= best:
             continue
-        if _quotient_is_forest(g, parts):
+        if _quotient_forest(edges, parts) is not None:
             best = w
     return best
 
@@ -182,9 +194,11 @@ def valid_partitions_upto(g: Graph, k: int, cap: int = 8):
     forest, i.e. all tree-partition bag structures of width <= k."""
     if g.n > cap:
         raise CapacityError(f"n={g.n} exceeds cap {cap}")
+    edges = g.edges()
     out = []
-    for parts in _set_partitions(list(range(g.n))):
-        if max(len(p) for p in parts) <= k and _quotient_is_forest(g, parts):
+    for parts in _set_partitions(list(range(g.n)), k):
+        # the size test still matters for k < 1, where parts are singletons
+        if max(len(p) for p in parts) <= k and _quotient_forest(edges, parts) is not None:
             out.append([sorted(p) for p in parts])
     return out
 
@@ -192,35 +206,15 @@ def valid_partitions_upto(g: Graph, k: int, cap: int = 8):
 def completion_tree(g: Graph, parts):
     """A spanning tree over the parts extending the quotient requirement
     forest, as a list of tree edges (deterministic completion)."""
-    part_of = {}
-    for i, p in enumerate(parts):
-        for v in p:
-            part_of[v] = i
-    edges = set()
-    for u, v in g.edges():
-        a, b = part_of[u], part_of[v]
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    root = list(range(len(parts)))
-
-    def find(x):
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    tree = []
-    for a, b in sorted(edges):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            raise ValueError("quotient has a cycle")
-        root[ra] = rb
-        tree.append((a, b))
+    forest = _quotient_forest(g.edges(), parts)
+    if forest is None:
+        raise ValueError("quotient has a cycle")
+    tree, root = sorted(forest[0]), forest[1]
     for b in range(1, len(parts)):
-        ra, rb = find(0), find(b)
+        ra, rb = _find(root, 0), _find(root, b)
         if ra != rb:
             root[ra] = rb
-            tree.append((0, b) if 0 < b else (b, 0))
+            tree.append((0, b))
     return tree
 
 

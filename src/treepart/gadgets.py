@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .decomp import TreePartition, TreeDecomposition
-from .graph import Graph
+from .graph import Graph, connected_components, tree_bfs
 
 
 def gen_cluster_gadget(h: Graph, z, big_l: int):
@@ -65,19 +65,8 @@ class TcmisInstance:
         if len(self.tree_edges) != self.tree_n - 1:
             raise ValueError("tree must have n-1 edges")
         t = Graph(self.tree_n, self.tree_edges)
-        if len(
-            [c for c in range(self.tree_n) if True]
-        ) and self.tree_n > 1:
-            seen = {0}
-            stack = [0]
-            while stack:
-                u = stack.pop()
-                for v in t.adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            if len(seen) != self.tree_n:
-                raise ValueError("tree is disconnected")
+        if len(connected_components(t)) > 1:
+            raise ValueError("tree is disconnected")
         if t.max_degree() > 3:
             raise ValueError("tree is not binary")
         eset = {(min(u, v), max(u, v)) for u, v in self.tree_edges}
@@ -137,18 +126,8 @@ def gen_tcmis_gadget(inst: TcmisInstance) -> TcmisGadget:
     ext_adj[0].append(iprime)
     ext_adj[iprime] += [0, r0]
     ext_adj[r0].append(iprime)
-    ext_parent = [-1] * (inst.tree_n + 2)
-    ext_order = [r0]
-    seen = {r0}
-    qi = 0
-    while qi < len(ext_order):
-        u = ext_order[qi]
-        qi += 1
-        for v in sorted(ext_adj[u]):
-            if v not in seen:
-                seen.add(v)
-                ext_parent[v] = u
-                ext_order.append(v)
+    # sorted adjacency fixes the walk order, and with it the trunk vertex ids
+    ext_parent, ext_order = tree_bfs([sorted(a) for a in ext_adj], r0)
 
     # trunk tree: the extended tree with every edge subdivided big_n times
     parent = []

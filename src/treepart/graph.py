@@ -1,6 +1,6 @@
 """Simple undirected graphs with the structural operations the rest of the
 library is built on: connected components, blocks (biconnected components),
-edge subdivision and quotients.
+a rooted breadth-first tree walk, edge subdivision and quotients.
 
 Vertices are dense 0-based integers.  All set-valued outputs are sorted so
 that downstream golden tests are reproducible.
@@ -152,26 +152,51 @@ class BlockForest:
         return kids
 
 
-def connected_components(g: Graph):
-    """Connected components as sorted vertex lists, ordered by minimum vertex."""
-    seen = [False] * g.n
+def connected_components(g: Graph, vertices=None):
+    """Connected components of g, or of the subgraph induced by `vertices`,
+    as sorted vertex lists ordered by minimum vertex."""
+    if vertices is None:
+        vertices = range(g.n)
+    left = set(vertices)
     comps = []
-    for s in range(g.n):
-        if seen[s]:
+    for s in sorted(left):
+        if s not in left:
             continue
-        seen[s] = True
+        left.discard(s)
         stack = [s]
         comp = [s]
         while stack:
             u = stack.pop()
             for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
+                if v in left:
+                    left.discard(v)
                     comp.append(v)
                     stack.append(v)
         comp.sort()
         comps.append(comp)
     return comps
+
+
+def tree_bfs(adj, root: int):
+    """Breadth-first walk from root over a node adjacency list.
+
+    Returns (parent, order): order lists the reached nodes, root first,
+    visiting each node's neighbors in list order; parent[x] is the node
+    that reached x, and -1 for the root and for unreached nodes.  On a
+    tree, passing sorted adjacency lists puts each node's children in
+    ascending order.
+    """
+    parent = [-1] * len(adj)
+    seen = [False] * len(adj)
+    seen[root] = True
+    order = [root]
+    for u in order:
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                parent[v] = u
+                order.append(v)
+    return parent, order
 
 
 def biconnected_components(g: Graph) -> BlockForest:

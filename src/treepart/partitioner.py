@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .decomp import TreeDecomposition, TreePartition
-from .graph import BlockForest, Graph
+from .graph import BlockForest, Graph, connected_components
 from .treewidth import occupancy_tables
 
 
@@ -44,29 +44,10 @@ class PartitionConstants:
 CONSTANTS = PartitionConstants()
 
 
-def _components_within(g: Graph, universe, removed):
-    """Components of g[universe - removed], sorted by minimum vertex."""
-    left = set(universe) - set(removed)
-    comps = []
-    while left:
-        v = min(left)
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if w in left and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(comp)
-        left -= comp
-    return comps
-
-
 def _is_balanced(g: Graph, universe, bag, wset) -> bool:
     half = len(wset) / 2.0
-    for comp in _components_within(g, universe, bag):
-        if len(comp & wset) > half:
+    for comp in connected_components(g, universe - bag):
+        if len(wset.intersection(comp)) > half:
             return False
     return True
 
@@ -165,7 +146,7 @@ def _partition_into(g, td, tables, width, builder, universe, s_set) -> int:
     if not bag:
         bag = {min(universe)}
     root = builder.emit(bag)
-    comps = _components_within(g, universe, bag)
+    comps = [set(c) for c in connected_components(g, universe - bag)]
     boundaries = []
     for comp in comps:
         nb = set()
@@ -205,8 +186,8 @@ def partition_rooted(g: Graph, td: TreeDecomposition, s_set) -> TreePartition:
     width = td.width()
     builder = _Builder()
     roots = []
-    comps = _components_within(g, range(g.n), ())
-    for comp in comps:
+    for comp in connected_components(g):
+        comp = set(comp)
         roots.append(
             _partition_into(g, td, tables, width, builder, comp, s_set & comp)
         )
@@ -235,7 +216,8 @@ def partition_isolated(g: Graph, td: TreeDecomposition, v: int) -> TreePartition
     builder = _Builder()
     root = builder.emit({v})
     nv = set(g.adj[v])
-    for comp in _components_within(g, range(g.n), {v}):
+    for comp in connected_components(g, set(range(g.n)) - {v}):
+        comp = set(comp)
         child = _partition_into(g, td, tables, width, builder, comp, nv & comp)
         builder.edges.append((root, child))
     return TreePartition(builder.bags, builder.edges, root=root)

@@ -12,6 +12,7 @@ carries a certificate that recomputes to a genuine obstruction.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -151,6 +152,22 @@ def _step1_td(gc: Graph, params: PipelineParams, old_ids, lb: int) -> TreeDecomp
     raise ValueError(f"unknown step1 mode {params.step1!r}")
 
 
+def _fold(record: dict, op, **fields) -> None:
+    """Fold one component's values into a step's trace record: op is max
+    for widths and sizes, operator.add for counts."""
+    for key, val in fields.items():
+        record[key] = op(record.get(key, 0), val)
+
+
+def _lap(record: dict, t0: float) -> float:
+    """Step timer: add the milliseconds since t0 to the record's `millis`
+    and return the current time, where the next step starts.  A step that
+    rejects returns before its lap, so its record has no `millis`."""
+    now = time.perf_counter()
+    _fold(record, operator.add, millis=1000 * (now - t0))
+    return now
+
+
 def _run_component(gc: Graph, params: PipelineParams, old_ids, stats):
     """Returns ("accept", local TreePartition) or ("reject", certificate)."""
     k = params.k
@@ -161,13 +178,9 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats):
         return "reject", TreewidthLB(lb, 2 * k - 1)
     td = _step1_td(gc, params, old_ids, lb)
     w = td.width()
-    stats["step1"]["w"] = max(stats["step1"].get("w", 0), w)
-    stats["step1"]["lb"] = max(stats["step1"].get("lb", 0), lb)
-    stats["step1"]["millis"] = stats["step1"].get("millis", 0.0) + 1000 * (
-        time.perf_counter() - t0
-    )
+    _fold(stats["step1"], max, w=w, lb=lb)
+    t0 = _lap(stats["step1"], t0)
 
-    t0 = time.perf_counter()
     b = max(2 * k - 1, w + 1)
     if params.b_override is not None:
         if params.b_override < b:
@@ -175,38 +188,27 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats):
         b = params.b_override
     gb = build_gb(gc, b, candidate_pairs(td))
     gb_comps = connected_components(gb)
-    stats["step2"]["b"] = max(stats["step2"].get("b", 0), b)
-    stats["step2"]["gb_edges"] = stats["step2"].get("gb_edges", 0) + gb.m
-    stats["step2"]["max_component"] = max(
-        stats["step2"].get("max_component", 0),
-        max((len(c) for c in gb_comps), default=0),
-    )
-    stats["step2"]["millis"] = stats["step2"].get("millis", 0.0) + 1000 * (
-        time.perf_counter() - t0
-    )
+    _fold(stats["step2"], max, b=b)
+    _fold(stats["step2"], operator.add, gb_edges=gb.m)
+    _fold(stats["step2"], max, max_component=max((len(c) for c in gb_comps), default=0))
+    t0 = _lap(stats["step2"], t0)
     for comp in gb_comps:
         if len(comp) > k:
             return "reject", LargeComponent(
                 frozenset(old_ids[v] for v in comp), b
             )
 
-    t0 = time.perf_counter()
     red = b_reduction(gc, gb)
     h = red.h
     tbags = [sorted({red.part_of[v] for v in bag}) for bag in td.bags]
     tdh = TreeDecomposition(tbags, list(td.tree_edges), td.root if td.root is not None else 0)
     tdh_index = _td_index(tdh)
     bf = biconnected_components(h)
-    stats["step3"]["h_n"] = stats["step3"].get("h_n", 0) + h.n
-    stats["step3"]["blocks"] = stats["step3"].get("blocks", 0) + len(bf.blocks)
-    stats["step3"]["millis"] = stats["step3"].get("millis", 0.0) + 1000 * (
-        time.perf_counter() - t0
-    )
+    _fold(stats["step3"], operator.add, h_n=h.n, blocks=len(bf.blocks))
+    t0 = _lap(stats["step3"], t0)
 
-    t0 = time.perf_counter()
     thr = degree_threshold(k, max(b, 2))
-    delta_h = h.max_degree()
-    stats["step4"]["delta_h"] = max(stats["step4"].get("delta_h", 0), delta_h)
+    _fold(stats["step4"], max, delta_h=h.max_degree())
     stats["step4"]["threshold"] = thr
     for blk in bf.blocks:
         blkset = set(blk)
@@ -237,15 +239,10 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats):
             tp_local.root,
         )
     tp_h = combine_blocks(h, bf, per_block)
-    stats["step4"]["millis"] = stats["step4"].get("millis", 0.0) + 1000 * (
-        time.perf_counter() - t0
-    )
+    t0 = _lap(stats["step4"], t0)
 
-    t0 = time.perf_counter()
     tp = expand(tp_h, red)
-    stats["step5"]["millis"] = stats["step5"].get("millis", 0.0) + 1000 * (
-        time.perf_counter() - t0
-    )
+    _lap(stats["step5"], t0)
     return "accept", tp
 
 

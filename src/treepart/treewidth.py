@@ -14,8 +14,8 @@ import random
 import sys
 
 from .decomp import TreeDecomposition
-from .exact import CapacityError
-from .graph import Graph
+from .exact import CapacityError, _bits
+from .graph import Graph, tree_bfs
 
 
 def _td_from_elimination(n: int, order, elim_bags) -> TreeDecomposition:
@@ -241,13 +241,6 @@ def exact_td(g: Graph, k: int, cap: int = 15):
     return _td_from_elimination(n, order, elim_bags)
 
 
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
-
-
 # ---------------------------------------------------------------------------
 # rebalancing to logarithmic depth
 # ---------------------------------------------------------------------------
@@ -281,20 +274,7 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
         return TreeDecomposition([bags[0]], [], root=0)
 
     # --- root at 0 and binarize with duplicate-bag chains ---------------
-    adj = td.node_adj()
-    parent = [-1] * td.num_nodes
-    order = [0]
-    seen = [False] * td.num_nodes
-    seen[0] = True
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                order.append(v)
+    parent, order = tree_bfs(td.node_adj(), 0)
     kids = [[] for _ in range(td.num_nodes)]
     for v in order[1:]:
         kids[parent[v]].append(v)

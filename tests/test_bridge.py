@@ -125,3 +125,12 @@ def test_lift_rejects_invalid_partition():
     bad = TreePartition([[0], [1, 2]], [], root=0)
     with pytest.raises(ValueError):
         tp_lift_subdivision(g, bad, {(0, 1): 1})
+
+
+def test_from_tcd_names_the_thin_offender():
+    # node 1 is thin (cut 1) and its vertex 1 is adjacent to vertex 2 in
+    # the sibling subtree of node 2; node 1 comes first in the walk
+    g = Graph(3, [(1, 2)])
+    tcd = TreeCutDecomposition([[0], [1], [2]], [(0, 1), (0, 2)], root=0)
+    with pytest.raises(ValueError, match=r"not nice: thin node 1 has edges"):
+        tcd_to_subdivision_tp(g, tcd)

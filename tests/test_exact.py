@@ -105,3 +105,14 @@ def test_exact_domino_tw_degree_filter():
 
 def test_exact_domino_tw_exceeds():
     assert exact_domino_tw(complete(6), 1) is None
+
+
+def test_bounded_set_partitions_match_filtered_enumeration():
+    from treepart.exact import _set_partitions
+
+    items = list(range(7))
+    full = list(_set_partitions(items))
+    assert len(full) == 877  # Bell(7)
+    for cap in (1, 2, 3, 7):
+        kept = [p for p in full if max(len(part) for part in p) <= cap]
+        assert list(_set_partitions(items, cap)) == kept

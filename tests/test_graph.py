@@ -6,6 +6,7 @@ from treepart.graph import (
     connected_components,
     quotient,
     subdivide,
+    tree_bfs,
 )
 
 
@@ -89,3 +90,28 @@ def test_quotient_drops_loops_and_multiplicities():
     assert q.n == 2
     assert q.edges() == [(0, 1)]
     assert part_of == [0, 0, 1, 1]
+
+
+def test_connected_components_of_a_vertex_subset():
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)])
+    # dropping 1 and 5 splits both paths; order is by minimum vertex
+    assert connected_components(g, {6, 0, 2, 3, 4}) == [[0], [2, 3], [4], [6]]
+    assert connected_components(g, []) == []
+    assert connected_components(g, range(7)) == connected_components(g)
+
+
+def test_tree_bfs_parent_and_order():
+    #        3
+    #      / | \
+    #     5  0  1
+    #    /      \
+    #   2        4
+    adj = [[3], [4, 3], [5], [5, 0, 1], [1], [2, 3]]
+    parent, order = tree_bfs(adj, 3)
+    assert order == [3, 5, 0, 1, 2, 4]  # neighbors in list order
+    assert parent == [3, 3, 5, -1, 1, 3]
+    parent, order = tree_bfs([sorted(a) for a in adj], 3)
+    assert order == [3, 0, 1, 5, 4, 2]
+    # unreached nodes keep parent -1 and stay out of the order
+    parent, order = tree_bfs([[1], [0], []], 0)
+    assert (parent, order) == ([-1, 0, -1], [0, 1])

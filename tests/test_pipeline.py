@@ -2,7 +2,7 @@ import pytest
 
 from treepart.decomp import TreeDecomposition, Violation, verify_td, verify_tp
 from treepart.exact import exact_tpw
-from treepart.families import random_graph, random_tree
+from treepart.families import gen_complete_bipartite, gen_fan, random_graph, random_tree
 from treepart.graph import Graph
 from treepart.pipeline import (
     BlockDegree,
@@ -162,3 +162,40 @@ def test_invalid_import_td_is_refused():
     assert verify_td(g, td) == Violation("vertex-coverage", 6)
     with pytest.raises(ValueError, match="vertex-coverage"):
         run(g, PipelineParams(k=2, step1="import", import_td=td))
+
+
+_STEP_KEYS = {
+    "step1": {"w", "lb", "millis"},
+    "step2": {"b", "gb_edges", "max_component", "millis"},
+    "step3": {"h_n", "blocks", "millis"},
+    "step4": {"delta_h", "threshold", "millis"},
+    "step5": {"millis", "width"},
+}
+
+
+@pytest.mark.parametrize(
+    "make, k, flavour, last_full, partial",
+    [
+        # accept: every step record is complete
+        (lambda: cycle(6), 2, None, "step5", {}),
+        (lambda: Graph(5, [(0, 1), (1, 2), (3, 4)]), 1, None, "step5", {}),
+        # a rejection leaves the later steps empty; the rejecting step keeps
+        # what it recorded before the verdict and has no millis
+        (lambda: complete(5), 1, TreewidthLB, None, {"step1": set()}),
+        (lambda: gen_complete_bipartite(3, 6), 2, LargeComponent, "step2", {}),
+        (lambda: gen_fan(7), 2, BlockDegree, "step3", {"step4": {"delta_h", "threshold"}}),
+    ],
+)
+def test_trace_key_sets_per_outcome(make, k, flavour, last_full, partial):
+    out = run(make(), PipelineParams(k=k))
+    assert out.accepted == (flavour is None)
+    if flavour is not None:
+        assert isinstance(out.certificate, flavour)
+    steps = list(_STEP_KEYS)
+    full = steps[: steps.index(last_full) + 1] if last_full else []
+    for rec in out.trace:
+        if rec.step in full:
+            expected = _STEP_KEYS[rec.step]
+        else:
+            expected = partial.get(rec.step, set())
+        assert set(rec.fields) == expected, rec.step
