@@ -73,6 +73,8 @@ class TreeDecomposition(BaggedTree):
         """Depth of the rooted tree (root at depth 0); requires root set."""
         if self.root is None:
             raise ValueError("decomposition is not rooted")
+        if not 0 <= self.root < self.num_nodes:
+            raise ValueError(f"root {self.root} is not a node")
         parent, order = tree_bfs(self.node_adj(), self.root)
         best, x = 0, order[-1]  # breadth-first order ends at a deepest node
         while parent[x] != -1:

@@ -156,7 +156,7 @@ def _quotient_forest(edges, parts):
         a, b = part_of[u], part_of[v]
         if a != b:
             quotient_edges.add((a, b) if a < b else (b, a))
-    if len(quotient_edges) >= len(parts):  # too many edges for a forest
+    if quotient_edges and len(quotient_edges) >= len(parts):  # too many for a forest
         return None
     root = list(range(len(parts)))
     for a, b in quotient_edges:
@@ -198,7 +198,8 @@ def valid_partitions_upto(g: Graph, k: int, cap: int = 8):
     out = []
     for parts in _set_partitions(list(range(g.n)), k):
         # the size test still matters for k < 1, where parts are singletons
-        if max(len(p) for p in parts) <= k and _quotient_forest(edges, parts) is not None:
+        width = max((len(p) for p in parts), default=0)
+        if width <= k and _quotient_forest(edges, parts) is not None:
             out.append([sorted(p) for p in parts])
     return out
 

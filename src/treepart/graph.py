@@ -276,6 +276,9 @@ def biconnected_components(g: Graph) -> BlockForest:
     parent_cut = [None] * len(blocks)
     parent_block = [None] * len(blocks)
     visited = [False] * len(blocks)
+    # A cutvertex's blocks are all reached the first time it is expanded,
+    # so each cutvertex is expanded once: O(n + m) in all.
+    expanded = set()
     # root block per component: block containing the component's minimum
     # block-covered vertex, with ties broken by smallest block content.
     order = sorted(range(len(blocks)), key=lambda b: blocks[b])
@@ -284,11 +287,11 @@ def biconnected_components(g: Graph) -> BlockForest:
             continue
         visited[start] = True
         queue = [start]
-        while queue:
-            b = queue.pop(0)
+        for b in queue:
             for v in blocks[b]:
-                if v not in cutset:
+                if v not in cutset or v in expanded:
                     continue
+                expanded.add(v)
                 for b2 in in_blocks[v]:
                     if not visited[b2]:
                         visited[b2] = True

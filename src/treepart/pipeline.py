@@ -152,6 +152,14 @@ def _step1_td(gc: Graph, params: PipelineParams, old_ids, lb: int) -> TreeDecomp
     raise ValueError(f"unknown step1 mode {params.step1!r}")
 
 
+def _step2_pairs(g: Graph, td: TreeDecomposition, b: int) -> list:
+    """The co-bagged pairs step 2 tests: those whose endpoints both have
+    degree >= b, since mu(u, v) <= min(deg u, deg v).  Bags are restricted
+    to these vertices before pairs are listed, so a wide bag of low-degree
+    vertices costs no pairs."""
+    return candidate_pairs(td, {v for v in range(g.n) if g.degree(v) >= b})
+
+
 def _fold(record: dict, op, **fields) -> None:
     """Fold one component's values into a step's trace record: op is max
     for widths and sizes, operator.add for counts."""
@@ -186,7 +194,7 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats):
         if params.b_override < b:
             raise ValueError(f"b_override {params.b_override} below required {b}")
         b = params.b_override
-    gb = build_gb(gc, b, candidate_pairs(td))
+    gb = build_gb(gc, b, _step2_pairs(gc, td, b))
     gb_comps = connected_components(gb)
     _fold(stats["step2"], max, b=b)
     _fold(stats["step2"], operator.add, gb_edges=gb.m)

@@ -3,14 +3,20 @@ digraph, the auxiliary graph of highly-connected pairs, and its quotient.
 
 mu(s, t) is measured in G-st: the direct edge, if present, is removed
 before computing the minimum separator, for adjacent and non-adjacent
-pairs alike.
+pairs alike.  By Menger's theorem it is the largest number of internally
+disjoint s-t paths in G-st.
+
+`build_gb` settles most pairs without a flow, by three exact tests that
+run before it (see its docstring): a degree bound, a common-neighbour
+accept, and, for b >= 2, a block test that also moves any remaining flow
+from G onto the one block holding both endpoints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, connected_components, quotient
+from .graph import Graph, biconnected_components, connected_components, quotient
 
 
 def mu(g: Graph, s: int, t: int, cap: int | None = None) -> int:
@@ -19,7 +25,9 @@ def mu(g: Graph, s: int, t: int, cap: int | None = None) -> int:
     Unit-capacity max-flow between s_out and t_in on the split digraph
     (v_in -> v_out per vertex, both directions per edge), with breadth-first
     augmenting paths scanned in vertex id order.  The flow stops as soon as
-    `cap` augmenting paths have been found.
+    `cap` augmenting paths have been found.  Each augmenting path costs one
+    breadth-first search, O(n + m), and a call runs at most min(mu, cap) + 1
+    of them.
     """
     if s == t:
         raise ValueError("s == t")
@@ -40,11 +48,12 @@ def mu(g: Graph, s: int, t: int, cap: int | None = None) -> int:
     sink = 2 * t
     flow = 0
     parent = [-1] * (2 * n)
+    seen = [0] * (2 * n)  # seen[x] == stamp: x reached by the current search
     while flow < cap:
-        # BFS from s_out to t_in in the residual network
-        for i in range(2 * n):
-            parent[i] = -1
-        parent[src] = src
+        # BFS from s_out to t_in in the residual network; each search has
+        # its own stamp, so nothing is reset between augmentations
+        stamp = flow + 1
+        seen[src] = stamp
         queue = [src]
         qi = 0
         found = False
@@ -64,21 +73,25 @@ def mu(g: Graph, s: int, t: int, cap: int | None = None) -> int:
                         parent[y] = x
                         found = True
                         break
-                    if parent[y] == -1:
+                    if seen[y] != stamp:
+                        seen[y] = stamp
                         parent[y] = x
                         queue.append(y)
-                if not found and vertex_used[v] and parent[2 * v] == -1:
+                if not found and vertex_used[v] and seen[2 * v] != stamp:
+                    seen[2 * v] = stamp
                     parent[2 * v] = x
                     queue.append(2 * v)
             else:
                 # split arc v_in -> v_out, edge residuals v_in -> w_out
-                if not vertex_used[v] and parent[2 * v + 1] == -1:
+                if not vertex_used[v] and seen[2 * v + 1] != stamp:
+                    seen[2 * v + 1] = stamp
                     parent[2 * v + 1] = x
                     queue.append(2 * v + 1)
                 for w in g.adj[v]:
                     if edge_flow.get((w, v)):
                         y = 2 * w + 1
-                        if parent[y] == -1:
+                        if seen[y] != stamp:
+                            seen[y] = stamp
                             parent[y] = x
                             queue.append(y)
         if not found:
@@ -100,11 +113,15 @@ def mu(g: Graph, s: int, t: int, cap: int | None = None) -> int:
     return flow
 
 
-def candidate_pairs(td) -> list:
-    """Deduplicated vertex pairs co-occurring in some bag, sorted."""
+def candidate_pairs(td, vertices=None) -> list:
+    """Deduplicated vertex pairs co-occurring in some bag, sorted.
+
+    With `vertices` (a set), each bag is first restricted to it, so only
+    pairs of those vertices are listed.
+    """
     pairs = set()
     for bag in td.bags:
-        bs = sorted(set(bag))
+        bs = sorted(set(bag) if vertices is None else vertices.intersection(bag))
         for i in range(len(bs)):
             for j in range(i + 1, len(bs)):
                 pairs.add((bs[i], bs[j]))
@@ -112,20 +129,87 @@ def candidate_pairs(td) -> list:
 
 
 def build_gb(g: Graph, b: int, pairs) -> Graph:
-    """Auxiliary graph joining the given pairs whose separator is >= b.
+    """Auxiliary graph joining the given pairs uv with mu(u, v) >= b.
 
-    The degree of each endpoint (in G-st) upper-bounds mu, so pairs that
-    cannot reach b are skipped without running a flow.  Output does not
-    depend on pair order.
+    Each pair goes through three exact tests, cheapest first; a flow runs
+    only when none of them settles it:
+
+    1. Degree bound, O(log deg): every u-v path in G-uv leaves u and v by
+       distinct edges, so mu <= min(deg u, deg v) - [uv in E].  Skip when
+       this is below b.
+    2. Common neighbours, O(min(deg u, deg v)) with the neighbour sets
+       built once per vertex: each w in N(u) & N(v) gives the path u-w-v,
+       which avoids uv, and these paths share no inner vertex, so
+       mu >= |N(u) & N(v)|.  Accept when this reaches b.
+    3. Blocks, for b >= 2 only, O(1) per pair after one O(n + m) block
+       computation made when a pair first gets here.  Two vertices share
+       at most one block, and every simple u-v path stays inside it.  With
+       no shared block a cutvertex separates u and v, so mu <= 1 < b: skip.
+       Otherwise apply the degree bound with degrees inside the block, and
+       run the flow on the block's induced subgraph, built once per block.
+       With b = 1 a pair split by a cutvertex can still reach mu = 1, so
+       the flow runs on all of G.
+
+    Output does not depend on pair order.
     """
     if b < 1:
         raise ValueError("b must be >= 1")
+    nbrs = {}  # vertex -> neighbour set, built on first use
+    forest = home = None  # b >= 2: blocks, and per vertex its home block
+    blocks = {}  # block id -> (induced subgraph, vertex -> subgraph id)
     edges = []
     for u, v in pairs:
-        bound = min(g.degree(u), g.degree(v)) - (1 if g.has_edge(u, v) else 0)
-        if bound >= b and mu(g, u, v, cap=b) >= b:
+        adjacent = g.has_edge(u, v)
+        if min(g.degree(u), g.degree(v)) - adjacent < b:
+            continue
+        for x in (u, v):
+            if x not in nbrs:
+                nbrs[x] = set(g.adj[x])
+        if len(nbrs[u] & nbrs[v]) >= b:
+            edges.append((min(u, v), max(u, v)))
+            continue
+        if b == 1:
+            if mu(g, u, v, cap=b) >= b:
+                edges.append((min(u, v), max(u, v)))
+            continue
+        if forest is None:
+            forest = biconnected_components(g)
+            home = [None] * g.n
+            for i, blk in enumerate(forest.blocks):
+                for x in blk:
+                    if forest.parent_cut[i] != x:
+                        home[x] = i
+        i = _shared_block(forest, home, u, v)
+        if i is None:
+            continue
+        if i not in blocks:
+            sub, old_ids = g.induced(forest.blocks[i])
+            blocks[i] = sub, {x: j for j, x in enumerate(old_ids)}
+        sub, new_id = blocks[i]
+        su, sv = new_id[u], new_id[v]
+        if min(sub.degree(su), sub.degree(sv)) - adjacent < b:
+            continue
+        if mu(sub, su, sv, cap=b) >= b:
             edges.append((min(u, v), max(u, v)))
     return Graph(g.n, sorted(edges))
+
+
+def _shared_block(forest, home, u, v):
+    """Id of the block holding both u and v, or None.
+
+    The blocks holding a vertex x are home[x], the one nearest the root of
+    the block forest, and the child blocks hung from it at x (those whose
+    parent cutvertex is x).  So a block shared by u != v is the home of
+    both, or the home of one hung from the other.
+    """
+    hu, hv = home[u], home[v]
+    if hu == hv:
+        return hu
+    if forest.parent_cut[hv] == u:
+        return hv
+    if forest.parent_cut[hu] == v:
+        return hu
+    return None
 
 
 @dataclass

@@ -103,3 +103,10 @@ def test_verify_tcd_bold_children_increase_torso():
     tcd = TreeCutDecomposition([[0], [1, 2], [3, 4]], [(0, 1), (0, 2)], root=0)
     width, nice = verify_tcd(g, tcd)
     assert width >= 3
+
+
+def test_depth_of_a_root_outside_the_tree_raises():
+    with pytest.raises(ValueError, match="root 0 is not a node"):
+        TreeDecomposition([], [], root=0).depth()
+    with pytest.raises(ValueError, match="root 2 is not a node"):
+        TreeDecomposition([[0], [1]], [(0, 1)], root=2).depth()

@@ -1,21 +1,34 @@
 """The heap-driven elimination and lower bound, the indexed block
-extraction and the subtree-size split choice of `balance_td` must return
-exactly what the straightforward scans return.
+extraction, the subtree-size split choice of `balance_td`, the block
+forest and the flow-saving tests of `build_gb` must return exactly what
+the straightforward versions return.
 
-The scans are kept here as reference oracles: one `min` over all alive
-vertices per step, one scan of every bag and tree edge per block, and one
-component search per split candidate.  Bags, tree edges (in order) and
-roots must match, so a drift in a tie-break or in edge order fails.
+The straightforward versions are kept here as reference oracles: one `min`
+over all alive vertices per step, one scan of every bag and tree edge per
+block, one component search per split candidate, a block-forest search
+that expands a cutvertex from every block holding it, and one
+whole-graph flow per pair the degree bound keeps.  Bags, tree edges (in
+order), roots, block forests and auxiliary graphs must match, so a drift
+in a tie-break, in edge order or in a pruning test fails.
 """
 
+import itertools
 import random
 
 import pytest
 
 from treepart.decomp import TreeDecomposition
-from treepart.families import gen_grid, gen_wall, random_graph
-from treepart.graph import Graph, biconnected_components
-from treepart.pipeline import _extract_sub_td, _td_index
+from treepart.families import (
+    gen_complete_bipartite,
+    gen_grid,
+    gen_multiple_tree,
+    gen_wall,
+    random_graph,
+    random_tree,
+)
+from treepart.graph import BlockForest, Graph, biconnected_components
+from treepart.pipeline import _extract_sub_td, _step2_pairs, _td_index
+from treepart.separators import build_gb, candidate_pairs, mu
 from treepart.treewidth import balance_td, heuristic_td, treewidth_lower_bound
 
 
@@ -252,6 +265,97 @@ def ref_balance_td(td):
     return TreeDecomposition(out_bags, out_edges, root=0)
 
 
+def ref_biconnected_components(g):
+    n = g.n
+    disc = [0] * n
+    low = [0] * n
+    timer = 1
+    edge_stack = []
+    raw_blocks = []
+    cutset = set()
+    for root in range(n):
+        if disc[root]:
+            continue
+        stack = [[root, -1, 0]]
+        disc[root] = low[root] = timer
+        timer += 1
+        root_children = 0
+        while stack:
+            u, parent, i = stack[-1]
+            if i < len(g.adj[u]):
+                stack[-1][2] = i + 1
+                v = g.adj[u][i]
+                if v == parent:
+                    continue
+                if not disc[v]:
+                    edge_stack.append((u, v))
+                    disc[v] = low[v] = timer
+                    timer += 1
+                    if u == root:
+                        root_children += 1
+                    stack.append([v, u, 0])
+                elif disc[v] < disc[u]:
+                    edge_stack.append((u, v))
+                    if disc[v] < low[u]:
+                        low[u] = disc[v]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[u] < low[p]:
+                        low[p] = low[u]
+                    if low[u] >= disc[p]:
+                        block = set()
+                        while edge_stack and edge_stack[-1] != (p, u):
+                            a, b = edge_stack.pop()
+                            block.add(a)
+                            block.add(b)
+                        if edge_stack:
+                            a, b = edge_stack.pop()
+                            block.add(a)
+                            block.add(b)
+                        if block:
+                            raw_blocks.append(sorted(block))
+                        if p != root:
+                            cutset.add(p)
+        if root_children >= 2:
+            cutset.add(root)
+    blocks = raw_blocks
+    in_blocks = {}
+    for b, bl in enumerate(blocks):
+        for v in bl:
+            in_blocks.setdefault(v, []).append(b)
+    parent_cut = [None] * len(blocks)
+    parent_block = [None] * len(blocks)
+    visited = [False] * len(blocks)
+    for start in sorted(range(len(blocks)), key=lambda b: blocks[b]):
+        if visited[start]:
+            continue
+        visited[start] = True
+        queue = [start]
+        while queue:
+            b = queue.pop(0)
+            for v in blocks[b]:
+                if v not in cutset:
+                    continue
+                for b2 in in_blocks[v]:
+                    if not visited[b2]:
+                        visited[b2] = True
+                        parent_cut[b2] = v
+                        parent_block[b2] = b
+                        queue.append(b2)
+    return BlockForest(blocks, sorted(cutset), parent_cut, parent_block)
+
+
+def ref_build_gb(g, b, pairs):
+    edges = []
+    for u, v in pairs:
+        bound = min(g.degree(u), g.degree(v)) - (1 if g.has_edge(u, v) else 0)
+        if bound >= b and mu(g, u, v, cap=b) >= b:
+            edges.append((min(u, v), max(u, v)))
+    return Graph(g.n, sorted(edges))
+
+
 # ---------------------------------------------------------------------------
 # corpora
 # ---------------------------------------------------------------------------
@@ -273,6 +377,29 @@ def star(leaves):
 
 def path(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def glued_cliques(p, q):
+    """K_p on 0..p-1 and K_q on p-1..p+q-2, sharing the cutvertex p-1."""
+    left = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    right = [(i, j) for i in range(p - 1, p + q - 1) for j in range(i + 1, p + q - 1)]
+    return Graph(p + q - 1, left + right)
+
+
+def step2_cases():
+    """(name, graph, b): tree multiples with m parallel paths around b,
+    complete bipartite graphs and glued cliques at every b they make
+    matter."""
+    tree = random_tree(9, 5)
+    for b in (1, 2, 3, 4):
+        for m in range(max(b - 1, 1), b + 2):
+            yield f"multitree{m}-b{b}", gen_multiple_tree(tree, m), b
+    for a, n in ((2, 7), (3, 12), (5, 9)):
+        for b in range(1, a + 2):
+            yield f"K{a},{n}-b{b}", gen_complete_bipartite(a, n), b
+    for p, q in ((3, 4), (4, 5), (5, 5)):
+        for b in range(1, q):
+            yield f"cliques{p},{q}-b{b}", glued_cliques(p, q), b
 
 
 STRUCTURED = {
@@ -341,3 +468,32 @@ def test_structured_families_match_scan(name):
     assert same_td(balance_td(g, td), ref_balance_td(td))
     check_blocks(g, td)
 
+
+
+def test_block_forest_matches_scan():
+    graphs = [star(leaves) for leaves in (0, 1, 2, 60, 500)]
+    graphs += [random_tree(n, seed) for n, seed in ((2, 0), (40, 1), (600, 2))]
+    graphs += [path(300), glued_cliques(4, 5)] + random_corpus()
+    for idx, g in enumerate(graphs):
+        assert biconnected_components(g) == ref_biconnected_components(g), idx
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+def test_build_gb_matches_flow_per_pair_on_random_graphs(b):
+    for idx, g in enumerate(random_corpus()):
+        td = heuristic_td(g, "min-fill" if idx % 2 else "min-degree", idx % 4)
+        pairs = candidate_pairs(td)
+        want = ref_build_gb(g, b, pairs)
+        assert build_gb(g, b, pairs) == want, idx
+        assert build_gb(g, b, _step2_pairs(g, td, b)) == want, idx
+
+
+@pytest.mark.parametrize(
+    "g, b", [pytest.param(g, b, id=name) for name, g, b in step2_cases()]
+)
+def test_build_gb_matches_flow_per_pair_on_structured_graphs(g, b):
+    pairs = list(itertools.combinations(range(g.n), 2))
+    assert build_gb(g, b, pairs) == ref_build_gb(g, b, pairs)
+    td = heuristic_td(g)
+    want = ref_build_gb(g, b, candidate_pairs(td))
+    assert build_gb(g, b, _step2_pairs(g, td, b)) == want

@@ -116,3 +116,9 @@ def test_bounded_set_partitions_match_filtered_enumeration():
     for cap in (1, 2, 3, 7):
         kept = [p for p in full if max(len(part) for part in p) <= cap]
         assert list(_set_partitions(items, cap)) == kept
+
+
+def test_valid_partitions_of_the_empty_graph():
+    # the one partition of no vertices, with an empty (forest) quotient
+    assert valid_partitions_upto(Graph(0), 1) == [[]]
+    assert completion_tree(Graph(0), []) == []

@@ -1,4 +1,7 @@
 import itertools
+import random
+
+import pytest
 
 from treepart.decomp import TreeDecomposition
 from treepart.exact import brute_disjoint_paths, brute_mu
@@ -35,6 +38,30 @@ def test_mu_matches_disjoint_paths():
         g = random_graph(7, 0.5, seed + 100)
         for s, t in itertools.combinations(range(g.n), 2):
             assert mu(g, s, t) == brute_disjoint_paths(g, s, t)
+
+
+def test_mu_matches_networkx_above_brute_force_range():
+    # brute_mu stops at 16 vertices; networkx's local node connectivity
+    # counts the direct edge as a path, so adjacent pairs are asked on G-st
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import local_node_connectivity
+
+    for seed in range(12):
+        n = 20 + seed * 40 // 11
+        g = random_graph(n, (0.08, 0.15, 0.3)[seed % 3], 400 + seed)
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges())
+        rnd = random.Random(seed)
+        pairs = rnd.sample(g.edges(), min(10, g.m))
+        pairs += rnd.sample(list(itertools.combinations(range(n), 2)), 15)
+        for s, t in pairs:
+            adjacent = g.has_edge(s, t)
+            if adjacent:
+                h.remove_edge(s, t)
+            assert mu(g, s, t) == local_node_connectivity(h, s, t), (seed, s, t)
+            if adjacent:
+                h.add_edge(s, t)
 
 
 def test_mu_cap_early_stop():
