@@ -159,10 +159,8 @@ def connected_components(g: Graph, vertices=None):
         vertices = range(g.n)
     left = set(vertices)
     comps = []
-    for s in sorted(left):
-        if s not in left:
-            continue
-        left.discard(s)
+    while left:
+        s = left.pop()
         stack = [s]
         comp = [s]
         while stack:
@@ -174,6 +172,7 @@ def connected_components(g: Graph, vertices=None):
                     stack.append(v)
         comp.sort()
         comps.append(comp)
+    comps.sort()
     return comps
 
 

@@ -23,6 +23,13 @@ from .decomp import TreeCutDecomposition, TreeDecomposition, TreePartition
 from .graph import Graph
 
 
+# Largest vertex or bag count a header may declare.  Parsers allocate one
+# list entry per declared vertex or bag (a graph at this cap holds about
+# 64 MB of empty adjacency lists), and the pure-Python pipeline is out of
+# reach well below it.
+MAX_HEADER_SIZE = 1_000_000
+
+
 class ParseError(ValueError):
     def __init__(self, lineno: int, reason: str):
         super().__init__(f"line {lineno}: {reason}")
@@ -46,6 +53,11 @@ def _int(tok: str, lineno: int) -> int:
         raise ParseError(lineno, f"expected an integer, got {tok!r}")
 
 
+def _check_cap(lineno: int, *sizes) -> None:
+    if any(x > MAX_HEADER_SIZE for x in sizes):
+        raise ParseError(lineno, f"header size above the cap of {MAX_HEADER_SIZE}")
+
+
 def parse_gr(text: str) -> Graph:
     n = m = None
     edges = []
@@ -59,6 +71,7 @@ def parse_gr(text: str) -> Graph:
             n, m = _int(toks[2], lineno), _int(toks[3], lineno)
             if n < 0 or m < 0:
                 raise ParseError(lineno, "negative size in header")
+            _check_cap(lineno, n)
             continue
         if len(toks) != 2:
             raise ParseError(lineno, "expected an edge line `<u> <v>`")
@@ -101,6 +114,7 @@ def _parse_bagged(text: str, kind: str, allow_empty_bags: bool, want_root: bool)
             nb, width, n = (_int(t, lineno) for t in toks[2:])
             if nb < 0 or n < 0:
                 raise ParseError(lineno, "negative size in header")
+            _check_cap(lineno, nb, n)
             header = (nb, width, n)
             bags = [None] * nb
             continue

@@ -44,41 +44,45 @@ class PartitionConstants:
 CONSTANTS = PartitionConstants()
 
 
-def _is_balanced(g: Graph, universe, bag, wset) -> bool:
+def _heavy_component(g: Graph, universe, bag, wset):
+    """The component of g[universe - bag] holding more than half of wset,
+    or None when bag is a balanced separator of wset in g[universe]."""
     half = len(wset) / 2.0
     for comp in connected_components(g, universe - bag):
         if len(wset.intersection(comp)) > half:
-            return False
-    return True
+            return comp
+    return None
 
 
 def _separator_walk(g: Graph, td: TreeDecomposition, tables, universe, wset):
     """Node whose restricted bag is a balanced separator of wset in
-    g[universe], found by descending toward the heaviest subtree."""
+    g[universe], found by descending into the heavy component's subtree.
+
+    The heavy component H of a node t is connected and avoids t's bag, so
+    the nodes whose bags meet H form a connected subtree of T - t.  It is
+    below t: at the root every part of T - t is below it, and at a child t
+    the heavy component of its parent lies in t's subtree and shares a
+    wset vertex with H (each holds more than half of wset), which pins H
+    to a child subtree of t.  So top[x] of any x in H names the child to
+    step into, and that child's subtree holds more than half of wset, which
+    makes it the unique child with the most wset vertices.  Only an invalid
+    decomposition can leave no child holding H.
+    """
     top, tin, tout = tables
     adj = td.node_adj()
     node = td.root
     parent = -1
     for _ in range(td.num_nodes):
-        bag = set(td.bags[node]) & universe
-        if _is_balanced(g, universe, bag, wset):
+        heavy = _heavy_component(g, universe, set(td.bags[node]) & universe, wset)
+        if heavy is None:
             return node
-        children = [c for c in adj[node] if c != parent]
-        if not children:
+        t = tin[top[heavy[0]]]
+        child = next(
+            (c for c in adj[node] if c != parent and tin[c] <= t <= tout[c]), None
+        )
+        if child is None:
             break
-        best = None
-        for c in children:
-            count = sum(
-                1 for v in wset if tin[c] <= tin[top[v]] <= tout[c]
-            )
-            if best is None or (-count, c) < best:
-                best = (-count, c)
-        parent, node = node, best[1]
-    # fallback: scan every node (a balanced bag always exists)
-    for node in range(td.num_nodes):
-        bag = set(td.bags[node]) & universe
-        if _is_balanced(g, universe, bag, wset):
-            return node
+        parent, node = node, child
     raise AssertionError("no balanced separator bag found")
 
 
@@ -86,8 +90,8 @@ def balanced_separator_bag(g: Graph, td: TreeDecomposition, wset) -> int:
     """Node of td whose bag is a balanced separator of wset in g.
 
     td must be rooted; the walk starts at the root and visits at most
-    depth+1 nodes, moving to the child subtree holding the most wset
-    vertices whenever the current bag is not balanced.
+    depth+1 nodes, moving into the child subtree that holds the component
+    with more than half of wset whenever the current bag is not balanced.
     """
     if not wset:
         return td.root if td.root is not None else 0
@@ -277,25 +281,10 @@ def combine_blocks(h: Graph, bf: BlockForest, per_block) -> TreePartition:
             holder[u] = len(bags)
             bags.append([u])
 
-    # join remaining tree components (disconnected hosts only)
-    if bags:
-        comp = list(range(len(bags)))
-
-        def find(x):
-            while comp[x] != x:
-                comp[x] = comp[comp[x]]
-                x = comp[x]
-            return x
-
-        for i, j in edges:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                comp[ri] = rj
-        for i in range(1, len(bags)):
-            ri, r0 = find(i), find(0)
-            if ri != r0:
-                comp[ri] = r0
-                edges.append((0, i))
+    # join remaining tree components (disconnected hosts only); components
+    # come ordered by minimum node, so node 0's component is first
+    for comp in connected_components(Graph(len(bags), edges))[1:]:
+        edges.append((0, comp[0]))
     return TreePartition(bags, edges, root=0 if bags else None)
 
 

@@ -137,7 +137,7 @@ def _extract_sub_td(td: TreeDecomposition, new_id, index) -> TreeDecomposition:
     return TreeDecomposition(bags, edges, root=0)
 
 
-def _step1_td(gc: Graph, params: PipelineParams, old_ids, lb: int) -> TreeDecomposition:
+def _step1_td(gc: Graph, params: PipelineParams, old_ids, lb: int, import_index) -> TreeDecomposition:
     if params.step1 == "exact":
         for k_try in range(max(lb, 0), gc.n + 1):
             td = exact_td(gc, k_try)
@@ -146,7 +146,7 @@ def _step1_td(gc: Graph, params: PipelineParams, old_ids, lb: int) -> TreeDecomp
         raise AssertionError("exhausted widths without a decomposition")
     if params.step1 == "import":
         new_id = {v: i for i, v in enumerate(old_ids)}
-        return _extract_sub_td(params.import_td, new_id, _td_index(params.import_td))
+        return _extract_sub_td(params.import_td, new_id, import_index)
     if params.step1.startswith("heur:"):
         return heuristic_td(gc, params.step1[5:], params.seed)
     raise ValueError(f"unknown step1 mode {params.step1!r}")
@@ -176,15 +176,18 @@ def _lap(record: dict, t0: float) -> float:
     return now
 
 
-def _run_component(gc: Graph, params: PipelineParams, old_ids, stats):
-    """Returns ("accept", local TreePartition) or ("reject", certificate)."""
+def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_index):
+    """Returns ("accept", local TreePartition) or ("reject", certificate).
+
+    import_index is `_td_index(params.import_td)` with step1="import",
+    built once for all components, and None otherwise."""
     k = params.k
 
     t0 = time.perf_counter()
     lb = treewidth_lower_bound(gc)
     if lb > 2 * k - 1:
         return "reject", TreewidthLB(lb, 2 * k - 1)
-    td = _step1_td(gc, params, old_ids, lb)
+    td = _step1_td(gc, params, old_ids, lb, import_index)
     w = td.width()
     _fold(stats["step1"], max, w=w, lb=lb)
     t0 = _lap(stats["step1"], t0)
@@ -218,10 +221,13 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats):
     thr = degree_threshold(k, max(b, 2))
     _fold(stats["step4"], max, delta_h=h.max_degree())
     stats["step4"]["threshold"] = thr
+    # a set intersection walks the smaller set, so a cutvertex of high
+    # degree costs each of its blocks only that block's size
+    nbrs = [set(a) for a in h.adj]
     for blk in bf.blocks:
         blkset = set(blk)
         for v in blk:
-            d = sum(1 for u in h.adj[v] if u in blkset)
+            d = len(nbrs[v] & blkset)
             if d > thr:
                 return "reject", BlockDegree(
                     tuple(
@@ -279,12 +285,13 @@ def run(g: Graph, params: PipelineParams) -> PipelineOutcome:
             trace=trace,
         )
 
+    import_index = _td_index(params.import_td) if params.step1 == "import" else None
     bags = []
     edges = []
     roots = []
     for comp in connected_components(g):
         gc, old_ids = g.induced(comp)
-        status, payload = _run_component(gc, params, old_ids, stats)
+        status, payload = _run_component(gc, params, old_ids, stats, import_index)
         if status == "reject":
             trace = [TraceRecord(s, stats[s]) for s in stats]
             return PipelineOutcome(accepted=False, certificate=payload, trace=trace)

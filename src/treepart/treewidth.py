@@ -15,7 +15,7 @@ import sys
 
 from .decomp import TreeDecomposition
 from .exact import CapacityError, _bits
-from .graph import Graph, tree_bfs
+from .graph import Graph, connected_components, tree_bfs
 
 
 def _td_from_elimination(n: int, order, elim_bags) -> TreeDecomposition:
@@ -260,12 +260,14 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
     attachment points (chosen so both boundary-retaining components at most
     halve), which bounds the depth by O(log #nodes).
 
-    Cost: O(r) per region of r binarized nodes, so O(N log N) for N nodes.
-    One BFS per region gives subtree sizes, from which every candidate's
-    largest component (centroid case) or boundary-holding components (path
-    case) are read off exactly; the pick minimizes the same (size, node)
-    key as a component search per candidate would, so outputs are
-    identical to that O(r^2) search.
+    Cost: O(r log r) per region of r binarized nodes, so O(N log^2 N) for
+    N nodes.  One BFS per region gives subtree sizes, from which every
+    candidate's largest component (centroid case) or boundary-holding
+    components (path case) are read off exactly; the pick minimizes the
+    same (size, node) key as a component search per candidate would, so
+    outputs are identical to that O(r^2) search.  The sub-regions are the
+    components of the region minus the split node, in order of their
+    minimum node, from `connected_components` on the binarized tree.
     """
     if td.num_nodes == 0:
         return TreeDecomposition([[]], [], root=0)
@@ -292,11 +294,7 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
             i += 1
             cur = dup
         chl[cur] = cs[i:]
-    badj = [[] for _ in range(len(nb))]
-    for u, cs in chl.items():
-        for v in cs:
-            badj[u].append(v)
-            badj[v].append(u)
+    bt = Graph(len(nb), [(u, v) for u, cs in chl.items() for v in cs])
 
     # --- recursive splitting --------------------------------------------
     out_bags = []
@@ -305,17 +303,6 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
     def emit(bag) -> int:
         out_bags.append(sorted(bag))
         return len(out_bags) - 1
-
-    def component_of(region, removed, start):
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in badj[u]:
-                if v in region and v != removed and v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        return comp
 
     size = [0] * len(nb)  # subtree sizes of the region rooted by sizes()
     up = [-1] * len(nb)  # parents of the region rooted by sizes()
@@ -328,7 +315,7 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
         for u in order:
             size[u] = 1
             heavy[u] = 0
-            for v in badj[u]:
+            for v in bt.adj[u]:
                 if v != up[u] and v in region:
                     up[v] = u
                     order.append(v)
@@ -368,16 +355,10 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
             bag |= set(nb[x])
         node = emit(bag)
         children = []
-        left = region - {c}
-        comps = []
-        while left:
-            comp = component_of(region, c, min(left))
-            comps.append(comp)
-            left -= comp
-        comps.sort(key=min)
-        for comp in comps:
+        for comp in connected_components(bt, region - {c}):
+            comp = set(comp)
             bnd = [(x, a) for x, a in boundary if a in comp]
-            entry = min(v for v in badj[c] if v in comp)
+            entry = min(v for v in bt.adj[c] if v in comp)
             bnd.append((c, entry))
             children.append(build(comp, bnd))
         if len(children) <= 2:

@@ -1,7 +1,7 @@
 from pathlib import Path
 
 from treepart.cli import main
-from treepart.ioformats import emit_gr, parse_gr, parse_jsonl, parse_tp
+from treepart.ioformats import MAX_HEADER_SIZE, emit_gr, parse_gr, parse_jsonl, parse_tp
 from treepart.families import gen_grid
 from treepart.graph import Graph
 
@@ -56,6 +56,8 @@ def test_usage_and_io_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.gr"
     bad.write_text("p tp 1 5\n")
     assert main(["exact-tpw", str(bad)]) == 2
+    bad.write_text(f"p tp {MAX_HEADER_SIZE + 1} 0\n")
+    assert main(["decompose", "-k", "1", str(bad)]) == 2
 
 
 def test_exact_subcommands(tmp_path, capsys):

@@ -1,15 +1,19 @@
 """The heap-driven elimination and lower bound, the indexed block
 extraction, the subtree-size split choice of `balance_td`, the block
-forest and the flow-saving tests of `build_gb` must return exactly what
+forest, the flow-saving tests of `build_gb`, the heavy-component separator
+walk and the component join of `combine_blocks` must return exactly what
 the straightforward versions return.
 
 The straightforward versions are kept here as reference oracles: one `min`
 over all alive vertices per step, one scan of every bag and tree edge per
 block, one component search per split candidate, a block-forest search
-that expands a cutvertex from every block holding it, and one
-whole-graph flow per pair the degree bound keeps.  Bags, tree edges (in
-order), roots, block forests and auxiliary graphs must match, so a drift
-in a tie-break, in edge order or in a pruning test fails.
+that expands a cutvertex from every block holding it, one whole-graph
+flow per pair the degree bound keeps, a separator walk that counts wset
+vertices per child subtree and falls back to scanning every node, and a
+union-find join of the combined partition's tree components.  Bags, tree
+edges (in order), roots, block forests, auxiliary graphs and separator
+nodes must match, so a drift in a tie-break, in edge order or in a pruning
+test fails.
 """
 
 import itertools
@@ -17,7 +21,8 @@ import random
 
 import pytest
 
-from treepart.decomp import TreeDecomposition
+from treepart import partitioner, pipeline
+from treepart.decomp import TreeDecomposition, TreePartition
 from treepart.families import (
     gen_complete_bipartite,
     gen_grid,
@@ -26,8 +31,14 @@ from treepart.families import (
     random_graph,
     random_tree,
 )
-from treepart.graph import BlockForest, Graph, biconnected_components
-from treepart.pipeline import _extract_sub_td, _step2_pairs, _td_index
+from treepart.graph import BlockForest, Graph, biconnected_components, connected_components
+from treepart.partitioner import (
+    balanced_separator_bag,
+    combine_blocks,
+    partition_isolated,
+    partition_rooted,
+)
+from treepart.pipeline import PipelineParams, _extract_sub_td, _step2_pairs, _td_index, run
 from treepart.separators import build_gb, candidate_pairs, mu
 from treepart.treewidth import balance_td, heuristic_td, treewidth_lower_bound
 
@@ -356,6 +367,103 @@ def ref_build_gb(g, b, pairs):
     return Graph(g.n, sorted(edges))
 
 
+def ref_separator_walk(g, td, tables, universe, wset):
+    """The counting walk: step into the child whose subtree holds the most
+    wset vertices, and scan every node if the walk runs out of children.
+    Returns (node, whether the scan ran)."""
+    top, tin, tout = tables
+
+    def balanced(node):
+        bag = set(td.bags[node]) & universe
+        half = len(wset) / 2.0
+        return all(
+            len(wset.intersection(comp)) <= half
+            for comp in connected_components(g, universe - bag)
+        )
+
+    adj = td.node_adj()
+    node = td.root
+    parent = -1
+    for _ in range(td.num_nodes):
+        if balanced(node):
+            return node, False
+        children = [c for c in adj[node] if c != parent]
+        if not children:
+            break
+        best = None
+        for c in children:
+            count = sum(1 for v in wset if tin[c] <= tin[top[v]] <= tout[c])
+            if best is None or (-count, c) < best:
+                best = (-count, c)
+        parent, node = node, best[1]
+    for node in range(td.num_nodes):
+        if balanced(node):
+            return node, True
+    raise AssertionError("no balanced separator bag found")
+
+
+def ref_combine_blocks(h, bf, per_block):
+    bags = []
+    edges = []
+    holder = {}
+    order = []
+    kids = bf.children()
+    for b in bf.roots():
+        stack = [b]
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            stack.extend(sorted(kids[x], reverse=True))
+    for b in order:
+        tp = per_block[b]
+        cut = bf.parent_cut[b]
+        skip = None
+        if cut is not None:
+            for i, bag in enumerate(tp.bags):
+                if cut in bag:
+                    if list(bag) != [cut]:
+                        raise ValueError(f"block {b} does not isolate cutvertex {cut}")
+                    skip = i
+                    break
+            if skip is None:
+                raise ValueError(f"block {b} does not contain cutvertex {cut}")
+        remap = {}
+        for i, bag in enumerate(tp.bags):
+            if i == skip:
+                remap[i] = holder[cut]
+                continue
+            remap[i] = len(bags)
+            bags.append(list(bag))
+            for u in bag:
+                if u not in holder:
+                    holder[u] = remap[i]
+        for i, j in tp.tree_edges:
+            edges.append((remap[i], remap[j]))
+    for u in range(h.n):
+        if u not in holder:
+            holder[u] = len(bags)
+            bags.append([u])
+    if bags:
+        comp = list(range(len(bags)))
+
+        def find(x):
+            while comp[x] != x:
+                comp[x] = comp[comp[x]]
+                x = comp[x]
+            return x
+
+        for i, j in edges:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                comp[ri] = rj
+        for i in range(1, len(bags)):
+            ri, r0 = find(i), find(0)
+            if ri != r0:
+                comp[ri] = r0
+                edges.append((0, i))
+    return TreePartition(bags, edges, root=0 if bags else None)
+
+
 # ---------------------------------------------------------------------------
 # corpora
 # ---------------------------------------------------------------------------
@@ -497,3 +605,80 @@ def test_build_gb_matches_flow_per_pair_on_structured_graphs(g, b):
     td = heuristic_td(g)
     want = ref_build_gb(g, b, candidate_pairs(td))
     assert build_gb(g, b, _step2_pairs(g, td, b)) == want
+
+
+def block_partitions(g):
+    """Step 4's per-block partitions of any host graph, as the pipeline
+    builds them (without its block-degree check)."""
+    td = heuristic_td(g)
+    index = _td_index(td)
+    bf = biconnected_components(g)
+    per_block = {}
+    for bidx, blk in enumerate(bf.blocks):
+        sub, old = g.induced(blk)
+        new_id = {v: i for i, v in enumerate(old)}
+        btd = balance_td(sub, _extract_sub_td(td, new_id, index))
+        cut = bf.parent_cut[bidx]
+        if cut is not None:
+            local = partition_isolated(sub, btd, new_id[cut])
+        else:
+            local = partition_rooted(sub, btd, {0})
+        per_block[bidx] = TreePartition(
+            [sorted(old[x] for x in bag) for bag in local.bags],
+            list(local.tree_edges),
+            local.root,
+        )
+    return bf, per_block
+
+
+def test_separator_walk_matches_counting_walk(monkeypatch):
+    """Every walk, from direct calls with random wsets on unbalanced and
+    balanced decompositions and from the partition recursion, picks the
+    counting walk's node, and the counting walk never needs its scan."""
+    walks = []
+    real = partitioner._separator_walk
+
+    def checked(g, td, tables, universe, wset):
+        got = real(g, td, tables, universe, wset)
+        want, scanned = ref_separator_walk(g, td, tables, universe, wset)
+        walks.append((got == want, scanned))
+        return got
+
+    monkeypatch.setattr(partitioner, "_separator_walk", checked)
+    rng = random.Random(11)
+    graphs = random_corpus() + [gen_grid(20), gen_wall(20)]
+    for idx, g in enumerate(graphs):
+        td = heuristic_td(g, "min-fill" if idx % 2 else "min-degree", idx % 4)
+        for t in (td, balance_td(g, td)):
+            for _ in range(2):
+                balanced_separator_bag(g, t, rng.sample(range(g.n), rng.randint(1, g.n)))
+            partition_rooted(g, t, {0})
+    assert len(walks) > 1000
+    assert all(same for same, _ in walks)
+    assert not any(scanned for _, scanned in walks)
+
+
+def test_combine_blocks_matches_union_find(monkeypatch):
+    """Same combined partition on the pipeline's own blocks and on
+    disconnected hosts, where the component join adds edges."""
+    calls = []
+    real = pipeline.combine_blocks
+
+    def checked(h, bf, per_block):
+        got = real(h, bf, per_block)
+        calls.append(same_td(got, ref_combine_blocks(h, bf, per_block)))
+        return got
+
+    monkeypatch.setattr(pipeline, "combine_blocks", checked)
+    for g in random_corpus()[::2] + [star(60), path(200), random_tree(300, 4)]:
+        run(g, PipelineParams(k=3))
+    assert len(calls) > 100 and all(calls)
+
+    disconnected = 0
+    for seed in range(40):
+        g = random_graph(25, 0.08, seed)
+        disconnected += len(connected_components(g)) > 1
+        bf, per_block = block_partitions(g)
+        got = combine_blocks(g, bf, per_block)
+        assert same_td(got, ref_combine_blocks(g, bf, per_block)), seed
+    assert disconnected > 30

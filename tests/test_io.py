@@ -3,6 +3,7 @@ import pytest
 from treepart.decomp import TreeCutDecomposition, TreeDecomposition, TreePartition
 from treepart.graph import Graph
 from treepart.ioformats import (
+    MAX_HEADER_SIZE,
     ParseError,
     emit_gr,
     emit_jsonl,
@@ -42,6 +43,8 @@ def test_gr_errors_carry_line_numbers():
         parse_gr("p tp 2 1\n1 3\n")
     with pytest.raises(ParseError, match="header"):
         parse_gr("q xx 1 1\n")
+    with pytest.raises(ParseError, match="line 2: header size above the cap"):
+        parse_gr(f"c big\np tp {MAX_HEADER_SIZE + 1} 0\n")
     with pytest.raises(ParseError):
         parse_gr("")
 
@@ -82,6 +85,10 @@ def test_bagged_format_errors():
         parse_tp("s tp 1 1 1\nr 1\nb 1 1\n")
     with pytest.raises(ParseError, match="missing"):
         parse_td("s td 2 1 2\nb 1 1\n")
+    with pytest.raises(ParseError, match="line 1: header size above the cap"):
+        parse_td(f"s td {MAX_HEADER_SIZE + 1} 1 1\n")
+    with pytest.raises(ParseError, match="line 1: header size above the cap"):
+        parse_tp(f"s tp 1 1 {MAX_HEADER_SIZE + 1}\nb 1 1\n")
 
 
 def test_jsonl_round_trip():

@@ -1,5 +1,6 @@
 import pytest
 
+from treepart import pipeline
 from treepart.decomp import TreeDecomposition, Violation, verify_td, verify_tp
 from treepart.exact import exact_tpw
 from treepart.families import gen_complete_bipartite, gen_fan, random_graph, random_tree
@@ -162,6 +163,21 @@ def test_invalid_import_td_is_refused():
     assert verify_td(g, td) == Violation("vertex-coverage", 6)
     with pytest.raises(ValueError, match="vertex-coverage"):
         run(g, PipelineParams(k=2, step1="import", import_td=td))
+
+
+def test_import_index_is_built_once(monkeypatch):
+    g = Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+    td = heuristic_td(g)
+    indexed = []
+    real = pipeline._td_index
+
+    def counting(t):
+        indexed.append(t)
+        return real(t)
+
+    monkeypatch.setattr(pipeline, "_td_index", counting)
+    assert run(g, PipelineParams(k=1, step1="import", import_td=td)).accepted
+    assert sum(t is td for t in indexed) == 1
 
 
 _STEP_KEYS = {
