@@ -130,6 +130,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_exact(args, fn, name) -> int:
+    if args.kmax is not None and args.kmax < 0:
+        raise CliError(f"--kmax must be >= 0, got {args.kmax}")
     g = _load_gr(args.input)
     kmax = args.kmax if args.kmax is not None else max(g.n, 1)
     try:
@@ -144,6 +146,8 @@ def _cmd_exact(args, fn, name) -> int:
 
 
 def _cmd_gb(args) -> int:
+    if args.b < 1:
+        raise CliError(f"-b must be >= 1, got {args.b}")
     g = _load_gr(args.input)
     pairs = list(itertools.combinations(range(g.n), 2))
     gb = build_gb(g, args.b, pairs)
@@ -305,6 +309,8 @@ def _bench_one(path: Path, k: int):
 
 
 def _cmd_bench(args) -> int:
+    if min(args.k) < 1:
+        raise CliError(f"-k must be >= 1, got {min(args.k)}")
     paths = sorted(Path(args.corpus).glob("*.gr"))
     if not paths:
         raise CliError(f"no .gr files in {args.corpus}")

@@ -227,6 +227,28 @@ def partition_isolated(g: Graph, td: TreeDecomposition, v: int) -> TreePartition
     return TreePartition(builder.bags, builder.edges, root=root)
 
 
+def partition_by_size(block, min_degree: int, cut=None) -> TreePartition | None:
+    """The partition of a connected graph on the sorted vertex list block
+    (at least two vertices, minimum degree min_degree) that
+    `partition_isolated` at cut, or with no cut `partition_rooted` with a
+    one-vertex s_set, returns from every tree decomposition of it, in the
+    graph's own vertex ids; None when its size does not fix it.
+
+    Proof: any decomposition's width w is at least the treewidth, which is
+    at least min_degree (with no bag inside a neighbouring bag, a leaf bag
+    holds a vertex found in no other bag, so also all its neighbours), and
+    both fallbacks hold for every w >= min_degree once they hold at
+    min_degree: the two bags {cut}, rest when n <= window_low(w) + 1, and
+    the single bag when n <= 1 + w + 1.
+    """
+    n = len(block)
+    if cut is not None and n <= CONSTANTS.window_low(min_degree) + 1:
+        return TreePartition([[cut], [v for v in block if v != cut]], [(0, 1)], root=0)
+    if cut is None and n <= min_degree + 2:
+        return TreePartition([list(block)], [], root=0)
+    return None
+
+
 def combine_blocks(h: Graph, bf: BlockForest, per_block) -> TreePartition:
     """Merge per-block partitions of h across its cutvertices.
 

@@ -20,7 +20,13 @@ from .decomp import TreeDecomposition, TreePartition, Violation, verify_td
 from .graph import Graph, biconnected_components, connected_components
 from .separators import b_reduction, build_gb, candidate_pairs
 from .treewidth import balance_td, exact_td, heuristic_td, treewidth_lower_bound
-from .partitioner import combine_blocks, expand, partition_isolated, partition_rooted
+from .partitioner import (
+    combine_blocks,
+    expand,
+    partition_by_size,
+    partition_isolated,
+    partition_rooted,
+)
 
 
 def degree_threshold(k: int, b: int) -> int:
@@ -180,7 +186,14 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
     """Returns ("accept", local TreePartition) or ("reject", certificate).
 
     import_index is `_td_index(params.import_td)` with step1="import",
-    built once for all components, and None otherwise."""
+    built once for all components, and None otherwise.
+
+    Step 4 partitions each block on its own.  A block whose size and
+    minimum in-block degree already fix its partition takes it from
+    `partition_by_size`: a bridge always, and a larger block with n <=
+    min-degree + 2 as the root block or n <= window_low(min-degree) + 1
+    below a cutvertex.  Every other block has its decomposition extracted
+    and rebalanced before the partitioner runs on it."""
     k = params.k
 
     t0 = time.perf_counter()
@@ -224,10 +237,13 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
     # a set intersection walks the smaller set, so a cutvertex of high
     # degree costs each of its blocks only that block's size
     nbrs = [set(a) for a in h.adj]
+    min_degree = []
     for blk in bf.blocks:
         blkset = set(blk)
+        low = len(blk)
         for v in blk:
             d = len(nbrs[v] & blkset)
+            low = min(low, d)
             if d > thr:
                 return "reject", BlockDegree(
                     tuple(
@@ -237,21 +253,25 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
                     d,
                     thr,
                 )
+        min_degree.append(low)
     per_block = {}
     for bidx, blk in enumerate(bf.blocks):
-        sub, sub_old = h.induced(blk)
-        new_id = {v: i for i, v in enumerate(sub_old)}
-        btd = balance_td(sub, _extract_sub_td(tdh, new_id, tdh_index))
         cut = bf.parent_cut[bidx]
-        if cut is not None:
-            tp_local = partition_isolated(sub, btd, new_id[cut])
-        else:
-            tp_local = partition_rooted(sub, btd, {0})
-        per_block[bidx] = TreePartition(
-            [sorted(sub_old[x] for x in bag) for bag in tp_local.bags],
-            list(tp_local.tree_edges),
-            tp_local.root,
-        )
+        tp_block = partition_by_size(blk, min_degree[bidx], cut)
+        if tp_block is None:
+            sub, sub_old = h.induced(blk)
+            new_id = {v: i for i, v in enumerate(sub_old)}
+            btd = balance_td(sub, _extract_sub_td(tdh, new_id, tdh_index))
+            if cut is not None:
+                tp_local = partition_isolated(sub, btd, new_id[cut])
+            else:
+                tp_local = partition_rooted(sub, btd, {0})
+            tp_block = TreePartition(
+                [sorted(sub_old[x] for x in bag) for bag in tp_local.bags],
+                list(tp_local.tree_edges),
+                tp_local.root,
+            )
+        per_block[bidx] = tp_block
     tp_h = combine_blocks(h, bf, per_block)
     t0 = _lap(stats["step4"], t0)
 

@@ -60,6 +60,30 @@ def test_usage_and_io_errors_exit_2(tmp_path, capsys):
     assert main(["decompose", "-k", "1", str(bad)]) == 2
 
 
+def test_out_of_range_numbers_exit_2(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    src = write_gr(corpus, "c5.gr", Graph(5, [(i, (i + 1) % 5) for i in range(5)]))
+    out = str(tmp_path / "out.gr")
+    report = tmp_path / "rep.csv"
+    for argv in (
+        ["gb", "-b", "0", src, "-o", out],
+        ["gb", "-b", "-1", src, "-o", out],
+        ["bench", str(corpus), "-k", "0", "--report", str(report)],
+        ["bench", str(corpus), "-k", "2", "0", "--report", str(report)],
+        ["exact-tpw", "--kmax", "-1", src],
+        ["exact-domino", "--kmax", "-2", src],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: "), argv
+        assert "RESULT" not in captured.out, argv
+    assert not Path(out).exists() and not report.exists()
+    # zero is a width bound, not an error
+    assert main(["exact-tpw", "--kmax", "0", src]) == 1
+    assert "RESULT status=exceeds tpw>0" in capsys.readouterr().out
+
+
 def test_exact_subcommands(tmp_path, capsys):
     src = write_gr(tmp_path, "c5.gr", Graph(5, [(i, (i + 1) % 5) for i in range(5)]))
     assert main(["exact-tpw", src]) == 0

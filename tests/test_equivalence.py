@@ -1,19 +1,20 @@
 """The heap-driven elimination and lower bound, the indexed block
 extraction, the subtree-size split choice of `balance_td`, the block
 forest, the flow-saving tests of `build_gb`, the heavy-component separator
-walk and the component join of `combine_blocks` must return exactly what
-the straightforward versions return.
+walk, the component join of `combine_blocks` and step 4's size rule must
+return exactly what the straightforward versions return.
 
 The straightforward versions are kept here as reference oracles: one `min`
 over all alive vertices per step, one scan of every bag and tree edge per
 block, one component search per split candidate, a block-forest search
 that expands a cutvertex from every block holding it, one whole-graph
 flow per pair the degree bound keeps, a separator walk that counts wset
-vertices per child subtree and falls back to scanning every node, and a
-union-find join of the combined partition's tree components.  Bags, tree
-edges (in order), roots, block forests, auxiliary graphs and separator
-nodes must match, so a drift in a tie-break, in edge order or in a pruning
-test fails.
+vertices per child subtree and falls back to scanning every node, a
+union-find join of the combined partition's tree components, and step 4's
+full per-block path (extract, balance, partition) for every block.  Bags,
+tree edges (in order), roots, block forests, auxiliary graphs and
+separator nodes must match, so a drift in a tie-break, in edge order or in
+a pruning test fails.
 """
 
 import itertools
@@ -25,6 +26,7 @@ from treepart import partitioner, pipeline
 from treepart.decomp import TreeDecomposition, TreePartition
 from treepart.families import (
     gen_complete_bipartite,
+    gen_fan,
     gen_grid,
     gen_multiple_tree,
     gen_wall,
@@ -33,8 +35,10 @@ from treepart.families import (
 )
 from treepart.graph import BlockForest, Graph, biconnected_components, connected_components
 from treepart.partitioner import (
+    CONSTANTS,
     balanced_separator_bag,
     combine_blocks,
+    partition_by_size,
     partition_isolated,
     partition_rooted,
 )
@@ -494,6 +498,62 @@ def glued_cliques(p, q):
     return Graph(p + q - 1, left + right)
 
 
+def block_chain(seed, max_size=15, blocks=8):
+    """Cycles, cliques and bridges of 2..max_size vertices, each glued at a
+    random vertex of the graph built so far."""
+    rng = random.Random(seed)
+    edges, n = [], 1
+    for _ in range(blocks):
+        kind = rng.choice(("cycle", "clique", "bridge"))
+        s = 2 if kind == "bridge" else rng.randint(3 if kind == "cycle" else 2, max_size)
+        new = [rng.randrange(n)] + list(range(n, n + s - 1))
+        n += s - 1
+        if kind == "cycle":
+            edges += [(new[i], new[(i + 1) % s]) for i in range(s)]
+        else:
+            edges += list(itertools.combinations(new, 2))
+    return Graph(n, edges)
+
+
+def size_rule_cases():
+    """(graph, k) runs for step 4's size rule: tree multiples with every m
+    up to 12 at a k with b > m, block chains, the smallest rung of each
+    benchmark family (perfbench/corpus.py) at its k, and random graphs."""
+    tree = random_tree(20, 3)
+    for m in range(1, 13):
+        yield gen_multiple_tree(tree, m), (m + 1) // 2 + 1
+    yield gen_multiple_tree(random_tree(60, 10), 3), 3
+    for seed in range(40):
+        for k in (2, 8):
+            yield block_chain(seed), k
+    yield path(350), 2
+    yield random_tree(265, 1), 1
+    yield star(22), 1
+    yield gen_multiple_tree(random_tree(18, 2), 12), 7
+    yield gen_grid(14), 4
+    yield gen_wall(14), 3
+    yield gen_complete_bipartite(10, 300), 9
+    yield gen_complete_bipartite(13, 600), 12
+    yield gen_multiple_tree(random_tree(30, 4), 40), 20
+    yield gen_fan(250), 2
+    yield gen_complete_bipartite(6, 60), 3
+    for g in random_corpus():
+        yield g, 3
+
+
+def size_rule_fires(n, min_degree, cut):
+    """Where `partition_by_size` must decide a block: the fallbacks of
+    `partition_isolated` and `partition_rooted` at width min_degree."""
+    if cut is None:
+        return n <= min_degree + 2
+    return n <= CONSTANTS.window_low(min_degree) + 1
+
+
+def min_in_degree(g, blk):
+    blkset = set(blk)
+    return min(sum(u in blkset for u in g.adj[v]) for v in blk)
+
+
 def step2_cases():
     """(name, graph, b): tree multiples with m parallel paths around b,
     complete bipartite graphs and glued cliques at every b they make
@@ -682,3 +742,83 @@ def test_combine_blocks_matches_union_find(monkeypatch):
         got = combine_blocks(g, bf, per_block)
         assert same_td(got, ref_combine_blocks(g, bf, per_block)), seed
     assert disconnected > 30
+
+
+def test_size_rule_matches_full_block_path(monkeypatch):
+    """Each run is made twice, once with the size rule and once with every
+    block on the full path; every block's partition must agree, and the
+    rule must decide exactly the blocks its size bound names."""
+    real_rule = pipeline.partition_by_size
+    real_combine = pipeline.combine_blocks
+    use_rule = [True]
+    fired = []  # one flag per rule call of the current component
+    combined = []  # (h, bf, per_block, flags) per combine_blocks call
+
+    def rule(block, min_degree, cut):
+        tp = real_rule(block, min_degree, cut) if use_rule[0] else None
+        fired.append(tp is not None)
+        return tp
+
+    def combine(h, bf, per_block):
+        combined.append((h, bf, per_block, fired[:]))
+        fired.clear()
+        return real_combine(h, bf, per_block)
+
+    monkeypatch.setattr(pipeline, "partition_by_size", rule)
+    monkeypatch.setattr(pipeline, "combine_blocks", combine)
+    shortcuts = full = 0
+    for idx, (g, k) in enumerate(size_rule_cases()):
+        runs = []
+        for flag in (True, False):
+            use_rule[0] = flag
+            combined.clear()
+            fired.clear()
+            out = run(g, PipelineParams(k=k))
+            runs.append((out.accepted, out.width, list(combined)))
+        (acc, width, fast), (acc_full, width_full, slow) = runs
+        assert (acc, width, len(fast)) == (acc_full, width_full, len(slow)), idx
+        for (h, bf, per_block, flags), (_, _, per_block_full, _) in zip(fast, slow):
+            assert len(flags) == len(bf.blocks), idx
+            for bidx, blk in enumerate(bf.blocks):
+                assert same_td(per_block[bidx], per_block_full[bidx]), (idx, blk)
+                cut = bf.parent_cut[bidx]
+                assert flags[bidx] == size_rule_fires(
+                    len(blk), min_in_degree(h, blk), cut
+                ), (idx, blk)
+                shortcuts += flags[bidx]
+                full += not flags[bidx]
+    assert shortcuts > 1500 and full > 100, (shortcuts, full)
+
+
+def test_size_rule_matches_partitioner_in_both_roles():
+    """Every block of the chains, tree multiples and random graphs, as a
+    root block and below each of its vertices: where the rule decides, it
+    returns what the partitioner builds from the balanced decomposition."""
+    decided = 0
+    graphs = [block_chain(seed) for seed in range(40, 70)]
+    graphs += [gen_multiple_tree(random_tree(12, m), m) for m in range(1, 13)]
+    graphs += random_corpus()[::4]
+    for idx, g in enumerate(graphs):
+        td = heuristic_td(g)
+        index = _td_index(td)
+        for blk in biconnected_components(g).blocks:
+            sub, old = g.induced(blk)
+            new_id = {v: i for i, v in enumerate(old)}
+            btd = balance_td(sub, _extract_sub_td(td, new_id, index))
+            low = min_in_degree(sub, range(sub.n))
+            for cut in [None] + list(range(sub.n)):
+                got = partition_by_size(blk, low, None if cut is None else old[cut])
+                if got is None:
+                    continue
+                if cut is None:
+                    local = partition_rooted(sub, btd, {0})
+                else:
+                    local = partition_isolated(sub, btd, cut)
+                want = TreePartition(
+                    [sorted(old[x] for x in bag) for bag in local.bags],
+                    list(local.tree_edges),
+                    local.root,
+                )
+                assert same_td(got, want), (idx, blk, cut)
+                decided += 1
+    assert decided > 2500, decided

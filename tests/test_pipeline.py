@@ -3,7 +3,13 @@ import pytest
 from treepart import pipeline
 from treepart.decomp import TreeDecomposition, Violation, verify_td, verify_tp
 from treepart.exact import exact_tpw
-from treepart.families import gen_complete_bipartite, gen_fan, random_graph, random_tree
+from treepart.families import (
+    gen_complete_bipartite,
+    gen_fan,
+    gen_multiple_tree,
+    random_graph,
+    random_tree,
+)
 from treepart.graph import Graph
 from treepart.pipeline import (
     BlockDegree,
@@ -178,6 +184,28 @@ def test_import_index_is_built_once(monkeypatch):
     monkeypatch.setattr(pipeline, "_td_index", counting)
     assert run(g, PipelineParams(k=1, step1="import", import_td=td)).accepted
     assert sum(t is td for t in indexed) == 1
+
+
+def test_size_rule_skips_block_decompositions(monkeypatch):
+    calls = {"balance_td": 0, "_extract_sub_td": 0}
+    for name in calls:
+        real = getattr(pipeline, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(pipeline, name, counting)
+    # 10^4 bridges under one cutvertex: each is decided by its size alone
+    star = gen_complete_bipartite(1, 10_000)
+    out = run(star, PipelineParams(k=1))
+    assert out.accepted and verify_tp(star, out.tp) == out.width
+    assert calls == {"balance_td": 0, "_extract_sub_td": 0}
+    # a K_{2,12} block is too big for the rule: one balancing per tree edge
+    g = gen_multiple_tree(random_tree(8, 1), 12)
+    out = run(g, PipelineParams(k=7))
+    assert out.accepted and verify_tp(g, out.tp) == out.width
+    assert calls == {"balance_td": 7, "_extract_sub_td": 7}
 
 
 _STEP_KEYS = {
