@@ -92,7 +92,7 @@ def _cmd_decompose(args) -> int:
             b_override=args.b,
         )
         out = run(g, params)
-    except ValueError as exc:
+    except (ValueError, CapacityError) as exc:
         raise CliError(str(exc))
     if args.trace:
         _write(args.trace, "".join(r.format() + "\n" for r in out.trace))

@@ -95,16 +95,22 @@ class Graph:
 
         Returns (subgraph, old_ids) where old_ids[i] is the original id of
         subgraph vertex i.  Vertices are relabelled in sorted order.
+
+        A vertex whose adjacency list is longer than the subset is matched
+        against the subset with `has_edge` instead, so a hub costs each
+        small subset it belongs to O(|subset| log deg), not its degree.
         """
         old_ids = sorted(vertices)
         new_id = {v: i for i, v in enumerate(old_ids)}
         keep = set(old_ids)
-        edges = [
-            (new_id[u], new_id[v])
-            for u in old_ids
-            for v in self.adj[u]
-            if u < v and v in keep
-        ]
+        edges = []
+        for u in old_ids:
+            nu = new_id[u]
+            if len(self.adj[u]) > len(old_ids):
+                later = [v for v in old_ids[nu + 1:] if self.has_edge(u, v)]
+            else:
+                later = [v for v in self.adj[u] if u < v and v in keep]
+            edges.extend((nu, new_id[v]) for v in later)
         return Graph(len(old_ids), edges), old_ids
 
 

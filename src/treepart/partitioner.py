@@ -44,19 +44,50 @@ class PartitionConstants:
 CONSTANTS = PartitionConstants()
 
 
-def _heavy_component(g: Graph, universe, bag, wset):
-    """The component of g[universe - bag] holding more than half of wset,
-    or None when bag is a balanced separator of wset in g[universe]."""
+def _heavy_vertex(g: Graph, universe, bag, wset):
+    """A vertex of the component of g[universe - bag] holding more than
+    half of wset, or None when bag is a balanced separator of wset in
+    g[universe].
+
+    Searches start only at wset vertices, and stop as soon as one
+    component is heavy, or as soon as the wset vertices not yet reached
+    are too few to make any further component heavy."""
     half = len(wset) / 2.0
-    for comp in connected_components(g, universe - bag):
-        if len(wset.intersection(comp)) > half:
-            return comp
+    outside = [v for v in wset if v in universe and v not in bag]
+    left = len(outside)  # wset vertices outside bag not yet reached
+    seen = set()
+    for s in outside:
+        if left <= half:
+            return None
+        if s in seen:
+            continue
+        seen.add(s)
+        stack = [s]
+        hits = 1
+        while stack and hits <= half:
+            u = stack.pop()
+            for v in g.adj[u]:
+                if v not in seen and v in universe and v not in bag:
+                    seen.add(v)
+                    stack.append(v)
+                    hits += v in wset
+        if hits > half:
+            return s
+        left -= hits
     return None
+
+
+def _walk_tables(g: Graph, td: TreeDecomposition):
+    """`occupancy_tables(g, td)` plus the node adjacency, the tables every
+    separator walk of one partition reads."""
+    return occupancy_tables(g, td) + (td.node_adj(),)
 
 
 def _separator_walk(g: Graph, td: TreeDecomposition, tables, universe, wset):
     """Node whose restricted bag is a balanced separator of wset in
     g[universe], found by descending into the heavy component's subtree.
+
+    tables is `_walk_tables(g, td)`, built once per partition.
 
     The heavy component H of a node t is connected and avoids t's bag, so
     the nodes whose bags meet H form a connected subtree of T - t.  It is
@@ -66,17 +97,18 @@ def _separator_walk(g: Graph, td: TreeDecomposition, tables, universe, wset):
     to a child subtree of t.  So top[x] of any x in H names the child to
     step into, and that child's subtree holds more than half of wset, which
     makes it the unique child with the most wset vertices.  Only an invalid
-    decomposition can leave no child holding H.
+    decomposition can leave no child holding H.  The component search
+    (`_heavy_vertex`) therefore returns just one vertex of H, and never
+    lists the other components.
     """
-    top, tin, tout = tables
-    adj = td.node_adj()
+    top, tin, tout, adj = tables
     node = td.root
     parent = -1
     for _ in range(td.num_nodes):
-        heavy = _heavy_component(g, universe, set(td.bags[node]) & universe, wset)
-        if heavy is None:
+        x = _heavy_vertex(g, universe, set(td.bags[node]) & universe, wset)
+        if x is None:
             return node
-        t = tin[top[heavy[0]]]
+        t = tin[top[x]]
         child = next(
             (c for c in adj[node] if c != parent and tin[c] <= t <= tout[c]), None
         )
@@ -95,7 +127,7 @@ def balanced_separator_bag(g: Graph, td: TreeDecomposition, wset) -> int:
     """
     if not wset:
         return td.root if td.root is not None else 0
-    tables = occupancy_tables(g, td)
+    tables = _walk_tables(g, td)
     return _separator_walk(g, td, tables, set(range(g.n)), set(wset))
 
 
@@ -186,7 +218,7 @@ def partition_rooted(g: Graph, td: TreeDecomposition, s_set) -> TreePartition:
     if g.n == 0:
         return TreePartition([], [], root=None)
     td = _rooted_td(td)
-    tables = occupancy_tables(g, td)
+    tables = _walk_tables(g, td)
     width = td.width()
     builder = _Builder()
     roots = []
@@ -216,7 +248,7 @@ def partition_isolated(g: Graph, td: TreeDecomposition, v: int) -> TreePartition
     if g.n <= CONSTANTS.window_low(width) + 1:
         rest = sorted(u for u in range(g.n) if u != v)
         return TreePartition([[v], rest], [(0, 1)], root=0)
-    tables = occupancy_tables(g, td)
+    tables = _walk_tables(g, td)
     builder = _Builder()
     root = builder.emit({v})
     nv = set(g.adj[v])

@@ -121,18 +121,35 @@ def _td_index(td: TreeDecomposition):
     return where, incident
 
 
-def _extract_sub_td(td: TreeDecomposition, new_id, index) -> TreeDecomposition:
+def _extract_sub_td(td: TreeDecomposition, new_id, index, cut=None) -> TreeDecomposition:
     """Restriction of a decomposition to a connected vertex subset.
 
     new_id maps the subset to its new vertex ids; index is `_td_index(td)`.
-    Keeps only the nodes whose bags meet the subset, in node order, and the
-    tree edges between them, in `tree_edges` order; for a set inducing a
+    Keeps the nodes whose bags meet the subset, in node order, and the tree
+    edges between them, in `tree_edges` order; for a set inducing a
     connected subgraph these nodes form a connected subtree, because
     adjacent vertices share a bag and each vertex's occupancy is connected.
-    Cost: linear in the kept nodes' bags and tree degrees.
+
+    With cut, the subset is a block B below its parent cutvertex cut, and
+    only the nodes whose bags meet B - {cut} are kept.  The result is
+    still a decomposition of the block:
+    - B - cut is connected (a block of three or more vertices is
+      2-connected, and a bridge leaves one vertex), so the kept nodes form
+      a subtree by the argument above.
+    - Every vertex other than cut keeps its whole occupancy.
+    - cut's occupancy among the kept nodes is the intersection of two
+      subtrees, so it is connected.
+    - Each edge cut-x is covered by a node that holds x, and that node is
+      kept.
+    Each vertex is a member other than the parent cutvertex of exactly one
+    block, so over all blocks at most sum |bag| nodes are kept, however
+    many blocks share a cutvertex.
+
+    Cost: linear in the kept nodes' bags and tree degrees, so
+    O(w * sum |bag|) over all blocks below cutvertices.
     """
     where, incident = index
-    nodes = sorted({i for v in new_id for i in where.get(v, ())})
+    nodes = sorted({i for v in new_id if v != cut for i in where.get(v, ())})
     node_id = {i: j for j, i in enumerate(nodes)}
     bags = [sorted(new_id[v] for v in td.bags[i] if v in new_id) for i in nodes]
     edges = []
@@ -193,7 +210,10 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
     `partition_by_size`: a bridge always, and a larger block with n <=
     min-degree + 2 as the root block or n <= window_low(min-degree) + 1
     below a cutvertex.  Every other block has its decomposition extracted
-    and rebalanced before the partitioner runs on it."""
+    and rebalanced before the partitioner runs on it; below a cutvertex
+    the extraction keeps only the nodes meeting the block minus the
+    cutvertex, so a cutvertex shared by many blocks costs each block only
+    its own share of the decomposition."""
     k = params.k
 
     t0 = time.perf_counter()
@@ -261,7 +281,7 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
         if tp_block is None:
             sub, sub_old = h.induced(blk)
             new_id = {v: i for i, v in enumerate(sub_old)}
-            btd = balance_td(sub, _extract_sub_td(tdh, new_id, tdh_index))
+            btd = balance_td(sub, _extract_sub_td(tdh, new_id, tdh_index, cut))
             if cut is not None:
                 tp_local = partition_isolated(sub, btd, new_id[cut])
             else:

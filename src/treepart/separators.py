@@ -14,6 +14,7 @@ from G onto the one block holding both endpoints.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .graph import Graph, biconnected_components, connected_components, quotient
@@ -117,14 +118,17 @@ def candidate_pairs(td, vertices=None) -> list:
     """Deduplicated vertex pairs co-occurring in some bag, sorted.
 
     With `vertices` (a set), each bag is first restricted to it, so only
-    pairs of those vertices are listed.
+    pairs of those vertices are listed.  Pairs are listed once per distinct
+    restricted bag, so many bags restricting to the same few vertices (the
+    hubs of K_{a,N}) cost one listing.
     """
+    restricted = {
+        tuple(sorted(set(bag) if vertices is None else vertices.intersection(bag)))
+        for bag in td.bags
+    }
     pairs = set()
-    for bag in td.bags:
-        bs = sorted(set(bag) if vertices is None else vertices.intersection(bag))
-        for i in range(len(bs)):
-            for j in range(i + 1, len(bs)):
-                pairs.add((bs[i], bs[j]))
+    for bs in restricted:
+        pairs.update(itertools.combinations(bs, 2))
     return sorted(pairs)
 
 

@@ -15,7 +15,7 @@ import sys
 
 from .decomp import TreeDecomposition
 from .exact import CapacityError, _bits
-from .graph import Graph, connected_components, tree_bfs
+from .graph import Graph, tree_bfs
 
 
 def _td_from_elimination(n: int, order, elim_bags) -> TreeDecomposition:
@@ -117,36 +117,30 @@ def _pop_min_degree(heap, nbr, alive) -> int:
 
 
 def treewidth_lower_bound(g: Graph) -> int:
-    """Certified treewidth lower bound: max of the degeneracy and the
-    minor-min-degree bound obtained by contracting minimum-degree vertices
-    into least-common-neighbor neighbors.
+    """Certified treewidth lower bound: the minor-min-degree bound, the
+    largest minimum degree met while repeatedly contracting a
+    minimum-degree vertex into its neighbour with the fewest common
+    neighbours (an isolated one is deleted).  Every graph met is a minor
+    of g, and treewidth is minor-monotone and at least the minimum degree.
 
-    Both loops pick the alive vertex of least (degree, id) from a heap with
-    lazy invalidation; a fresh entry is pushed for every vertex whose
-    degree was touched by the step (the neighbors of the deleted or
-    contracted vertex), so the pick is the one a full scan would make.
-    Cost: O((n + m) log n) for the degeneracy, and for the contraction
-    O(sum of d^2 + d log n) over the picked minimum degrees d.
+    The bound is never below the degeneracy d, the largest minimum degree
+    of a subgraph, so no separate degeneracy pass is made.  Let H be a
+    subgraph of minimum degree d.  Contracting v into u, or deleting an
+    isolated v, leaves a graph that contains H - v: every edge not at v
+    survives.  So until a vertex of H is picked, H is a subgraph of the
+    current graph, and the first vertex of H picked (one is, since all but
+    one vertex are picked) has degree at least d there, while it is a
+    minimum-degree vertex.
+
+    The alive vertex of least (degree, id) comes from a heap with lazy
+    invalidation; a fresh entry is pushed for every vertex whose degree
+    was touched by the step (the neighbours of the contracted vertex), so
+    the pick is the one a full scan would make.  Cost: O(sum of
+    d^2 + d log n) over the picked minimum degrees d.
     """
     n = g.n
     if n == 0:
         return 0
-
-    # degeneracy by repeated minimum-degree deletion
-    nbr = [set(g.adj[v]) for v in range(n)]
-    alive = [True] * n
-    heap = [(len(nbr[v]), v) for v in range(n)]
-    heapq.heapify(heap)
-    degen = 0
-    for _ in range(n):
-        v = _pop_min_degree(heap, nbr, alive)
-        alive[v] = False
-        degen = max(degen, len(nbr[v]))
-        for u in nbr[v]:
-            nbr[u].discard(v)
-            heapq.heappush(heap, (len(nbr[u]), u))
-
-    # contraction refinement
     nbr = [set(g.adj[v]) for v in range(n)]
     alive = [True] * n
     heap = [(len(nbr[v]), v) for v in range(n)]
@@ -170,7 +164,7 @@ def treewidth_lower_bound(g: Graph) -> int:
         for w in nv:
             heapq.heappush(heap, (len(nbr[w]), w))
         nv.clear()
-    return max(degen, mmd)
+    return mmd
 
 
 def exact_td(g: Graph, k: int, cap: int = 15):
@@ -260,14 +254,18 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
     attachment points (chosen so both boundary-retaining components at most
     halve), which bounds the depth by O(log #nodes).
 
-    Cost: O(r log r) per region of r binarized nodes, so O(N log^2 N) for
-    N nodes.  One BFS per region gives subtree sizes, from which every
-    candidate's largest component (centroid case) or boundary-holding
-    components (path case) are read off exactly; the pick minimizes the
-    same (size, node) key as a component search per candidate would, so
-    outputs are identical to that O(r^2) search.  The sub-regions are the
-    components of the region minus the split node, in order of their
-    minimum node, from `connected_components` on the binarized tree.
+    Cost: O(r) per region of r binarized nodes, so O(N log N) for N
+    nodes.  A region is a component of the binarized tree minus the split
+    nodes chosen so far, so membership is one flag per node.  One
+    depth-first walk per region lists it in preorder with subtree sizes,
+    from which every candidate's largest component (centroid case) or
+    boundary-holding components (path case) are read off exactly; the pick
+    minimizes the same (size, node) key as a component search per
+    candidate would, so outputs are identical to that O(r^2) search.  The
+    sub-regions, the components of the region minus the split node c, are
+    preorder slices: each child subtree of c, and the rest of the region.
+    They are built in order of their minimum node, each entered at c's
+    neighbour in it.
     """
     if td.num_nodes == 0:
         return TreeDecomposition([[]], [], root=0)
@@ -294,7 +292,11 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
             i += 1
             cur = dup
         chl[cur] = cs[i:]
-    bt = Graph(len(nb), [(u, v) for u, cs in chl.items() for v in cs])
+    badj = [[] for _ in nb]  # adjacency of the binarized tree
+    for u, cs in chl.items():
+        for v in cs:
+            badj[u].append(v)
+            badj[v].append(u)
 
     # --- recursive splitting --------------------------------------------
     out_bags = []
@@ -304,63 +306,86 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
         out_bags.append(sorted(bag))
         return len(out_bags) - 1
 
-    size = [0] * len(nb)  # subtree sizes of the region rooted by sizes()
-    up = [-1] * len(nb)  # parents of the region rooted by sizes()
-    heavy = [0] * len(nb)  # largest child subtree of the region rooted by sizes()
+    split = [False] * len(nb)  # split nodes chosen so far
+    size = [0] * len(nb)  # subtree sizes of the region rooted by walk()
+    up = [-1] * len(nb)  # parents of the region rooted by walk()
+    heavy = [0] * len(nb)  # largest child subtree of the region rooted by walk()
+    pos = [0] * len(nb)  # preorder positions of the region rooted by walk()
 
-    def sizes(region, root) -> None:
-        """Root the region at `root` by one BFS and fill size/up/heavy."""
+    def walk(root) -> list:
+        """List root's region in preorder from root, filling
+        size/up/heavy/pos; every subtree is a slice of the list."""
         up[root] = -1
-        order = [root]
-        for u in order:
+        order = []
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            pos[u] = len(order)
+            order.append(u)
             size[u] = 1
             heavy[u] = 0
-            for v in bt.adj[u]:
-                if v != up[u] and v in region:
+            for v in badj[u]:
+                if v != up[u] and not split[v]:
                     up[v] = u
-                    order.append(v)
+                    stack.append(v)
         for u in reversed(order[1:]):
             p = up[u]
             size[p] += size[u]
             if size[u] > heavy[p]:
                 heavy[p] = size[u]
+        return order
 
-    def build(region, boundary) -> int:
-        r = len(region)
+    def build(start, r, boundary) -> int:
+        """Split the region of r nodes holding start, whose boundary
+        edges are (outside node, attachment node) pairs."""
+        parts = []  # (minimum node, size, entry node, boundary)
         if r == 1:
-            c = next(iter(region))
-        elif len(boundary) <= 1:
-            # centroid: the components of region - c are the child subtrees
-            # of c and the r - size[c] nodes above it
-            sizes(region, next(iter(region)))
-            c = min(region, key=lambda x: (max(heavy[x], r - size[x]), x))
+            c = start
         else:
-            # walk the a2 -> a1 path; rooted at a1, the component holding a1
-            # is the part above the candidate, and the one holding a2 is the
-            # subtree of the path node below it (`below` nodes)
-            (_, a1), (_, a2) = boundary
-            sizes(region, a1)
-            best = None
-            cand, below = a2, 0
-            while True:
-                worst = max(r - size[cand], below)
-                if best is None or (worst, cand) < best:
-                    best = (worst, cand)
-                if cand == a1:
-                    break
-                cand, below = up[cand], size[cand]
-            c = best[1]
+            if len(boundary) <= 1:
+                # centroid: the components of region - c are the child
+                # subtrees of c and the r - size[c] nodes above it
+                order = walk(start)
+                c = min(order, key=lambda x: (max(heavy[x], r - size[x]), x))
+            else:
+                # walk the a2 -> a1 path; rooted at a1, the component
+                # holding a1 is the part above the candidate, and the one
+                # holding a2 is the subtree of the path node below it
+                # (`below` nodes)
+                (_, a1), (_, a2) = boundary
+                order = walk(a1)
+                best = None
+                cand, below = a2, 0
+                while True:
+                    worst = max(r - size[cand], below)
+                    if best is None or (worst, cand) < best:
+                        best = (worst, cand)
+                    if cand == a1:
+                        break
+                    cand, below = up[cand], size[cand]
+                c = best[1]
+            lo, hi = pos[c], pos[c] + size[c]
+            i = lo + 1
+            while i < hi:
+                ch = order[i]
+                j = i + size[ch]
+                bnd = [(x, a) for x, a in boundary if i <= pos[a] < j]
+                parts.append((min(order[i:j]), j - i, ch, bnd))
+                i = j
+            if r > size[c]:
+                bnd = [(x, a) for x, a in boundary if not lo <= pos[a] < hi]
+                low = min(order[:lo] + order[hi:])
+                parts.append((low, r - size[c], up[c], bnd))
+            parts.sort()
+        split[c] = True
         bag = set(nb[c])
         for x, _ in boundary:
             bag |= set(nb[x])
         node = emit(bag)
         children = []
-        for comp in connected_components(bt, region - {c}):
-            comp = set(comp)
-            bnd = [(x, a) for x, a in boundary if a in comp]
-            entry = min(v for v in bt.adj[c] if v in comp)
+        for _, part_size, entry, bnd in parts:
             bnd.append((c, entry))
-            children.append(build(comp, bnd))
+            children.append(build(entry, part_size, bnd))
         if len(children) <= 2:
             for ch in children:
                 out_edges.append((node, ch))
@@ -375,7 +400,7 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 4 * len(nb) + 100))
     try:
-        build(set(range(len(nb))), [])
+        build(0, len(nb), [])
     finally:
         sys.setrecursionlimit(old_limit)
     return TreeDecomposition(out_bags, out_edges, root=0)

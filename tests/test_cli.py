@@ -42,6 +42,16 @@ def test_decompose_invalid_import_exit_2(tmp_path, capsys):
     assert "RESULT" not in captured.out
 
 
+def test_decompose_exact_over_capacity_exit_2(tmp_path, capsys):
+    # 16 vertices exceed the exact search's cap of 15
+    src = write_gr(tmp_path, "grid4.gr", gen_grid(4))
+    out = tmp_path / "g.tp"
+    assert main(["decompose", "--step1", "exact", "-k", "3", src, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "exceeds cap 15" in captured.err
+    assert "RESULT" not in captured.out and not out.exists()
+
+
 def test_verify_invalid_exit_code(tmp_path, capsys):
     src = write_gr(tmp_path, "p3.gr", Graph(3, [(0, 1), (1, 2)]))
     bad = tmp_path / "bad.tp"

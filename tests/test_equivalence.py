@@ -1,20 +1,23 @@
 """The heap-driven elimination and lower bound, the indexed block
 extraction, the subtree-size split choice of `balance_td`, the block
-forest, the flow-saving tests of `build_gb`, the heavy-component separator
-walk, the component join of `combine_blocks` and step 4's size rule must
-return exactly what the straightforward versions return.
+forest, the pair listing and flow-saving tests of `build_gb`, the
+heavy-component separator walk, the component join of `combine_blocks` and
+step 4's size rule must return exactly what the straightforward versions
+return.
 
 The straightforward versions are kept here as reference oracles: one `min`
-over all alive vertices per step, one scan of every bag and tree edge per
-block, one component search per split candidate, a block-forest search
-that expands a cutvertex from every block holding it, one whole-graph
-flow per pair the degree bound keeps, a separator walk that counts wset
-vertices per child subtree and falls back to scanning every node, a
-union-find join of the combined partition's tree components, and step 4's
-full per-block path (extract, balance, partition) for every block.  Bags,
-tree edges (in order), roots, block forests, auxiliary graphs and
-separator nodes must match, so a drift in a tie-break, in edge order or in
-a pruning test fails.
+over all alive vertices per step (and both the degeneracy and the
+contraction bound), one scan of every bag and tree edge per block (keeping
+the nodes that meet the block minus its parent cutvertex), one component
+search per split candidate, a block-forest search that expands a
+cutvertex from every block holding it, one pair listing per bag, one
+whole-graph flow per pair the degree bound keeps, a separator walk that
+counts wset vertices per child subtree and falls back to scanning every
+node, a union-find join of the combined partition's tree components, and
+step 4's full per-block path (extract, balance, partition) for every
+block.  Bags, tree edges (in order), roots, block forests, auxiliary
+graphs and separator nodes must match, so a drift in a tie-break, in edge
+order or in a pruning test fails.
 """
 
 import itertools
@@ -23,7 +26,7 @@ import random
 import pytest
 
 from treepart import partitioner, pipeline
-from treepart.decomp import TreeDecomposition, TreePartition
+from treepart.decomp import TreeDecomposition, TreePartition, verify_td
 from treepart.families import (
     gen_complete_bipartite,
     gen_fan,
@@ -33,7 +36,13 @@ from treepart.families import (
     random_graph,
     random_tree,
 )
-from treepart.graph import BlockForest, Graph, biconnected_components, connected_components
+from treepart.graph import (
+    BlockForest,
+    Graph,
+    biconnected_components,
+    connected_components,
+    tree_bfs,
+)
 from treepart.partitioner import (
     CONSTANTS,
     balanced_separator_bag,
@@ -131,13 +140,15 @@ def ref_treewidth_lower_bound(g):
     return max(degen, mmd)
 
 
-def ref_extract_sub_td(td, vertices, new_id):
+def ref_extract_sub_td(td, vertices, new_id, cut=None):
+    """Every node whose bag meets vertices - {cut}, with its bag
+    restricted to vertices."""
     vset = set(vertices)
+    rest = vset - {cut}
     keep = []
     for i, bag in enumerate(td.bags):
-        inter = [new_id[v] for v in bag if v in vset]
-        if inter:
-            keep.append((i, sorted(inter)))
+        if rest.intersection(bag):
+            keep.append((i, sorted(new_id[v] for v in bag if v in vset)))
     node_id = {i: j for j, (i, _) in enumerate(keep)}
     edges = [
         (node_id[i], node_id[j])
@@ -145,6 +156,16 @@ def ref_extract_sub_td(td, vertices, new_id):
         if i in node_id and j in node_id
     ]
     return TreeDecomposition([bag for _, bag in keep], edges, root=0)
+
+
+def ref_candidate_pairs(td, vertices=None):
+    pairs = set()
+    for bag in td.bags:
+        bs = sorted(set(bag) if vertices is None else vertices.intersection(bag))
+        for i in range(len(bs)):
+            for j in range(i + 1, len(bs)):
+                pairs.add((bs[i], bs[j]))
+    return sorted(pairs)
 
 
 def ref_balance_td(td):
@@ -375,7 +396,7 @@ def ref_separator_walk(g, td, tables, universe, wset):
     """The counting walk: step into the child whose subtree holds the most
     wset vertices, and scan every node if the walk runs out of children.
     Returns (node, whether the scan ran)."""
-    top, tin, tout = tables
+    top, tin, tout, _ = tables
 
     def balanced(node):
         bag = set(td.bags[node]) & universe
@@ -677,8 +698,8 @@ def block_partitions(g):
     for bidx, blk in enumerate(bf.blocks):
         sub, old = g.induced(blk)
         new_id = {v: i for i, v in enumerate(old)}
-        btd = balance_td(sub, _extract_sub_td(td, new_id, index))
         cut = bf.parent_cut[bidx]
+        btd = balance_td(sub, _extract_sub_td(td, new_id, index, cut))
         if cut is not None:
             local = partition_isolated(sub, btd, new_id[cut])
         else:
@@ -822,3 +843,76 @@ def test_size_rule_matches_partitioner_in_both_roles():
                 assert same_td(got, want), (idx, blk, cut)
                 decided += 1
     assert decided > 2500, decided
+
+
+def extraction_cases():
+    """(graph, k): tree multiples with m = 2..12 at k = ceil(m / 2), where
+    2k - 1 <= m lets step 2 merge tree vertices, and at k + 1; windmills of
+    K_{2,12} blades on one hub; chains of cycles and cliques; random
+    graphs; walls."""
+    for m in range(2, 13):
+        for nodes in (3, 8):
+            g = gen_multiple_tree(random_tree(nodes, m), m)
+            for k in ((m + 1) // 2, (m + 1) // 2 + 1):
+                yield g, k
+    for blades in (1, 2, 7, 30):
+        yield gen_multiple_tree(star(blades), 12), 7
+    for seed in range(40):
+        yield block_chain(seed), 8
+    for g in random_corpus():
+        yield g, 3
+    for side in (6, 10, 15):
+        yield gen_wall(side), 3
+
+
+def test_block_extraction_keeps_the_nodes_meeting_block_minus_cut(monkeypatch):
+    """On the pipeline's own quotients and decompositions, every block's
+    extraction equals the full scan for the nodes meeting the block minus
+    its parent cutvertex (for a root block, the nodes meeting the block),
+    has a tree for its tree, and is a decomposition of the block."""
+    tds = []
+    real_index = pipeline._td_index
+    real_combine = pipeline.combine_blocks
+    counts = {"root": 0, "below_cut": 0, "below_cut_3+": 0, "merged": 0}
+
+    def index(td):
+        tds.append(td)
+        return real_index(td)
+
+    def combine(h, bf, per_block):
+        td = tds[-1]  # the quotient's decomposition, indexed last
+        idx = real_index(td)
+        for bidx, blk in enumerate(bf.blocks):
+            cut = bf.parent_cut[bidx]
+            sub, old = h.induced(blk)
+            new_id = {v: i for i, v in enumerate(old)}
+            got = _extract_sub_td(td, new_id, idx, cut)
+            assert same_td(got, ref_extract_sub_td(td, blk, new_id, cut)), (blk, cut)
+            if cut is None:
+                assert same_td(got, ref_extract_sub_td(td, blk, new_id)), blk
+            assert len(got.tree_edges) == got.num_nodes - 1, blk
+            assert len(tree_bfs(got.node_adj(), 0)[1]) == got.num_nodes, blk
+            assert verify_td(sub, got) == got.width(), blk
+            counts["root" if cut is None else "below_cut"] += 1
+            counts["below_cut_3+"] += cut is not None and len(blk) > 2
+        return real_combine(h, bf, per_block)
+
+    monkeypatch.setattr(pipeline, "_td_index", index)
+    monkeypatch.setattr(pipeline, "combine_blocks", combine)
+    for g, k in extraction_cases():
+        before = counts["below_cut"]
+        out = run(g, PipelineParams(k=k))
+        merged = out.accepted and out.trace[1].fields["gb_edges"] > 0
+        counts["merged"] += merged and counts["below_cut"] > before
+    assert counts["root"] > 250 and counts["below_cut"] > 900, counts
+    assert counts["below_cut_3+"] > 300 and counts["merged"] >= 10, counts
+
+
+def test_candidate_pairs_match_per_bag_listing():
+    for idx, g in enumerate(random_corpus()):
+        td = heuristic_td(g, "min-fill" if idx % 2 else "min-degree", idx % 4)
+        assert candidate_pairs(td) == ref_candidate_pairs(td), idx
+        high = {v for v in range(g.n) if g.degree(v) >= 3}
+        assert candidate_pairs(td, high) == ref_candidate_pairs(td, high), idx
+    hubs = heuristic_td(gen_complete_bipartite(10, 1200))
+    assert candidate_pairs(hubs, set(range(10))) == list(itertools.combinations(range(10), 2))

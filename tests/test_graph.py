@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from treepart.families import random_graph
 from treepart.graph import (
     Graph,
     biconnected_components,
@@ -37,6 +40,31 @@ def test_induced_subgraph():
     sub, old = g.induced([1, 2, 3])
     assert old == [1, 2, 3]
     assert sub.edges() == [(0, 1), (1, 2)]
+
+
+def test_induced_matches_adjacency_scan_on_random_subsets():
+    """Same subgraph as the plain scan of every member's adjacency list,
+    also where a hub's degree exceeds the subset size and `induced`
+    matches the subset against the hub instead."""
+    rng = random.Random(5)
+    hub = Graph(301, [(0, i) for i in range(1, 301)] + [(i, i + 1) for i in range(1, 300)])
+    hubs_scanned = 0
+    for g in [hub] + [random_graph(40, p, s) for s in range(20) for p in (0.05, 0.3)]:
+        for _ in range(15):
+            sub = rng.sample(range(g.n), rng.randint(1, min(g.n, 30)))
+            if g is hub and rng.random() < 0.5:
+                sub = list(set(sub) | {0})
+            old = sorted(sub)
+            new_id = {v: i for i, v in enumerate(old)}
+            keep = set(old)
+            want = Graph(
+                len(old),
+                [(new_id[u], new_id[v]) for u in old for v in g.adj[u] if u < v and v in keep],
+            )
+            got, got_old = g.induced(sub)
+            assert (got, got_old, got.m) == (want, old, want.m)
+            hubs_scanned += any(g.degree(v) > len(old) for v in old)
+    assert hubs_scanned > 20
 
 
 def test_connected_components_sorted():

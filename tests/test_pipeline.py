@@ -208,6 +208,35 @@ def test_size_rule_skips_block_decompositions(monkeypatch):
     assert calls == {"balance_td": 7, "_extract_sub_td": 7}
 
 
+def test_windmill_blades_hand_balance_td_a_fixed_share():
+    """Windmills of K_{2,12} blades on one hub (vertex 0): the blades
+    below the hub hand `balance_td` the same node counts whatever the
+    blade count, at most one per blade vertex, and the root blade at most
+    the decomposition's nodes, once; so step 4's input grows linearly in
+    the blade count."""
+    nodes_in = []
+    real = pipeline.balance_td
+
+    def counting(g, td):
+        nodes_in.append(len(td.bags))
+        return real(g, td)
+
+    shares = []
+    for blades in (25, 50, 100):
+        g = gen_multiple_tree(gen_complete_bipartite(1, blades), 12)
+        nodes_in.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "balance_td", counting)
+            out = run(g, PipelineParams(k=7))
+        assert out.accepted and verify_tp(g, out.tp) == out.width
+        assert len(nodes_in) == blades
+        *below, root = sorted(nodes_in)
+        assert root <= heuristic_td(g).num_nodes
+        assert max(below) <= 14
+        shares.append(set(below))
+    assert shares[0] == shares[1] == shares[2], shares
+
+
 _STEP_KEYS = {
     "step1": {"w", "lb", "millis"},
     "step2": {"b", "gb_edges", "max_component", "millis"},

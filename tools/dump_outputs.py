@@ -1,0 +1,158 @@
+"""Dump every pipeline output of a fixed corpus to one JSON file, and
+compare two dumps.
+
+    PYTHONPATH=src python tools/dump_outputs.py OUT.json
+    python tools/dump_outputs.py --compare A.json B.json
+
+The dump holds, per (family, instance, k): the verdict, the partition
+(bags, tree edges, root), its `verify_tp` result, the certificate of a
+rejection, every non-timing trace field and the steps whose trace record
+carries `millis`.  Dumps of two versions are equal exactly when those
+versions agree on all of it, so a change meant to keep outputs
+byte-identical is checked with `cmp`, and one that changes them is
+reported by `--compare`: verdict changes, and per family the accepts,
+their width sums and the records that differ.
+
+The corpus: both benchmark workloads (`perfbench/corpus.py`) at seeds 1
+and 2; 300 `random_graph(30, 0.1, s)` at k in {1, 2, 3, 5}; tree
+multiples; grids and walls of side 10, 20 and 30.  The `treepart` on
+PYTHONPATH is the one dumped, so pointing PYTHONPATH at another checkout's
+`src` dumps that version against the same corpus.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+sys.path.append(str(Path(__file__).resolve().parent.parent))
+
+from perfbench import corpus  # noqa: E402
+
+
+def _corpus():
+    """(family, label, graph, k) for every run of the dump."""
+    import treepart as tp
+
+    for workload in sorted(corpus.WORKLOADS):
+        for seed in (1, 2):
+            for inst in corpus.build(workload, seed):
+                yield inst.family, f"{inst.label}@seed{seed}", inst.graph, inst.k
+    for s in range(300):
+        g = tp.random_graph(30, 0.1, s)
+        for k in (1, 2, 3, 5):
+            yield "random", f"random_graph(30,0.1,{s})", g, k
+    for nodes in (8, 20):
+        for m in range(1, 13):
+            g = tp.gen_multiple_tree(tp.random_tree(nodes, m), m)
+            for k in range(1, 8):
+                yield "tree_multiple", f"multiple_tree({nodes},{m})", g, k
+    for name, gen in (("grid", tp.gen_grid), ("wall", tp.gen_wall)):
+        for side in (10, 20, 30):
+            g = gen(side)
+            for k in (2, 3, 4, 8, 16):
+                yield name, f"{name}/{side}", g, k
+
+
+def _certificate(cert):
+    if cert is None:
+        return None
+    out = {"kind": type(cert).__name__}
+    for key, val in vars(cert).items():
+        if isinstance(val, frozenset):
+            val = sorted(val)
+        elif isinstance(val, tuple):
+            val = [sorted(part) for part in val]
+        out[key] = val
+    return out
+
+
+def _record(family, label, g, k):
+    import treepart as tp
+
+    out = tp.run(g, tp.PipelineParams(k=k))
+    rec = {
+        "family": family,
+        "label": label,
+        "k": k,
+        "accepted": out.accepted,
+        "width": out.width,
+        "certificate": _certificate(out.certificate),
+        "trace": {
+            r.step: {key: val for key, val in r.fields.items() if key != "millis"}
+            for r in out.trace
+        },
+        "timed_steps": [r.step for r in out.trace if "millis" in r.fields],
+    }
+    if out.accepted:
+        res = tp.verify_tp(g, out.tp)
+        rec["verify_tp"] = res if isinstance(res, int) else f"{res.clause}:{res.witness}"
+        rec["partition"] = {
+            "bags": out.tp.bags,
+            "edges": out.tp.tree_edges,
+            "root": out.tp.root,
+        }
+    return rec
+
+
+def dump(path: str) -> None:
+    records = [_record(*case) for case in _corpus()]
+    Path(path).write_text(json.dumps(records, indent=None, separators=(",", ":")) + "\n")
+    bad = [r for r in records if r["accepted"] and r["verify_tp"] != r["width"]]
+    print(f"{len(records)} records, {sum(r['accepted'] for r in records)} accepts, "
+          f"{len(bad)} accepts failing verify_tp -> {path}")
+
+
+def compare(path_a: str, path_b: str) -> int:
+    """Print verdict changes and per-family width sums; 1 when any record
+    differs, else 0."""
+    a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
+    if [(r["family"], r["label"], r["k"]) for r in a] != [
+        (r["family"], r["label"], r["k"]) for r in b
+    ]:
+        print("the two dumps cover different corpora")
+        return 2
+    fam = defaultdict(lambda: [0, 0, 0, 0])  # accepts, width A, width B, changed
+    flips = 0
+    for ra, rb in zip(a, b):
+        key = f'{ra["label"]} k={ra["k"]}'
+        if ra["accepted"] != rb["accepted"]:
+            flips += 1
+            print(f"verdict {key}: {ra['accepted']} -> {rb['accepted']}")
+        f = fam[ra["family"]]
+        if ra["accepted"] and rb["accepted"]:
+            f[0] += 1
+            f[1] += ra["width"]
+            f[2] += rb["width"]
+        if ra != rb:
+            f[3] += 1
+            if ra["width"] != rb["width"]:
+                print(f"width {key}: {ra['width']} -> {rb['width']}")
+    print(f"{'family':<18}{'accepts':>8}{'width A':>10}{'width B':>10}{'changed':>9}")
+    tot = [0, 0, 0, 0]
+    for name in sorted(fam):
+        print(f"{name:<18}" + "".join(f"{v:>{w}}" for v, w in zip(fam[name], (8, 10, 10, 9))))
+        tot = [x + y for x, y in zip(tot, fam[name])]
+    print(f"{'total':<18}" + "".join(f"{v:>{w}}" for v, w in zip(tot, (8, 10, 10, 9))))
+    print(f"{len(a)} records, {flips} verdict changes, {tot[3]} records changed")
+    return 1 if tot[3] or flips else 0
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("out", nargs="?", help="dump file to write")
+    p.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    args = p.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if not args.out:
+        p.error("give OUT.json or --compare A B")
+    dump(args.out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
