@@ -2,7 +2,7 @@
 
 Exit codes: 0 success/valid/accept, 1 reject or invalid (with a
 machine-readable `RESULT status=... reason=...` line), 2 usage or I/O
-errors.
+errors and malformed input.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .ioformats import (
     emit_gr,
     emit_jsonl,
     emit_tp,
+    parse_counts,
     parse_gr,
     parse_tcd,
     parse_td,
@@ -116,7 +117,7 @@ def _cmd_verify(args) -> int:
             res = verify_domino(g, parse_td(_read(args.decomp)))
         else:
             res = verify_tcd(g, parse_tcd(_read(args.decomp)))
-    except ParseError as exc:
+    except ValueError as exc:  # a ParseError, or a malformed decomposition
         raise CliError(f"{args.decomp}: {exc}")
     if isinstance(res, Violation):
         print(f"RESULT status=invalid reason={res.clause}:{res.witness}")
@@ -235,19 +236,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _parse_counts(path: str):
-    counts = {}
-    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        toks = line.split()
-        if len(toks) != 3:
-            raise CliError(f"{path}: line {lineno}: expected `<u> <v> <count>`")
-        counts[(int(toks[0]) - 1, int(toks[1]) - 1)] = int(toks[2])
-    return counts
-
-
 def _cmd_bridge(args) -> int:
     g = _load_gr(args.input)
     if args.from_tcd:
@@ -264,7 +252,12 @@ def _cmd_bridge(args) -> int:
         print(f"RESULT status=ok width={max(len(b) for b in tp.bags)}")
         return 0
     tp = parse_tp(_read(args.lift))
-    counts = _parse_counts(args.counts) if args.counts else {}
+    counts = {}
+    if args.counts:
+        try:
+            counts = parse_counts(_read(args.counts), g.n)
+        except ParseError as exc:
+            raise CliError(f"{args.counts}: {exc}")
     try:
         out = tp_lift_subdivision(g, tp, counts)
     except ValueError as exc:

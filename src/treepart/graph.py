@@ -124,37 +124,33 @@ class SubdivisionMap:
 
     paths: dict = field(default_factory=dict)
 
-    def new_vertices(self):
-        out = []
-        for path in self.paths.values():
-            out.extend(path)
-        return sorted(out)
-
 
 @dataclass
 class BlockForest:
     """Blocks (2-connected components and bridges) with their cut tree.
 
-    blocks: sorted vertex lists, one per block; bridge edges are blocks of
-    size two.  parent_cut[b] is the cutvertex separating block b from its
-    parent block (None for root blocks).  parent_block[b] is the parent
-    block id (None for roots).  Per connected component the root block is
-    the one containing the component's minimum vertex.
+    blocks: sorted vertex lists in the order the search closes them; bridge
+    edges are blocks of size two.  parent_cut[b] is the cutvertex between
+    block b and its parent block, None for root blocks.  home[x] is the
+    block nearest the root among those holding x (None for an isolated
+    vertex), so b's parent block is home[parent_cut[b]].  Per connected
+    component the root block is the least by content among those holding
+    the component's minimum vertex.
     """
 
     blocks: list
     cutvertices: list
     parent_cut: list
-    parent_block: list
+    home: list
 
     def roots(self):
-        return [b for b, p in enumerate(self.parent_block) if p is None]
+        return [b for b, c in enumerate(self.parent_cut) if c is None]
 
     def children(self):
         kids = [[] for _ in self.blocks]
-        for b, p in enumerate(self.parent_block):
-            if p is not None:
-                kids[p].append(b)
+        for b, c in enumerate(self.parent_cut):
+            if c is not None:
+                kids[self.home[c]].append(b)
         return kids
 
 
@@ -205,18 +201,29 @@ def tree_bfs(adj, root: int):
 
 
 def biconnected_components(g: Graph) -> BlockForest:
-    """Blocks and cutvertices by iterative Hopcroft-Tarjan.
+    """Blocks, cutvertices and the block forest by one iterative
+    Hopcroft-Tarjan search.  Isolated vertices belong to no block; bridges
+    are size-2 blocks, so every edge lies in exactly one block.
 
-    Isolated vertices belong to no block.  Bridges count as size-2 blocks so
-    every edge lies in exactly one block.
+    When the search returns from u to p with low[u] >= disc[p], p closes the
+    block of p and the vertices entered since u that no block holds yet; p
+    is its top, and every other vertex x of it entered it by its own tree
+    edge, so it is home[x].  The block-cut tree is a tree and the search
+    enters every block but the root block through its top, so home[p] is
+    p's block toward the root and the top is the parent cutvertex.  The
+    blocks holding a component's first vertex r are those closed at r; the
+    least by content is the root block and home[r].  A vertex lies in two
+    or more blocks exactly when some block hangs from it, so the cutvertices
+    are the distinct parent cuts.
     """
     n = g.n
     disc = [0] * n
     low = [0] * n
     timer = 1
-    edge_stack = []
-    raw_blocks = []
-    cutset = set()
+    entered = []  # vertices entered by a tree edge, not yet in a block
+    blocks = []
+    parent_cut = []  # block -> its top, until the root block is picked
+    home = [None] * n
 
     for root in range(n):
         if disc[root]:
@@ -225,7 +232,7 @@ def biconnected_components(g: Graph) -> BlockForest:
         stack = [[root, -1, 0]]
         disc[root] = low[root] = timer
         timer += 1
-        root_children = 0
+        at_root = []  # blocks closed at root
         while stack:
             u, parent, i = stack[-1]
             if i < len(g.adj[u]):
@@ -234,16 +241,12 @@ def biconnected_components(g: Graph) -> BlockForest:
                 if v == parent:
                     continue  # simple graph: the unique edge back up
                 if not disc[v]:
-                    edge_stack.append((u, v))
                     disc[v] = low[v] = timer
                     timer += 1
-                    if u == root:
-                        root_children += 1
+                    entered.append(v)
                     stack.append([v, u, 0])
-                elif disc[v] < disc[u]:
-                    edge_stack.append((u, v))
-                    if disc[v] < low[u]:
-                        low[u] = disc[v]
+                elif disc[v] < low[u]:
+                    low[u] = disc[v]
             else:
                 stack.pop()
                 if stack:
@@ -251,59 +254,26 @@ def biconnected_components(g: Graph) -> BlockForest:
                     if low[u] < low[p]:
                         low[p] = low[u]
                     if low[u] >= disc[p]:
-                        # p closes a block
-                        block = set()
-                        while edge_stack and edge_stack[-1] != (p, u):
-                            a, b = edge_stack.pop()
-                            block.add(a)
-                            block.add(b)
-                        if edge_stack:
-                            a, b = edge_stack.pop()
-                            block.add(a)
-                            block.add(b)
-                        if block:
-                            raw_blocks.append(sorted(block))
-                        if p != root:
-                            cutset.add(p)
-        if root_children >= 2:
-            cutset.add(root)
-
-    # Articulation flag for roots is handled above; now build the rooted forest.
-    blocks = raw_blocks
-    cutvertices = sorted(cutset)
-
-    # map vertex -> blocks containing it
-    in_blocks = {}
-    for b, bl in enumerate(blocks):
-        for v in bl:
-            in_blocks.setdefault(v, []).append(b)
-
-    parent_cut = [None] * len(blocks)
-    parent_block = [None] * len(blocks)
-    visited = [False] * len(blocks)
-    # A cutvertex's blocks are all reached the first time it is expanded,
-    # so each cutvertex is expanded once: O(n + m) in all.
-    expanded = set()
-    # root block per component: block containing the component's minimum
-    # block-covered vertex, with ties broken by smallest block content.
-    order = sorted(range(len(blocks)), key=lambda b: blocks[b])
-    for start in order:
-        if visited[start]:
-            continue
-        visited[start] = True
-        queue = [start]
-        for b in queue:
-            for v in blocks[b]:
-                if v not in cutset or v in expanded:
-                    continue
-                expanded.add(v)
-                for b2 in in_blocks[v]:
-                    if not visited[b2]:
-                        visited[b2] = True
-                        parent_cut[b2] = v
-                        parent_block[b2] = b
-                        queue.append(b2)
-    return BlockForest(blocks, cutvertices, parent_cut, parent_block)
+                        # p closes p and the vertices entered since u
+                        b = len(blocks)
+                        block = [p]
+                        while True:
+                            x = entered.pop()
+                            home[x] = b
+                            block.append(x)
+                            if x == u:
+                                break
+                        block.sort()
+                        blocks.append(block)
+                        parent_cut.append(p)
+                        if p == root:
+                            at_root.append(b)
+        if at_root:
+            rb = min(at_root, key=blocks.__getitem__)
+            parent_cut[rb] = None
+            home[root] = rb
+    cutvertices = sorted({c for c in parent_cut if c is not None})
+    return BlockForest(blocks, cutvertices, parent_cut, home)
 
 
 def subdivide(g: Graph, counts: dict):

@@ -92,6 +92,23 @@ def parse_gr(text: str) -> Graph:
     return Graph(n, edges)
 
 
+def parse_counts(text: str, n: int) -> dict:
+    """Subdivision counts of an n-vertex graph, `<u> <v> <count>` per line,
+    as {(u, v): count} with 0-based ids; a pair may be listed once, in
+    either orientation.  Counts and edges are the subdivision's to check."""
+    counts = {}
+    for lineno, toks in _content_lines(text):
+        if len(toks) != 3:
+            raise ParseError(lineno, "expected `<u> <v> <count>`")
+        u, v, c = (_int(t, lineno) for t in toks)
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ParseError(lineno, f"vertex out of range 1..{n}")
+        if (u - 1, v - 1) in counts or (v - 1, u - 1) in counts:
+            raise ParseError(lineno, f"pair {u} {v} listed twice")
+        counts[(u - 1, v - 1)] = c
+    return counts
+
+
 def emit_gr(g: Graph) -> str:
     lines = [f"p tp {g.n} {g.m}"]
     lines += [f"{u + 1} {v + 1}" for u, v in g.edges()]

@@ -183,14 +183,8 @@ def _partition_into(g, td, tables, width, builder, universe, s_set) -> int:
         bag = {min(universe)}
     root = builder.emit(bag)
     comps = [set(c) for c in connected_components(g, universe - bag)]
-    boundaries = []
-    for comp in comps:
-        nb = set()
-        for v in bag:
-            for w in g.adj[v]:
-                if w in comp:
-                    nb.add(w)
-        boundaries.append(nb)
+    touched = set().union(*(g.adj[v] for v in bag))
+    boundaries = [comp & touched for comp in comps]
     for sub_universe, sub_s in _group_components(
         comps, boundaries, CONSTANTS.window_low(width)
     ):

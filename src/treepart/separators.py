@@ -159,7 +159,7 @@ def build_gb(g: Graph, b: int, pairs) -> Graph:
     if b < 1:
         raise ValueError("b must be >= 1")
     nbrs = {}  # vertex -> neighbour set, built on first use
-    forest = home = None  # b >= 2: blocks, and per vertex its home block
+    forest = None  # b >= 2: the block forest, built on first use
     blocks = {}  # block id -> (induced subgraph, vertex -> subgraph id)
     edges = []
     for u, v in pairs:
@@ -178,12 +178,7 @@ def build_gb(g: Graph, b: int, pairs) -> Graph:
             continue
         if forest is None:
             forest = biconnected_components(g)
-            home = [None] * g.n
-            for i, blk in enumerate(forest.blocks):
-                for x in blk:
-                    if forest.parent_cut[i] != x:
-                        home[x] = i
-        i = _shared_block(forest, home, u, v)
+        i = _shared_block(forest, u, v)
         if i is None:
             continue
         if i not in blocks:
@@ -198,15 +193,15 @@ def build_gb(g: Graph, b: int, pairs) -> Graph:
     return Graph(g.n, sorted(edges))
 
 
-def _shared_block(forest, home, u, v):
+def _shared_block(forest, u, v):
     """Id of the block holding both u and v, or None.
 
-    The blocks holding a vertex x are home[x], the one nearest the root of
-    the block forest, and the child blocks hung from it at x (those whose
-    parent cutvertex is x).  So a block shared by u != v is the home of
-    both, or the home of one hung from the other.
+    The blocks holding a vertex x are forest.home[x], the one nearest the
+    root of the block forest, and the child blocks hung from it at x (those
+    whose parent cutvertex is x).  So a block shared by u != v is the home
+    of both, or the home of one hung from the other.
     """
-    hu, hv = home[u], home[v]
+    hu, hv = forest.home[u], forest.home[v]
     if hu == hv:
         return hu
     if forest.parent_cut[hv] == u:
@@ -223,10 +218,6 @@ class BReduction:
     h: Graph
     part_of: list  # V(G) -> part id
     parts: list  # part id -> sorted vertex list
-    weights: list  # part id -> component size
-
-    def max_weight(self) -> int:
-        return max(self.weights, default=0)
 
 
 def b_reduction(g: Graph, gb: Graph) -> BReduction:
@@ -234,4 +225,4 @@ def b_reduction(g: Graph, gb: Graph) -> BReduction:
         raise ValueError("auxiliary graph must share the vertex set")
     parts = connected_components(gb)
     h, part_of = quotient(g, parts)
-    return BReduction(h, part_of, parts, [len(p) for p in parts])
+    return BReduction(h, part_of, parts)

@@ -61,6 +61,21 @@ def test_verify_invalid_exit_code(tmp_path, capsys):
     assert "status=invalid" in capsys.readouterr().out
 
 
+def test_verify_malformed_decomposition_exit_2(tmp_path, capsys):
+    src = write_gr(tmp_path, "g.gr", gen_grid(3))
+    outside = tmp_path / "outside.td"
+    # the bag names vertex 12 of a 9-vertex graph
+    outside.write_text("s td 1 3 12\nb 1 1 2 12\n")
+    forest = tmp_path / "forest.tp"
+    # two bags and no tree edge
+    forest.write_text("s tp 2 5 9\nb 1 1 2 3 4 5\nb 2 6 7 8 9\n")
+    for kind, bad in (("td", outside), ("domino", outside), ("tp", forest)):
+        assert main(["verify", kind, src, str(bad)]) == 2, kind
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: "), kind
+        assert "RESULT" not in captured.out, kind
+
+
 def test_usage_and_io_errors_exit_2(tmp_path, capsys):
     assert main(["decompose", "-k", "1", str(tmp_path / "missing.gr")]) == 2
     bad = tmp_path / "bad.gr"
@@ -154,6 +169,32 @@ def test_bridge_subcommand(tmp_path, capsys):
     out_tp = parse_tp(Path(lifted).read_text())
     assert len(out_tp.bags) == 3
     assert max(len(b) for b in out_tp.bags) == 2
+
+
+def test_bridge_lift_counts_errors(tmp_path, capsys):
+    src = write_gr(tmp_path, "p3.gr", Graph(3, [(0, 1), (1, 2)]))
+    tp = tmp_path / "p3.tp"
+    tp.write_text("s tp 1 3 3\nb 1 1 2 3\n")
+    counts = tmp_path / "counts.txt"
+    lifted = tmp_path / "lifted.tp"
+    argv = ["bridge", src, "--lift", str(tp), "--counts", str(counts), "-o", str(lifted)]
+    for text, reason in (
+        ("1 2 x\n", "line 1: expected an integer"),
+        ("1 2 3\n2 1 4\n", "line 2: pair 2 1 listed twice"),
+        ("0 1 2\n", "line 1: vertex out of range 1..3"),
+        ("1 2\n", "line 1: expected `<u> <v> <count>`"),
+    ):
+        counts.write_text(text)
+        assert main(argv) == 2, text
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {counts}: {reason}"), text
+        assert "RESULT" not in captured.out and not lifted.exists(), text
+    # well-formed but refused by the subdivision
+    for text in ("1 2 -1\n", "1 3 2\n"):
+        counts.write_text(text)
+        assert main(argv) == 1, text
+        assert "RESULT status=invalid" in capsys.readouterr().out, text
+        assert not lifted.exists(), text
 
 
 def test_bench_report(tmp_path):

@@ -380,7 +380,15 @@ def ref_biconnected_components(g):
                         parent_cut[b2] = v
                         parent_block[b2] = b
                         queue.append(b2)
-    return BlockForest(blocks, sorted(cutset), parent_cut, parent_block)
+    home = [None] * n
+    for b, blk in enumerate(blocks):
+        for x in blk:
+            if parent_cut[b] != x:
+                home[x] = b
+    for b, cut in enumerate(parent_cut):
+        if cut is not None:
+            assert home[cut] == parent_block[b], b
+    return BlockForest(blocks, sorted(cutset), parent_cut, home)
 
 
 def ref_build_gb(g, b, pairs):
@@ -663,6 +671,8 @@ def test_block_forest_matches_scan():
     graphs = [star(leaves) for leaves in (0, 1, 2, 60, 500)]
     graphs += [random_tree(n, seed) for n, seed in ((2, 0), (40, 1), (600, 2))]
     graphs += [path(300), glued_cliques(4, 5)] + random_corpus()
+    # windmills: 12-fold blades on the hub, vertex 0
+    graphs += [gen_multiple_tree(gen_complete_bipartite(1, m), 12) for m in (1, 2, 7, 30)]
     for idx, g in enumerate(graphs):
         assert biconnected_components(g) == ref_biconnected_components(g), idx
 

@@ -94,6 +94,20 @@ def test_biconnected_components_bridges():
             assert bf.parent_cut[b] in bf.blocks[b]
 
 
+def test_block_forest_read_off_the_search():
+    # vertex 0 closes three blocks: the bridge 0-2, the 4-cycle 0-5-1-7
+    # and the bridge 0-8; the root block is the least by content, which is
+    # neither the first nor the last closed
+    g = Graph(9, [(0, 2), (0, 5), (5, 1), (1, 7), (7, 0), (0, 8)])
+    bf = biconnected_components(g)
+    assert bf.blocks == [[0, 2], [0, 1, 5, 7], [0, 8]]
+    assert bf.roots() == [1]
+    assert bf.parent_cut == [0, None, 0]
+    assert bf.children() == [[], [0, 2], []]
+    assert bf.cutvertices == [0]
+    assert bf.home == [1, 1, 0, None, None, 1, None, 1, 2]
+
+
 def test_subdivide_paths_and_numbering():
     g = Graph(3, [(0, 1), (1, 2)])
     g2, smap = subdivide(g, {(0, 1): 2})

@@ -10,6 +10,7 @@ from treepart.ioformats import (
     emit_td,
     emit_tcd,
     emit_tp,
+    parse_counts,
     parse_gr,
     parse_jsonl,
     parse_td,
@@ -47,6 +48,27 @@ def test_gr_errors_carry_line_numbers():
         parse_gr(f"c big\np tp {MAX_HEADER_SIZE + 1} 0\n")
     with pytest.raises(ParseError):
         parse_gr("")
+
+
+def test_counts_parse_to_zero_based_pairs():
+    text = "c counts\n1 2 3\n\n3 2 0\n2 4 -1\n"
+    assert parse_counts(text, 4) == {(0, 1): 3, (2, 1): 0, (1, 3): -1}
+    assert parse_counts("", 4) == {}
+
+
+def test_counts_errors_carry_line_numbers():
+    with pytest.raises(ParseError, match="line 2: expected `<u> <v> <count>`"):
+        parse_counts("1 2 3\n1 2\n", 4)
+    with pytest.raises(ParseError, match="line 1: expected an integer, got 'x'"):
+        parse_counts("1 2 x\n", 4)
+    with pytest.raises(ParseError, match="line 1: vertex out of range 1..4"):
+        parse_counts("0 1 2\n", 4)
+    with pytest.raises(ParseError, match="line 1: vertex out of range 1..4"):
+        parse_counts("1 5 2\n", 4)
+    with pytest.raises(ParseError, match="line 3: pair 2 1 listed twice"):
+        parse_counts("1 2 3\nc\n2 1 4\n", 4)
+    with pytest.raises(ParseError, match="line 2: pair 1 2 listed twice"):
+        parse_counts("1 2 3\n1 2 3\n", 4)
 
 
 def test_td_round_trip():

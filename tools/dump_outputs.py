@@ -15,9 +15,11 @@ their width sums and the records that differ.
 
 The corpus: both benchmark workloads (`perfbench/corpus.py`) at seeds 1
 and 2; 300 `random_graph(30, 0.1, s)` at k in {1, 2, 3, 5}; tree
-multiples; grids and walls of side 10, 20 and 30.  The `treepart` on
+multiples; grids and walls of side 10, 20 and 30; windmills of 10 and 40
+`K_{2,12}` blades on one hub at k in {3, 7}.  The `treepart` on
 PYTHONPATH is the one dumped, so pointing PYTHONPATH at another checkout's
-`src` dumps that version against the same corpus.
+`src` dumps that version against the same corpus.  The dump exits 1 when
+any accept fails `verify_tp`.
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ def _corpus():
             g = gen(side)
             for k in (2, 3, 4, 8, 16):
                 yield name, f"{name}/{side}", g, k
+    for blades in (10, 40):
+        g = tp.gen_multiple_tree(tp.gen_complete_bipartite(1, blades), 12)
+        for k in (3, 7):
+            yield "windmill", f"windmill/{blades}", g, k
 
 
 def _certificate(cert):
@@ -98,12 +104,14 @@ def _record(family, label, g, k):
     return rec
 
 
-def dump(path: str) -> None:
+def dump(path: str) -> int:
+    """Write the dump; 1 when any accept fails `verify_tp`, else 0."""
     records = [_record(*case) for case in _corpus()]
     Path(path).write_text(json.dumps(records, indent=None, separators=(",", ":")) + "\n")
     bad = [r for r in records if r["accepted"] and r["verify_tp"] != r["width"]]
     print(f"{len(records)} records, {sum(r['accepted'] for r in records)} accepts, "
           f"{len(bad)} accepts failing verify_tp -> {path}")
+    return 1 if bad else 0
 
 
 def compare(path_a: str, path_b: str) -> int:
@@ -150,8 +158,7 @@ def main(argv=None) -> int:
         return compare(*args.compare)
     if not args.out:
         p.error("give OUT.json or --compare A B")
-    dump(args.out)
-    return 0
+    return dump(args.out)
 
 
 if __name__ == "__main__":
