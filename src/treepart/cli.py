@@ -17,7 +17,8 @@ from pathlib import Path
 
 from . import families, gadgets
 from .bridge import tcd_to_subdivision_tp, tp_lift_subdivision
-from .decomp import Violation, verify_domino, verify_td, verify_tp, verify_tcd
+from .decomp import MalformedDecomposition, Violation
+from .decomp import verify_domino, verify_td, verify_tp, verify_tcd
 from .exact import CapacityError, exact_domino_tw, exact_tpw
 from .graph import Graph
 from .ioformats import (
@@ -242,7 +243,9 @@ def _cmd_bridge(args) -> int:
         tcd = parse_tcd(_read(args.from_tcd))
         try:
             g2, _, tp = tcd_to_subdivision_tp(g, tcd)
-        except ValueError as exc:
+        except MalformedDecomposition as exc:
+            raise CliError(f"{args.from_tcd}: {exc}")
+        except ValueError as exc:  # a violation, a non-nice decomposition
             print(f"RESULT status=invalid reason={exc}")
             return 1
         if args.out_gr:
@@ -260,7 +263,9 @@ def _cmd_bridge(args) -> int:
             raise CliError(f"{args.counts}: {exc}")
     try:
         out = tp_lift_subdivision(g, tp, counts)
-    except ValueError as exc:
+    except MalformedDecomposition as exc:
+        raise CliError(f"{args.lift}: {exc}")
+    except ValueError as exc:  # a violation, a negative count, a non-edge
         print(f"RESULT status=invalid reason={exc}")
         return 1
     if args.output:

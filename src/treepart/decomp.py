@@ -4,8 +4,9 @@ tree decompositions and tree-cut decompositions.
 Verifiers recompute everything from scratch and return either the width
 (an int, or a (width, nice) pair for tree-cut decompositions) or a
 :class:`Violation` naming the first failed clause in deterministic scan
-order.  Malformed indices raise ValueError instead, so structural garbage
-is never confused with a definitional violation.
+order.  Malformed indices or tree shapes raise MalformedDecomposition, a
+ValueError, instead, so structural garbage is never confused with a
+definitional violation.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ class Violation:
 
     def __str__(self):
         return f"{self.clause}: {self.witness!r}"
+
+
+class MalformedDecomposition(ValueError):
+    """Out-of-range bag entries, a tree shape that is no tree, or a bad root."""
 
 
 @dataclass
@@ -103,28 +108,28 @@ class TreeCutDecomposition(BaggedTree):
 
 
 def _check_tree_shape(t: BaggedTree) -> None:
-    """Raise ValueError unless the edges form a tree over 0..num_nodes-1."""
+    """Raise MalformedDecomposition unless the edges form a tree on the nodes."""
     num_nodes, tree_edges = t.num_nodes, t.tree_edges
     for i, j in tree_edges:
         if not (0 <= i < num_nodes and 0 <= j < num_nodes) or i == j:
-            raise ValueError(f"bad tree edge ({i},{j})")
+            raise MalformedDecomposition(f"bad tree edge ({i},{j})")
     if num_nodes == 0:
         if tree_edges:
-            raise ValueError("tree edges on zero nodes")
+            raise MalformedDecomposition("tree edges on zero nodes")
         return
     if len(tree_edges) != num_nodes - 1:
-        raise ValueError(
+        raise MalformedDecomposition(
             f"tree must have {num_nodes - 1} edges, got {len(tree_edges)}"
         )
     if len(tree_bfs(t.node_adj(), 0)[1]) != num_nodes:
-        raise ValueError("tree is disconnected")
+        raise MalformedDecomposition("tree is disconnected")
 
 
 def _check_bag_indices(g: Graph, bags) -> None:
     for i, bag in enumerate(bags):
         for v in bag:
             if not (0 <= v < g.n):
-                raise ValueError(f"bag {i} mentions vertex {v} outside 0..{g.n - 1}")
+                raise MalformedDecomposition(f"bag {i} mentions vertex {v} outside 0..{g.n - 1}")
 
 
 def verify_td(g: Graph, td: TreeDecomposition):
@@ -145,19 +150,13 @@ def verify_td(g: Graph, td: TreeDecomposition):
     for u, v in g.edges():
         if not any(v in bag_sets[i] for i in where[u]):
             return Violation("edge-coverage", (u, v))
-    adj = td.node_adj()
+    # the nodes holding v induce a forest of (its nodes) - (its edges) trees
+    pieces = [len(nodes) for nodes in where]
+    for i, j in td.tree_edges:
+        for v in bag_sets[i] & bag_sets[j]:
+            pieces[v] -= 1
     for v in range(g.n):
-        nodes = set(where[v])
-        start = where[v][0]
-        stack = [start]
-        reached = {start}
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                if j in nodes and j not in reached:
-                    reached.add(j)
-                    stack.append(j)
-        if reached != nodes:
+        if pieces[v] != 1:
             return Violation("occupancy-connectivity", v)
     return max(len(b) for b in td.bags) - 1
 
@@ -256,7 +255,7 @@ def verify_tcd(g: Graph, tcd: TreeCutDecomposition):
     _check_bag_indices(g, tcd.bags)
     _check_tree_shape(tcd)
     if not (0 <= tcd.root < max(tcd.num_nodes, 1)):
-        raise ValueError(f"bad root {tcd.root}")
+        raise MalformedDecomposition(f"bad root {tcd.root}")
 
     node_of = [-1] * g.n
     for i, bag in enumerate(tcd.bags):

@@ -316,23 +316,6 @@ def _domino_component(g: Graph, comp, s: int) -> bool:
     """
     compset = frozenset(comp)
 
-    def components_of(territory):
-        rest = set(territory)
-        out = []
-        while rest:
-            v = min(rest)
-            seen = {v}
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                for w in g.adj[u]:
-                    if w in rest and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            out.append(frozenset(seen))
-            rest -= seen
-        return out
-
     def closure(bag, B, fixed, comp_of):
         bag = set(bag)
         assigned = set()
@@ -371,7 +354,7 @@ def _domino_component(g: Graph, comp, s: int) -> bool:
     def grow(B, fixed, territory) -> bool:
         if not territory:
             return True
-        comps = components_of(territory)
+        comps = [frozenset(c) for c in connected_components(g, territory)]
         comp_of = {}
         for c in comps:
             for v in c:

@@ -77,41 +77,29 @@ class Graph:
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 
-    def validate(self):
-        """Check simplicity and symmetry; raises AssertionError on failure."""
-        for u in range(self.n):
-            lst = self.adj[u]
-            assert all(0 <= v < self.n for v in lst), f"vertex out of range near {u}"
-            assert u not in lst, f"self-loop at {u}"
-            assert lst == sorted(set(lst)), f"adjacency of {u} unsorted or duplicated"
-            for v in lst:
-                assert u in self.adj[v], f"asymmetric edge {u},{v}"
-        return self
-
     # -- derived graphs --------------------------------------------------
 
     def induced(self, vertices):
         """Induced subgraph on `vertices`.
 
         Returns (subgraph, old_ids) where old_ids[i] is the original id of
-        subgraph vertex i.  Vertices are relabelled in sorted order.
-
-        A vertex whose adjacency list is longer than the subset is matched
-        against the subset with `has_edge` instead, so a hub costs each
-        small subset it belongs to O(|subset| log deg), not its degree.
+        subgraph vertex i.  Vertices are relabelled in sorted order, so on
+        all of 0..n-1 the subgraph is this graph itself.
         """
         old_ids = sorted(vertices)
-        new_id = {v: i for i, v in enumerate(old_ids)}
         keep = set(old_ids)
-        edges = []
-        for u in old_ids:
-            nu = new_id[u]
-            if len(self.adj[u]) > len(old_ids):
-                later = [v for v in old_ids[nu + 1:] if self.has_edge(u, v)]
-            else:
-                later = [v for v in self.adj[u] if u < v and v in keep]
-            edges.extend((nu, new_id[v]) for v in later)
-        return Graph(len(old_ids), edges), old_ids
+        edges = ((u, v) for u in old_ids for v in self.adj[u] if u < v and v in keep)
+        return subgraph(self, old_ids, edges)[0], old_ids
+
+
+def subgraph(g: Graph, vertices, edges):
+    """(subgraph, new_id) of g on the sorted vertex list `vertices`, given
+    the edges of g among them, with vertices[i] renamed new_id[vertices[i]]
+    = i.  On all of g's vertices it is g itself, and `edges` goes unread."""
+    new_id = {v: i for i, v in enumerate(vertices)}
+    if len(vertices) == g.n:
+        return g, new_id
+    return Graph(len(vertices), [(new_id[u], new_id[v]) for u, v in edges]), new_id
 
 
 @dataclass
@@ -136,6 +124,10 @@ class BlockForest:
     vertex), so b's parent block is home[parent_cut[b]].  Per connected
     component the root block is the least by content among those holding
     the component's minimum vertex.
+
+    Two blocks share at most one vertex, so every edge lies in exactly one
+    block, the one its endpoints share (Hopcroft and Tarjan, "Efficient
+    algorithms for graph manipulation", CACM 1973).
     """
 
     blocks: list
@@ -152,6 +144,31 @@ class BlockForest:
             if c is not None:
                 kids[self.home[c]].append(b)
         return kids
+
+    def block_of(self, u: int, v: int):
+        """Id of the block holding both u != v, or None.
+
+        The blocks holding a vertex x are home[x], the one nearest the root
+        of the block forest, and the child blocks hung from it at x (those
+        whose parent cutvertex is x).  So a block shared by u and v is the
+        home of both, or the home of one hung from the other.
+        """
+        hu, hv = self.home[u], self.home[v]
+        if hu == hv:
+            return hu
+        if hv is not None and self.parent_cut[hv] == u:
+            return hv
+        if hu is not None and self.parent_cut[hu] == v:
+            return hu
+        return None
+
+    def block_edges(self, g: Graph):
+        """Each block's edges of g, in `g.edges()` order, by one O(n + m)
+        pass: an edge belongs to the block its endpoints share."""
+        out = [[] for _ in self.blocks]
+        for u, v in g.edges():
+            out[self.block_of(u, v)].append((u, v))
+        return out
 
 
 def connected_components(g: Graph, vertices=None):
@@ -314,7 +331,8 @@ def quotient(g: Graph, parts):
     """Identify each part to a single vertex; drop loops and multiplicities.
 
     parts must partition 0..n-1.  Returns (quotient graph, part_of) where
-    part_of[v] is the part id of v.  Part ids follow the given order.
+    part_of[v] is the part id of v.  Part ids follow the given order, so
+    the singletons in vertex order give g itself.
     """
     part_of = [-1] * g.n
     for i, part in enumerate(parts):
@@ -324,6 +342,8 @@ def quotient(g: Graph, parts):
             part_of[v] = i
     if any(p == -1 for p in part_of):
         raise ValueError("parts do not cover all vertices")
+    if len(parts) == g.n and all(p == v for v, p in enumerate(part_of)):
+        return g, part_of
     edges = set()
     for u, v in g.edges():
         pu, pv = part_of[u], part_of[v]

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .decomp import TreeDecomposition, TreePartition, Violation, verify_td
-from .graph import Graph, biconnected_components, connected_components
+from .graph import Graph, biconnected_components, connected_components, subgraph
 from .separators import b_reduction, build_gb, candidate_pairs
 from .treewidth import balance_td, exact_td, heuristic_td, treewidth_lower_bound
 from .partitioner import (
@@ -205,15 +205,19 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
     import_index is `_td_index(params.import_td)` with step1="import",
     built once for all components, and None otherwise.
 
-    Step 4 partitions each block on its own.  A block whose size and
+    Step 4 partitions each block on its own.  One pass over H's edges
+    gives each block its edge list (`BlockForest.block_edges`), from which
+    the in-block degrees are counted, so a cutvertex of high degree costs
+    each of its blocks only that block's edges.  A block whose size and
     minimum in-block degree already fix its partition takes it from
     `partition_by_size`: a bridge always, and a larger block with n <=
     min-degree + 2 as the root block or n <= window_low(min-degree) + 1
-    below a cutvertex.  Every other block has its decomposition extracted
-    and rebalanced before the partitioner runs on it; below a cutvertex
-    the extraction keeps only the nodes meeting the block minus the
-    cutvertex, so a cutvertex shared by many blocks costs each block only
-    its own share of the decomposition."""
+    below a cutvertex.  Every other block is built as a graph from its
+    edge list (H itself when it holds all of H) and has its decomposition
+    extracted and rebalanced before the partitioner runs on it; below a
+    cutvertex the extraction keeps only the nodes meeting the block minus
+    the cutvertex, so a cutvertex shared by many blocks costs each block
+    only its own share of the decomposition."""
     k = params.k
 
     t0 = time.perf_counter()
@@ -254,40 +258,34 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
     thr = degree_threshold(k, max(b, 2))
     _fold(stats["step4"], max, delta_h=h.max_degree())
     stats["step4"]["threshold"] = thr
-    # a set intersection walks the smaller set, so a cutvertex of high
-    # degree costs each of its blocks only that block's size
-    nbrs = [set(a) for a in h.adj]
+    block_edges = bf.block_edges(h)
+    degree = [0] * h.n  # in-block degrees of the block being scanned
     min_degree = []
-    for blk in bf.blocks:
-        blkset = set(blk)
+    for blk, blk_edges in zip(bf.blocks, block_edges):
+        for u, v in blk_edges:
+            degree[u] += 1
+            degree[v] += 1
         low = len(blk)
         for v in blk:
-            d = len(nbrs[v] & blkset)
+            d, degree[v] = degree[v], 0
             low = min(low, d)
             if d > thr:
-                return "reject", BlockDegree(
-                    tuple(
-                        frozenset(old_ids[x] for x in red.parts[u]) for u in blk
-                    ),
-                    frozenset(old_ids[x] for x in red.parts[v]),
-                    d,
-                    thr,
-                )
+                groups = tuple(frozenset(old_ids[x] for x in red.parts[u]) for u in blk)
+                return "reject", BlockDegree(groups, groups[blk.index(v)], d, thr)
         min_degree.append(low)
     per_block = {}
     for bidx, blk in enumerate(bf.blocks):
         cut = bf.parent_cut[bidx]
         tp_block = partition_by_size(blk, min_degree[bidx], cut)
         if tp_block is None:
-            sub, sub_old = h.induced(blk)
-            new_id = {v: i for i, v in enumerate(sub_old)}
+            sub, new_id = subgraph(h, blk, block_edges[bidx])
             btd = balance_td(sub, _extract_sub_td(tdh, new_id, tdh_index, cut))
             if cut is not None:
                 tp_local = partition_isolated(sub, btd, new_id[cut])
             else:
                 tp_local = partition_rooted(sub, btd, {0})
             tp_block = TreePartition(
-                [sorted(sub_old[x] for x in bag) for bag in tp_local.bags],
+                [sorted(blk[x] for x in bag) for bag in tp_local.bags],
                 list(tp_local.tree_edges),
                 tp_local.root,
             )

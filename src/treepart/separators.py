@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graph import Graph, biconnected_components, connected_components, quotient
+from .graph import Graph, biconnected_components, connected_components, quotient, subgraph
 
 
 def mu(g: Graph, s: int, t: int, cap: int | None = None) -> int:
@@ -145,22 +145,23 @@ def build_gb(g: Graph, b: int, pairs) -> Graph:
        built once per vertex: each w in N(u) & N(v) gives the path u-w-v,
        which avoids uv, and these paths share no inner vertex, so
        mu >= |N(u) & N(v)|.  Accept when this reaches b.
-    3. Blocks, for b >= 2 only, O(1) per pair after one O(n + m) block
-       computation made when a pair first gets here.  Two vertices share
-       at most one block, and every simple u-v path stays inside it.  With
-       no shared block a cutvertex separates u and v, so mu <= 1 < b: skip.
-       Otherwise apply the degree bound with degrees inside the block, and
-       run the flow on the block's induced subgraph, built once per block.
-       With b = 1 a pair split by a cutvertex can still reach mu = 1, so
-       the flow runs on all of G.
+    3. Blocks, for b >= 2 only, O(1) per pair after one O(n + m) pass,
+       made when a pair first gets here, for the block forest and each
+       block's edges.  Two vertices share at most one block (`block_of`),
+       and every simple u-v path stays inside it.  With no shared block a
+       cutvertex separates u and v, so mu <= 1 < b: skip.  Otherwise apply
+       the degree bound with degrees inside the block, and run the flow on
+       the block's subgraph, built once per block from its edges.  With
+       b = 1 a pair split by a cutvertex can still reach mu = 1, so the
+       flow runs on all of G.
 
     Output does not depend on pair order.
     """
     if b < 1:
         raise ValueError("b must be >= 1")
     nbrs = {}  # vertex -> neighbour set, built on first use
-    forest = None  # b >= 2: the block forest, built on first use
-    blocks = {}  # block id -> (induced subgraph, vertex -> subgraph id)
+    forest = None  # b >= 2: the block forest and its block_edges, built on first use
+    blocks = {}  # block id -> (subgraph, vertex -> subgraph id)
     edges = []
     for u, v in pairs:
         adjacent = g.has_edge(u, v)
@@ -178,12 +179,12 @@ def build_gb(g: Graph, b: int, pairs) -> Graph:
             continue
         if forest is None:
             forest = biconnected_components(g)
-        i = _shared_block(forest, u, v)
+            block_edges = forest.block_edges(g)
+        i = forest.block_of(u, v)
         if i is None:
             continue
         if i not in blocks:
-            sub, old_ids = g.induced(forest.blocks[i])
-            blocks[i] = sub, {x: j for j, x in enumerate(old_ids)}
+            blocks[i] = subgraph(g, forest.blocks[i], block_edges[i])
         sub, new_id = blocks[i]
         su, sv = new_id[u], new_id[v]
         if min(sub.degree(su), sub.degree(sv)) - adjacent < b:
@@ -191,24 +192,6 @@ def build_gb(g: Graph, b: int, pairs) -> Graph:
         if mu(sub, su, sv, cap=b) >= b:
             edges.append((min(u, v), max(u, v)))
     return Graph(g.n, sorted(edges))
-
-
-def _shared_block(forest, u, v):
-    """Id of the block holding both u and v, or None.
-
-    The blocks holding a vertex x are forest.home[x], the one nearest the
-    root of the block forest, and the child blocks hung from it at x (those
-    whose parent cutvertex is x).  So a block shared by u != v is the home
-    of both, or the home of one hung from the other.
-    """
-    hu, hv = forest.home[u], forest.home[v]
-    if hu == hv:
-        return hu
-    if forest.parent_cut[hv] == u:
-        return hv
-    if forest.parent_cut[hu] == v:
-        return hu
-    return None
 
 
 @dataclass

@@ -197,6 +197,36 @@ def test_bridge_lift_counts_errors(tmp_path, capsys):
         assert not lifted.exists(), text
 
 
+def test_bridge_malformed_decomposition_exit_2(tmp_path, capsys):
+    src = write_gr(tmp_path, "g.gr", gen_grid(3))
+    outside = tmp_path / "outside.tp"
+    # a 12-vertex header against the 9-vertex grid; bag 2 names vertex 12
+    outside.write_text("s tp 2 5 12\nb 1 1 2 3 4 5\nb 2 6 7 8 9 12\n1 2\n")
+    forest = tmp_path / "forest.tp"
+    forest.write_text("s tp 2 5 9\nb 1 1 2 3 4 5\nb 2 6 7 8 9\n")
+    forest_tcd = tmp_path / "forest.tcd"
+    forest_tcd.write_text("s tcd 2 5 9\nr 1\nb 1 1 2 3 4 5\nb 2 6 7 8 9\n")
+    out = tmp_path / "out.tp"
+    for flag, bad, reason in (
+        ("--lift", outside, "bag 1 mentions vertex 11 outside 0..8"),
+        ("--lift", forest, "tree must have 1 edges, got 0"),
+        ("--from-tcd", forest_tcd, "tree must have 1 edges, got 0"),
+    ):
+        assert main(["bridge", src, flag, str(bad), "-o", str(out)]) == 2, bad
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: {reason}"), bad
+        assert "RESULT" not in captured.out and not out.exists(), bad
+    # a well-formed partition that violates edge locality stays a verdict
+    path = write_gr(tmp_path, "p3.gr", Graph(3, [(0, 1), (1, 2)]))
+    bad = tmp_path / "bad.tp"
+    bad.write_text("s tp 3 1 3\nb 1 1\nb 2 3\nb 3 2\n1 2\n2 3\n")
+    assert main(["bridge", path, "--lift", str(bad), "-o", str(out)]) == 1
+    assert "RESULT status=invalid reason=invalid tree-partition: edge-locality" in (
+        capsys.readouterr().out
+    )
+    assert not out.exists()
+
+
 def test_bench_report(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

@@ -35,6 +35,19 @@ def test_verify_td_disconnected_occupancy():
     assert v.clause == "occupancy-connectivity"
 
 
+def test_verify_td_reports_the_least_split_vertex():
+    # vertex 3 sits on nodes 0 and 2, vertex 1 on nodes 1 and 3 of the
+    # path 0-1-2-3: both split, and 1 is reported though 3 splits first
+    g = Graph(4, [(0, 1), (2, 3)])
+    td = TreeDecomposition([[3], [0, 1], [2, 3], [1]], [(0, 1), (1, 2), (2, 3)], root=0)
+    assert verify_td(g, td) == Violation("occupancy-connectivity", 1)
+    # a star with vertex 0 on three leaves: three pieces
+    td = TreeDecomposition([[1, 2, 3], [0, 1], [0, 2], [0, 3]], [(0, 1), (0, 2), (0, 3)], root=0)
+    assert verify_td(Graph(4, [(0, 1), (0, 2), (0, 3)]), td) == Violation(
+        "occupancy-connectivity", 0
+    )
+
+
 def test_verify_tp_path():
     tp = TreePartition([[0, 1], [2, 3]], [(0, 1)], root=0)
     assert verify_tp(P4, tp) == 2

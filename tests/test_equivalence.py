@@ -41,6 +41,7 @@ from treepart.graph import (
     Graph,
     biconnected_components,
     connected_components,
+    subgraph,
     tree_bfs,
 )
 from treepart.partitioner import (
@@ -675,6 +676,33 @@ def test_block_forest_matches_scan():
     graphs += [gen_multiple_tree(gen_complete_bipartite(1, m), 12) for m in (1, 2, 7, 30)]
     for idx, g in enumerate(graphs):
         assert biconnected_components(g) == ref_biconnected_components(g), idx
+
+
+def test_block_edges_and_block_of_match_scans():
+    """On the random corpus, windmills of 1, 7 and 30 blades and tree
+    multiples: every edge lies in exactly one block's list, each list is
+    in `g.edges()` order, each block's subgraph from its list is the plain
+    adjacency scan `g.induced(blk)`, and `block_of` is the one block found
+    by scanning the blocks that hold both ends."""
+    graphs = random_corpus()
+    graphs += [gen_multiple_tree(gen_complete_bipartite(1, m), 12) for m in (1, 7, 30)]
+    graphs += [gen_multiple_tree(random_tree(12, m), m) for m in range(1, 13)]
+    for idx, g in enumerate(graphs):
+        bf = biconnected_components(g)
+        lists = bf.block_edges(g)
+        assert sorted(e for edges in lists for e in edges) == g.edges(), idx
+        holders = [set() for _ in range(g.n)]
+        for b, (blk, edges) in enumerate(zip(bf.blocks, lists)):
+            assert edges == sorted(edges), (idx, b)
+            assert all(u in blk and v in blk for u, v in edges), (idx, b)
+            sub, new_id = subgraph(g, blk, edges)
+            assert (sub, list(new_id)) == g.induced(blk), (idx, b)
+            for v in blk:
+                holders[v].add(b)
+        for u, v in itertools.combinations(range(g.n), 2):
+            shared = holders[u] & holders[v]
+            assert len(shared) <= 1, (idx, u, v)
+            assert bf.block_of(u, v) == (shared.pop() if shared else None), (idx, u, v)
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 4])

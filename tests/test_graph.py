@@ -9,6 +9,7 @@ from treepart.graph import (
     connected_components,
     quotient,
     subdivide,
+    subgraph,
     tree_bfs,
 )
 
@@ -44,8 +45,7 @@ def test_induced_subgraph():
 
 def test_induced_matches_adjacency_scan_on_random_subsets():
     """Same subgraph as the plain scan of every member's adjacency list,
-    also where a hub's degree exceeds the subset size and `induced`
-    matches the subset against the hub instead."""
+    also where a hub's degree exceeds the subset size."""
     rng = random.Random(5)
     hub = Graph(301, [(0, i) for i in range(1, 301)] + [(i, i + 1) for i in range(1, 300)])
     hubs_scanned = 0
@@ -106,6 +106,25 @@ def test_block_forest_read_off_the_search():
     assert bf.children() == [[], [0, 2], []]
     assert bf.cutvertices == [0]
     assert bf.home == [1, 1, 0, None, None, 1, None, 1, 2]
+    # each edge in its one block, in g.edges() order
+    assert bf.block_edges(g) == [[(0, 2)], [(0, 5), (0, 7), (1, 5), (1, 7)], [(0, 8)]]
+    assert [bf.block_of(1, 0), bf.block_of(7, 5), bf.block_of(8, 0)] == [1, 1, 2]
+    # pairs split by vertex 0, and pairs with an isolated vertex
+    for u, v in ((2, 5), (2, 8), (1, 8), (8, 7), (3, 0), (2, 4), (3, 6)):
+        assert bf.block_of(u, v) is None, (u, v)
+
+
+def test_whole_graph_is_not_copied():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert g.induced(range(4))[0] is g
+    assert g.induced([3, 1, 0, 2]) == (g, [0, 1, 2, 3])
+    assert subgraph(g, [0, 1, 2, 3], [])[0] is g
+    q, part_of = quotient(g, [[0], [1], [2], [3]])
+    assert q is g and part_of == [0, 1, 2, 3]
+    # singletons in another order still relabel
+    q, part_of = quotient(g, [[1], [0], [2], [3]])
+    assert q is not g and part_of == [1, 0, 2, 3]
+    assert q.edges() == [(0, 1), (0, 2), (1, 3), (2, 3)]
 
 
 def test_subdivide_paths_and_numbering():

@@ -6,6 +6,7 @@ from treepart.exact import exact_tpw
 from treepart.families import (
     gen_complete_bipartite,
     gen_fan,
+    gen_grid,
     gen_multiple_tree,
     random_graph,
     random_tree,
@@ -206,6 +207,25 @@ def test_size_rule_skips_block_decompositions(monkeypatch):
     out = run(g, PipelineParams(k=7))
     assert out.accepted and verify_tp(g, out.tp) == out.width
     assert calls == {"balance_td": 7, "_extract_sub_td": 7}
+
+
+def test_one_block_input_is_never_copied(monkeypatch):
+    """A connected input with one block and no merged pair is its own
+    component, quotient and block: the graph `balance_td` gets is the
+    input itself."""
+    seen = []
+    real = pipeline.balance_td
+
+    def balance(g, td):
+        seen.append(g)
+        return real(g, td)
+
+    monkeypatch.setattr(pipeline, "balance_td", balance)
+    for g, k in ((gen_grid(6), 4), (gen_grid(9), 5), (cycle(9), 2)):
+        seen.clear()
+        out = run(g, PipelineParams(k=k))
+        assert out.accepted and out.trace[1].fields["gb_edges"] == 0
+        assert len(seen) == 1 and seen[0] is g
 
 
 def test_windmill_blades_hand_balance_td_a_fixed_share():

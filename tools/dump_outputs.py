@@ -11,7 +11,11 @@ carries `millis`.  Dumps of two versions are equal exactly when those
 versions agree on all of it, so a change meant to keep outputs
 byte-identical is checked with `cmp`, and one that changes them is
 reported by `--compare`: verdict changes, and per family the accepts,
-their width sums and the records that differ.
+their width sums and the records that differ.  `dump_outputs.sha256`
+pins the current outputs:
+
+    PYTHONPATH=src python tools/dump_outputs.py dump.json
+    sha256sum -c tools/dump_outputs.sha256
 
 The corpus: both benchmark workloads (`perfbench/corpus.py`) at seeds 1
 and 2; 300 `random_graph(30, 0.1, s)` at k in {1, 2, 3, 5}; tree
