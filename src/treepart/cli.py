@@ -151,7 +151,8 @@ def _cmd_gb(args) -> int:
     if args.b < 1:
         raise CliError(f"-b must be >= 1, got {args.b}")
     g = _load_gr(args.input)
-    pairs = list(itertools.combinations(range(g.n), 2))
+    # build_gb's degree bound skips every pair with an endpoint of degree < b
+    pairs = itertools.combinations([v for v in range(g.n) if g.degree(v) >= args.b], 2)
     gb = build_gb(g, args.b, pairs)
     _write(args.output, emit_gr(gb))
     print(f"RESULT status=ok edges={gb.m}")
@@ -276,7 +277,7 @@ def _cmd_bridge(args) -> int:
 
 
 def _bench_one(path: Path, k: int):
-    g = parse_gr(path.read_text())
+    g = _load_gr(str(path))
     t0 = time.perf_counter()
     out = run(g, PipelineParams(k=k))
     millis = 1000 * (time.perf_counter() - t0)

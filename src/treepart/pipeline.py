@@ -48,6 +48,8 @@ class PipelineParams:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.step1 not in ("exact", "import", "heur:min-degree", "heur:min-fill"):
+            raise ValueError(f"unknown step1 mode {self.step1!r}")
         if self.step1 == "import" and self.import_td is None:
             raise ValueError("step1=import requires import_td")
 
@@ -170,9 +172,7 @@ def _step1_td(gc: Graph, params: PipelineParams, old_ids, lb: int, import_index)
     if params.step1 == "import":
         new_id = {v: i for i, v in enumerate(old_ids)}
         return _extract_sub_td(params.import_td, new_id, import_index)
-    if params.step1.startswith("heur:"):
-        return heuristic_td(gc, params.step1[5:], params.seed)
-    raise ValueError(f"unknown step1 mode {params.step1!r}")
+    return heuristic_td(gc, params.step1[5:], params.seed)
 
 
 def _step2_pairs(g: Graph, td: TreeDecomposition, b: int) -> list:
@@ -205,6 +205,14 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
     import_index is `_td_index(params.import_td)` with step1="import",
     built once for all components, and None otherwise.
 
+    Step 1 runs the minor-min-degree bound mmd (`treewidth_lower_bound`)
+    only where the minimum degree delta leaves it open, since delta <= mmd
+    <= tw <= w for the width w of any decomposition (imports are verified
+    first).  It runs first when delta > 2k - 1, where it must reject, and
+    in exact mode, whose search starts at it and must reject before its
+    capacity error.  Otherwise the decomposition comes first, and lb = w
+    when delta >= w.
+
     Step 4 partitions each block on its own.  One pass over H's edges
     gives each block its edge list (`BlockForest.block_edges`), from which
     the in-block degrees are counted, so a cutvertex of high degree costs
@@ -221,10 +229,14 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
     k = params.k
 
     t0 = time.perf_counter()
-    lb = treewidth_lower_bound(gc)
+    delta = min(map(len, gc.adj))
+    early = params.step1 == "exact" or delta > 2 * k - 1
+    td = None if early else _step1_td(gc, params, old_ids, 0, import_index)
+    lb = td.width() if not early and delta >= td.width() else treewidth_lower_bound(gc)
     if lb > 2 * k - 1:
         return "reject", TreewidthLB(lb, 2 * k - 1)
-    td = _step1_td(gc, params, old_ids, lb, import_index)
+    if td is None:
+        td = _step1_td(gc, params, old_ids, lb, import_index)
     w = td.width()
     _fold(stats["step1"], max, w=w, lb=lb)
     t0 = _lap(stats["step1"], t0)

@@ -23,19 +23,43 @@ def _td_from_elimination(n: int, order, elim_bags) -> TreeDecomposition:
 
     elim_bags[v] is the bag recorded when v was eliminated (v plus its
     remaining neighbors in the fill graph).  Node i of the tree holds the
-    bag of order[i]; the root is the last elimination.
+    bag of order[i] and is joined to the node of its bag's member
+    eliminated next, or to node i + 1 when it has none (the last vertex of
+    a component); the root is the last elimination.  Linear in the bags.
     """
-    pos = {v: i for i, v in enumerate(order)}
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
     bags = [sorted(elim_bags[v]) for v in order]
     edges = []
     for i, v in enumerate(order[:-1]):
-        later = [u for u in elim_bags[v] if u != v]
-        if later:
-            j = min(pos[u] for u in later)
-        else:
-            j = i + 1  # isolated remainder: chain to the next node
-        edges.append((i, j))
+        later = [pos[u] for u in elim_bags[v] if u != v]
+        edges.append((i, min(later) if later else i + 1))
     return TreeDecomposition(bags, edges, root=len(order) - 1)
+
+
+def _pick(heap, cur, low) -> int:
+    """Pop the live vertex of least (score, tie, id) from a heap of
+    (key, tie, x) entries whose keys are lower bounds (see `heuristic_td`):
+    an entry at x's score picks x, x's lowest entry below its score goes
+    back at the score, and any other entry is dropped."""
+    while True:
+        key, tie, x = heapq.heappop(heap)
+        if key == cur[x]:
+            return x
+        if key == low[x] and key < cur[x]:
+            low[x] = cur[x]
+            heapq.heappush(heap, (low[x], tie, x))
+
+
+def _lower(heap, cur, low, x, c, tie, s) -> None:
+    """Set x's score to c after a pick at score s, pushing an entry only
+    when c drops below x's lowest key: at c // 2 while that stays above
+    s + 2, else at c."""
+    cur[x] = c
+    if c < low[x]:
+        low[x] = c // 2 if c > 2 * s + 4 else c
+        heapq.heappush(heap, (low[x], tie, x))
 
 
 def heuristic_td(g: Graph, strategy: str = "min-degree", seed: int = 0) -> TreeDecomposition:
@@ -46,17 +70,23 @@ def heuristic_td(g: Graph, strategy: str = "min-degree", seed: int = 0) -> TreeD
     per-vertex random number, so the result is deterministic for a fixed
     seed.
 
-    The next vertex comes off a heap with lazy invalidation: an entry is
-    live while its vertex is alive and its score is the vertex's current
-    score.  After eliminating v only the scores that can change are
-    recomputed: those of N(v), and for min-fill also those of the
-    neighbors of every vertex that gained a fill edge (a subset of
-    N(N(v))).  So every alive vertex always has a live entry, the heap
-    minimum is the minimum over all alive vertices, and the order is the
-    one a full scan per step would pick.  Cost: O(n log n) plus the
-    rescoring, O(sum of deg(v) log n) for min-degree and
-    O(sum of d^2 per rescored vertex) for min-fill, where degrees are taken
-    in the fill graph; near-linear on sparse graphs of bounded width.
+    The next vertex comes off a heap whose keys are lower bounds.  Each
+    vertex x keeps cur[x], its score (-1 once eliminated), and low[x], the
+    key of its lowest entry; every alive x has an entry (key, tie, x) with
+    key <= cur[x].  A popped entry is at most every entry, so at most
+    (cur[y], tie, y) for every alive y: when its key is cur[x], x is the
+    least (score, salt, id) over alive vertices, the pick a full scan per
+    step makes.  Otherwise x's lowest entry goes back at cur[x] and any
+    other entry is dropped (`_pick`).  A new score pushes an entry only
+    when it drops below low[x], at half its value while that stays above
+    the score just picked (`_lower`), so a hub whose degree falls by one
+    per step pays O(log deg) pushes instead of one per step.  After
+    eliminating v only the scores that can change are recomputed: those of
+    N(v), and for min-fill also those of the neighbors of every vertex
+    that gained a fill edge (a subset of N(N(v))).  Cost: O(log n) per
+    push plus the rescoring, O(sum of deg(v)) for min-degree and O(sum of
+    d^2 per rescored vertex) for min-fill, where degrees are taken in the
+    fill graph; near-linear on sparse graphs of bounded width.
     """
     if strategy not in ("min-degree", "min-fill"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -77,16 +107,14 @@ def heuristic_td(g: Graph, strategy: str = "min-degree", seed: int = 0) -> TreeD
         return (d * (d - 1) - sum(len(nbr[u] & nv) for u in nv)) // 2
 
     cur = [score(v) for v in range(n)]
+    low = list(cur)
     heap = [(cur[v], salt[v], v) for v in range(n)]
     heapq.heapify(heap)
-    alive = [True] * n
     order = []
-    elim_bags = {}
-    while heap:
-        s, _, v = heapq.heappop(heap)
-        if not alive[v] or s != cur[v]:
-            continue
-        alive[v] = False
+    elim_bags = [None] * n
+    for _ in range(n):
+        v = _pick(heap, cur, low)
+        s, cur[v] = cur[v], -1
         order.append(v)
         nv = nbr[v]
         elim_bags[v] = nv | {v}
@@ -99,21 +127,8 @@ def heuristic_td(g: Graph, strategy: str = "min-degree", seed: int = 0) -> TreeD
             if min_fill and len(nbr[u]) >= before:  # u gained a fill edge
                 rescore |= nbr[u]
         for u in rescore:
-            s = score(u)
-            if s != cur[u]:
-                cur[u] = s
-                heapq.heappush(heap, (s, salt[u], u))
+            _lower(heap, cur, low, u, score(u), salt[u], s)
     return _td_from_elimination(n, order, elim_bags)
-
-
-def _pop_min_degree(heap, nbr, alive) -> int:
-    """Pop the alive vertex of least (degree, id) from a lazily invalidated
-    heap of (degree, id) entries; an entry is live while its vertex is
-    alive and its degree is current."""
-    while True:
-        d, v = heapq.heappop(heap)
-        if alive[v] and d == len(nbr[v]):
-            return v
 
 
 def treewidth_lower_bound(g: Graph) -> int:
@@ -132,25 +147,25 @@ def treewidth_lower_bound(g: Graph) -> int:
     one vertex are picked) has degree at least d there, while it is a
     minimum-degree vertex.
 
-    The alive vertex of least (degree, id) comes from a heap with lazy
-    invalidation; a fresh entry is pushed for every vertex whose degree
-    was touched by the step (the neighbours of the contracted vertex), so
-    the pick is the one a full scan would make.  Cost: O(sum of
-    d^2 + d log n) over the picked minimum degrees d.
+    The alive vertex of least (degree, id) comes from the lower-bound-key
+    heap of `heuristic_td`, with entries (key, id, id); after a
+    contraction only the degrees of the contracted vertex's neighbours
+    change, and only those are lowered.  Cost: O(sum of d^2 + d log n)
+    over the picked minimum degrees d.
     """
     n = g.n
     if n == 0:
         return 0
     nbr = [set(g.adj[v]) for v in range(n)]
-    alive = [True] * n
-    heap = [(len(nbr[v]), v) for v in range(n)]
+    cur = [len(nv) for nv in nbr]
+    low = list(cur)
+    heap = [(d, v, v) for v, d in enumerate(cur)]
     heapq.heapify(heap)
     mmd = 0
     for _ in range(n - 1):
-        v = _pop_min_degree(heap, nbr, alive)
-        alive[v] = False
+        v = _pick(heap, cur, low)
         nv = nbr[v]
-        d = len(nv)
+        d, cur[v] = cur[v], -1
         mmd = max(mmd, d)
         if d == 0:
             continue
@@ -162,7 +177,7 @@ def treewidth_lower_bound(g: Graph) -> int:
                 nbr[u].add(w)
         nbr[u].discard(u)
         for w in nv:
-            heapq.heappush(heap, (len(nbr[w]), w))
+            _lower(heap, cur, low, w, len(nbr[w]), w, d)
         nv.clear()
     return mmd
 

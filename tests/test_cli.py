@@ -1,8 +1,11 @@
+import itertools
 from pathlib import Path
 
+from treepart import cli
 from treepart.cli import main
 from treepart.ioformats import MAX_HEADER_SIZE, emit_gr, parse_gr, parse_jsonl, parse_tp
-from treepart.families import gen_grid
+from treepart.families import gen_grid, random_graph
+from treepart.separators import build_gb
 from treepart.graph import Graph
 
 
@@ -125,6 +128,34 @@ def test_gb_subcommand(tmp_path, capsys):
     assert parse_gr(Path(out).read_text()).edges() == [(0, 2), (1, 3)]
 
 
+def test_gb_lists_only_pairs_of_degree_at_least_b(tmp_path, capsys, monkeypatch):
+    # a star's leaves have degree 1, so at -b 2 no pair reaches build_gb
+    seen = []
+
+    def recording(g, b, pairs):
+        pairs = list(pairs)
+        seen.append(pairs)
+        return build_gb(g, b, pairs)
+
+    monkeypatch.setattr(cli, "build_gb", recording)
+    src = write_gr(tmp_path, "star.gr", Graph(301, [(0, i) for i in range(1, 301)]))
+    out = tmp_path / "gb.gr"
+    assert main(["gb", "-b", "2", src, "-o", str(out)]) == 0
+    assert seen == [[]]
+    assert parse_gr(out.read_text()).m == 0
+
+
+def test_gb_output_equals_all_pairs(tmp_path, capsys):
+    for i in range(30):
+        g = random_graph(8 + i % 13, (0.15, 0.3, 0.5)[i % 3], 500 + i)
+        src = write_gr(tmp_path, "r.gr", g)
+        for b in (1, 2, 3, 4):
+            out = tmp_path / "gb.gr"
+            assert main(["gb", "-b", str(b), src, "-o", str(out)]) == 0
+            want = build_gb(g, b, itertools.combinations(range(g.n), 2))
+            assert out.read_text() == emit_gr(want), (i, b)
+
+
 def test_gen_families(tmp_path):
     out = str(tmp_path / "w.gr")
     assert main(["gen", "wall", "4", "-o", out]) == 0
@@ -241,3 +272,20 @@ def test_bench_report(tmp_path):
     # rows sorted by instance then k
     names = [ln.split(",")[0] for ln in lines[1:]]
     assert names == sorted(names)
+
+
+def test_bench_bad_corpus_files_exit_2(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_gr(corpus, "a.gr", Graph(3, [(0, 1), (1, 2)]))
+    (corpus / "x.gr").mkdir()
+    report = tmp_path / "rep.csv"
+    assert main(["bench", str(corpus), "-k", "1", "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot read ") and "x.gr" in captured.err
+    (corpus / "x.gr").rmdir()
+    (corpus / "bad.gr").write_text("p tw 5 5\n1 2\n")
+    assert main(["bench", str(corpus), "-k", "1", "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {corpus / 'bad.gr'}: line ") and "5 edges" in err
+    assert not report.exists()

@@ -6,18 +6,18 @@ step 4's size rule must return exactly what the straightforward versions
 return.
 
 The straightforward versions are kept here as reference oracles: one `min`
-over all alive vertices per step (and both the degeneracy and the
-contraction bound), one scan of every bag and tree edge per block (keeping
-the nodes that meet the block minus its parent cutvertex), one component
-search per split candidate, a block-forest search that expands a
-cutvertex from every block holding it, one pair listing per bag, one
-whole-graph flow per pair the degree bound keeps, a separator walk that
-counts wset vertices per child subtree and falls back to scanning every
-node, a union-find join of the combined partition's tree components, and
-step 4's full per-block path (extract, balance, partition) for every
-block.  Bags, tree edges (in order), roots, block forests, auxiliary
-graphs and separator nodes must match, so a drift in a tie-break, in edge
-order or in a pruning test fails.
+over all alive vertices per step, run on random and hub-heavy graphs (and
+both the degeneracy and the contraction bound), one scan of every bag and
+tree edge per block (keeping the nodes that meet the block minus its
+parent cutvertex), one component search per split candidate, a
+block-forest search that expands a cutvertex from every block holding it,
+one pair listing per bag, one whole-graph flow per pair the degree bound
+keeps, a separator walk that counts wset vertices per child subtree and
+falls back to scanning every node, a union-find join of the combined
+partition's tree components, and step 4's full per-block path (extract,
+balance, partition) for every block.  Bags, tree edges (in order), roots,
+block forests, auxiliary graphs and separator nodes must match, so a drift
+in a tie-break, in edge order or in a pruning test fails.
 """
 
 import itertools
@@ -513,6 +513,31 @@ def random_corpus():
     return out
 
 
+def hub_corpus():
+    """Graphs whose hubs lose one degree per step, so the elimination heap
+    pushes halved keys and pops them below their scores: K_{a,N}, fans,
+    windmills of K_{2,12} blades, tree multiples, and random graphs with a
+    few added hubs joined to a random half of the vertices."""
+    for a in (1, 2, 3, 10):
+        for n in (12, 40, 70):
+            yield gen_complete_bipartite(a, n)
+    for n in (10, 40, 90):
+        yield gen_fan(n)
+    for blades in (1, 3, 6):
+        yield gen_multiple_tree(gen_complete_bipartite(1, blades), 12)
+    for m in (2, 5, 9):
+        yield gen_multiple_tree(random_tree(8, m), m)
+    for i in range(40):
+        rng = random.Random(2000 + i)
+        n = rng.randint(20, 60)
+        g = random_graph(n, (0.03, 0.08, 0.15)[i % 3], 3000 + i)
+        hubs = rng.randint(1, 3)
+        edges = g.edges()
+        for h in range(n, n + hubs):
+            edges += [(v, h) for v in rng.sample(range(h), h // 2)]
+        yield Graph(n + hubs, edges)
+
+
 def star(leaves):
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
@@ -645,6 +670,19 @@ def test_heuristic_td_matches_scan_on_random_graphs(strategy, seed):
 
 def test_lower_bound_matches_scan_on_random_graphs():
     for idx, g in enumerate(random_corpus()):
+        assert treewidth_lower_bound(g) == ref_treewidth_lower_bound(g), idx
+
+
+@pytest.mark.parametrize("strategy", ["min-degree", "min-fill"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_heuristic_td_matches_scan_on_hub_graphs(strategy, seed):
+    for idx, g in enumerate(hub_corpus()):
+        got = heuristic_td(g, strategy, seed)
+        assert same_td(got, ref_heuristic_td(g, strategy, seed)), idx
+
+
+def test_lower_bound_matches_scan_on_hub_graphs():
+    for idx, g in enumerate(hub_corpus()):
         assert treewidth_lower_bound(g) == ref_treewidth_lower_bound(g), idx
 
 

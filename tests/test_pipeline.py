@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from treepart import pipeline
@@ -8,10 +11,11 @@ from treepart.families import (
     gen_fan,
     gen_grid,
     gen_multiple_tree,
+    gen_wall,
     random_graph,
     random_tree,
 )
-from treepart.graph import Graph
+from treepart.graph import Graph, connected_components
 from treepart.pipeline import (
     BlockDegree,
     LargeComponent,
@@ -20,7 +24,10 @@ from treepart.pipeline import (
     degree_threshold,
     run,
 )
-from treepart.treewidth import heuristic_td
+from treepart.treewidth import heuristic_td, treewidth_lower_bound
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench import corpus  # noqa: E402
 
 
 def complete(n):
@@ -132,6 +139,14 @@ def test_step1_modes_agree_on_acceptance():
     for o in outs:
         if o.accepted:
             assert verify_tp(g, o.tp) == o.width
+
+
+def test_unknown_step1_mode_is_refused():
+    # refused up front, so the verdict never depends on whether step 1
+    # reaches the decomposition before the lower bound rejects
+    for step1 in ("heur:bogus", "exact:min-degree", "nonsense"):
+        with pytest.raises(ValueError, match="unknown step1 mode"):
+            PipelineParams(k=2, step1=step1)
 
 
 def test_b_override_validation():
@@ -292,3 +307,55 @@ def test_trace_key_sets_per_outcome(make, k, flavour, last_full, partial):
         else:
             expected = partial.get(rec.step, set())
         assert set(rec.fields) == expected, rec.step
+
+
+def lb_cases():
+    """(graph, k) on connected graphs: both benchmark corpora at their k,
+    grids and walls at k = 2 (rejected on the bound after the heuristic),
+    and the largest component of random graphs at k in {1, 2, 3, 5}."""
+    for workload in corpus.WORKLOADS:
+        for inst in corpus.build(workload, 1):
+            yield inst.graph, inst.k
+    yield gen_grid(9), 2
+    yield gen_wall(9), 2
+    for i in range(60):
+        g = random_graph(6 + i % 25, (0.1, 0.2, 0.35, 0.6)[i % 4], 700 + i)
+        g = g.induced(max(connected_components(g), key=len))[0]
+        for k in (1, 2, 3, 5):
+            yield g, k
+
+
+def test_step1_lb_is_the_minor_min_degree_bound(monkeypatch):
+    """Step 1's lb is `treewidth_lower_bound` whichever branch sets it, and
+    the contraction runs only where the minimum degree leaves it open."""
+    calls = []
+    monkeypatch.setattr(
+        pipeline, "treewidth_lower_bound", lambda g: calls.append(g) or treewidth_lower_bound(g)
+    )
+    branches = set()
+    for g, k in lb_cases():
+        want = treewidth_lower_bound(g)
+        delta = min(map(len, g.adj))
+        for step1 in ("heur:min-degree", "import"):
+            td = heuristic_td(g, seed=2 if step1 == "import" else 0)
+            calls.clear()
+            out = run(g, PipelineParams(k=k, step1=step1, import_td=td))
+            if isinstance(out.certificate, TreewidthLB):
+                assert out.certificate == TreewidthLB(want, 2 * k - 1)
+            else:
+                assert out.trace[0].fields["lb"] == want
+                assert out.trace[0].fields["w"] == td.width()
+            if delta > 2 * k - 1:
+                branch = "delta > 2k-1"
+            else:
+                branch = "delta >= w" if delta >= td.width() else "delta < w"
+            assert len(calls) == (branch != "delta >= w"), (branch, step1)
+            branches.add((branch, step1, isinstance(out.certificate, TreewidthLB)))
+    for step1 in ("heur:min-degree", "import"):
+        assert {("delta > 2k-1", step1, True), ("delta >= w", step1, False)} <= branches
+        assert {("delta < w", step1, True), ("delta < w", step1, False)} <= branches
+
+
+def test_exact_mode_rejects_on_the_bound_before_its_capacity():
+    out = run(gen_grid(5), PipelineParams(k=2, step1="exact"))
+    assert out.certificate == TreewidthLB(4, 3)

@@ -1,7 +1,8 @@
+import heapq
 import math
 
 from treepart.decomp import Violation, verify_td
-from treepart.families import random_graph, random_tree
+from treepart.families import gen_complete_bipartite, random_graph, random_tree
 from treepart.graph import Graph
 from treepart.treewidth import (
     balance_td,
@@ -47,6 +48,24 @@ def test_lower_bound_sandwich():
                 assert lb <= k
                 assert verify_td(g, td) == k or verify_td(g, td) <= k
                 break
+
+
+def test_hubs_cost_few_heap_pushes(monkeypatch):
+    # each of the 10 hubs of K_{10,4800} loses one degree per leaf
+    # eliminated; a push per drop would make 48,045 pushes
+    g = gen_complete_bipartite(10, 4800)
+    pushes = []
+    real = heapq.heappush
+
+    def counting(heap, item):
+        pushes.append(item)
+        real(heap, item)
+
+    monkeypatch.setattr(heapq, "heappush", counting)
+    for fn in (heuristic_td, treewidth_lower_bound):
+        pushes.clear()
+        fn(g)
+        assert len(pushes) < g.n, fn.__name__
 
 
 def test_exact_td_known_widths():
