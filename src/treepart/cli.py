@@ -61,9 +61,11 @@ def _write(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}")
 
 
-def _load_gr(path: str) -> Graph:
+def _load(path: str, parse=parse_gr, *args):
+    """parse(text of the file at path, *args), naming the file in a parse
+    error."""
     try:
-        return parse_gr(_read(path))
+        return parse(_read(path), *args)
     except ParseError as exc:
         raise CliError(f"{path}: {exc}")
 
@@ -79,11 +81,11 @@ def _reject_reason(cert) -> str:
 
 
 def _cmd_decompose(args) -> int:
-    g = _load_gr(args.input)
+    g = _load(args.input)
     step1 = args.step1
     import_td = None
     if step1.startswith("import:"):
-        import_td = parse_td(_read(step1[len("import:"):]))
+        import_td = _load(step1[len("import:"):], parse_td)
         step1 = "import"
     try:
         params = PipelineParams(
@@ -108,17 +110,17 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    g = _load_gr(args.input)
+    g = _load(args.input)
+    parse, verify = {
+        "tp": (parse_tp, verify_tp),
+        "td": (parse_td, verify_td),
+        "domino": (parse_td, verify_domino),
+        "tcd": (parse_tcd, verify_tcd),
+    }[args.kind]
+    decomp = _load(args.decomp, parse)
     try:
-        if args.kind == "tp":
-            res = verify_tp(g, parse_tp(_read(args.decomp)))
-        elif args.kind == "td":
-            res = verify_td(g, parse_td(_read(args.decomp)))
-        elif args.kind == "domino":
-            res = verify_domino(g, parse_td(_read(args.decomp)))
-        else:
-            res = verify_tcd(g, parse_tcd(_read(args.decomp)))
-    except ValueError as exc:  # a ParseError, or a malformed decomposition
+        res = verify(g, decomp)
+    except ValueError as exc:  # a malformed decomposition
         raise CliError(f"{args.decomp}: {exc}")
     if isinstance(res, Violation):
         print(f"RESULT status=invalid reason={res.clause}:{res.witness}")
@@ -134,7 +136,7 @@ def _cmd_verify(args) -> int:
 def _cmd_exact(args, fn, name) -> int:
     if args.kmax is not None and args.kmax < 0:
         raise CliError(f"--kmax must be >= 0, got {args.kmax}")
-    g = _load_gr(args.input)
+    g = _load(args.input)
     kmax = args.kmax if args.kmax is not None else max(g.n, 1)
     try:
         val = fn(g, kmax)
@@ -150,7 +152,7 @@ def _cmd_exact(args, fn, name) -> int:
 def _cmd_gb(args) -> int:
     if args.b < 1:
         raise CliError(f"-b must be >= 1, got {args.b}")
-    g = _load_gr(args.input)
+    g = _load(args.input)
     # build_gb's degree bound skips every pair with an endpoint of degree < b
     pairs = itertools.combinations([v for v in range(g.n) if g.degree(v) >= args.b], 2)
     gb = build_gb(g, args.b, pairs)
@@ -218,7 +220,7 @@ def _cmd_gen(args) -> int:
         elif args.family == "domino":
             if not args.input:
                 raise CliError("gen domino needs --input IN.gr")
-            host = _load_gr(args.input)
+            host = _load(args.input)
             g, reg = gadgets.gen_domino_reduction(host, int(p[0]))
             sidecar.append(
                 {"kind": "domino", "k": reg.k, "d": reg.d, "L": reg.big_l, "M": reg.big_m}
@@ -239,9 +241,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bridge(args) -> int:
-    g = _load_gr(args.input)
+    g = _load(args.input)
     if args.from_tcd:
-        tcd = parse_tcd(_read(args.from_tcd))
+        tcd = _load(args.from_tcd, parse_tcd)
         try:
             g2, _, tp = tcd_to_subdivision_tp(g, tcd)
         except MalformedDecomposition as exc:
@@ -255,13 +257,8 @@ def _cmd_bridge(args) -> int:
             _write(args.output, emit_tp(tp, g2.n))
         print(f"RESULT status=ok width={max(len(b) for b in tp.bags)}")
         return 0
-    tp = parse_tp(_read(args.lift))
-    counts = {}
-    if args.counts:
-        try:
-            counts = parse_counts(_read(args.counts), g.n)
-        except ParseError as exc:
-            raise CliError(f"{args.counts}: {exc}")
+    tp = _load(args.lift, parse_tp)
+    counts = _load(args.counts, parse_counts, g.n) if args.counts else {}
     try:
         out = tp_lift_subdivision(g, tp, counts)
     except MalformedDecomposition as exc:
@@ -277,7 +274,7 @@ def _cmd_bridge(args) -> int:
 
 
 def _bench_one(path: Path, k: int):
-    g = _load_gr(str(path))
+    g = _load(str(path))
     t0 = time.perf_counter()
     out = run(g, PipelineParams(k=k))
     millis = 1000 * (time.perf_counter() - t0)

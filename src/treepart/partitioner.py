@@ -329,10 +329,12 @@ def combine_blocks(h: Graph, bf: BlockForest, per_block) -> TreePartition:
             holder[u] = len(bags)
             bags.append([u])
 
-    # join remaining tree components (disconnected hosts only); components
-    # come ordered by minimum node, so node 0's component is first
-    for comp in connected_components(Graph(len(bags), edges))[1:]:
-        edges.append((0, comp[0]))
+    # the edges form a forest, one tree when they number len(bags) - 1 (every
+    # connected host); otherwise join its trees, which come ordered by
+    # minimum node, so node 0's tree is first
+    if len(edges) < len(bags) - 1:
+        for comp in connected_components(Graph(len(bags), edges))[1:]:
+            edges.append((0, comp[0]))
     return TreePartition(bags, edges, root=0 if bags else None)
 
 

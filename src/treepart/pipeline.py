@@ -2,9 +2,9 @@
 
 Steps: (1) tree decomposition plus a treewidth lower bound for certified
 rejection; (2) auxiliary graph of highly-connected pairs; (3) quotient by
-its components, with the decomposition transported to the quotient and
-split into blocks; (4) per-block partitions under a degree threshold,
-combined across cutvertices; (5) expansion back to the input graph.
+its components, split into blocks; (4) per-block partitions under a degree
+threshold, read from the quotient's reduced decomposition and combined
+across cutvertices; (5) expansion back to the input graph.
 
 Every accepted output passes the tree-partition verifier; every rejection
 carries a certificate that recomputes to a genuine obstruction.
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .decomp import TreeDecomposition, TreePartition, Violation, verify_td
 from .graph import Graph, biconnected_components, connected_components, subgraph
 from .separators import b_reduction, build_gb, candidate_pairs
-from .treewidth import balance_td, exact_td, heuristic_td, treewidth_lower_bound
+from .treewidth import balance_td, exact_td, heuristic_td, reduce_td, treewidth_lower_bound
 from .partitioner import (
     combine_blocks,
     expand,
@@ -162,6 +162,17 @@ def _extract_sub_td(td: TreeDecomposition, new_id, index, cut=None) -> TreeDecom
     return TreeDecomposition(bags, edges, root=0)
 
 
+def _quotient_td(td: TreeDecomposition, red, gc: Graph) -> TreeDecomposition:
+    """Step 4's decomposition of the quotient H = red.h of the component
+    gc: the step-1 decomposition td when H is gc, else td's bags mapped
+    through red.part_of on td's tree; in both cases reduced (`reduce_td`),
+    which keeps the width and roots it at 0."""
+    if red.h is not gc:
+        bags = [sorted({red.part_of[v] for v in bag}) for bag in td.bags]
+        td = TreeDecomposition(bags, td.tree_edges, root=0)
+    return reduce_td(td)
+
+
 def _step1_td(gc: Graph, params: PipelineParams, old_ids, lb: int, import_index) -> TreeDecomposition:
     if params.step1 == "exact":
         for k_try in range(max(lb, 0), gc.n + 1):
@@ -222,10 +233,15 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
     min-degree + 2 as the root block or n <= window_low(min-degree) + 1
     below a cutvertex.  Every other block is built as a graph from its
     edge list (H itself when it holds all of H) and has its decomposition
-    extracted and rebalanced before the partitioner runs on it; below a
-    cutvertex the extraction keeps only the nodes meeting the block minus
-    the cutvertex, so a cutvertex shared by many blocks costs each block
-    only its own share of the decomposition."""
+    rebalanced before the partitioner runs on it.  Step 3 builds nothing
+    for this: the first such block builds H's reduced decomposition
+    (`_quotient_td`), once, and a block that is all of H reads it in
+    place, while any other block extracts its share through `_td_index`,
+    built on first use.  Below a cutvertex the extraction keeps only the
+    nodes meeting the block minus the cutvertex, so a cutvertex shared by
+    many blocks costs each block only its own share of the decomposition.
+    Inputs whose blocks the size rule decides, and rejects, build no
+    decomposition of H at all."""
     k = params.k
 
     t0 = time.perf_counter()
@@ -260,9 +276,6 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
 
     red = b_reduction(gc, gb)
     h = red.h
-    tbags = [sorted({red.part_of[v] for v in bag}) for bag in td.bags]
-    tdh = TreeDecomposition(tbags, list(td.tree_edges), td.root if td.root is not None else 0)
-    tdh_index = _td_index(tdh)
     bf = biconnected_components(h)
     _fold(stats["step3"], operator.add, h_n=h.n, blocks=len(bf.blocks))
     t0 = _lap(stats["step3"], t0)
@@ -286,12 +299,21 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
                 return "reject", BlockDegree(groups, groups[blk.index(v)], d, thr)
         min_degree.append(low)
     per_block = {}
+    tdh = tdh_index = None  # built for the first block that needs them
     for bidx, blk in enumerate(bf.blocks):
         cut = bf.parent_cut[bidx]
         tp_block = partition_by_size(blk, min_degree[bidx], cut)
         if tp_block is None:
+            if tdh is None:
+                tdh = _quotient_td(td, red, gc)
             sub, new_id = subgraph(h, blk, block_edges[bidx])
-            btd = balance_td(sub, _extract_sub_td(tdh, new_id, tdh_index, cut))
+            if sub is h:  # extracting all of H returns tdh itself
+                sub_td = tdh
+            else:
+                if tdh_index is None:
+                    tdh_index = _td_index(tdh)
+                sub_td = _extract_sub_td(tdh, new_id, tdh_index, cut)
+            btd = balance_td(sub, sub_td)
             if cut is not None:
                 tp_local = partition_isolated(sub, btd, new_id[cut])
             else:

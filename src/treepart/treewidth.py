@@ -250,6 +250,102 @@ def exact_td(g: Graph, k: int, cap: int = 15):
     return _td_from_elimination(n, order, elim_bags)
 
 
+def reduce_td(td: TreeDecomposition) -> TreeDecomposition:
+    """The reduced form of a decomposition: every tree edge where one bag
+    contains the other is contracted, keeping the larger bag, so that no
+    bag lies inside another.  For the decomposition of an elimination
+    order the bags left are the maximal cliques of the chordal completion
+    and the tree is a clique tree (Blair and Peyton, "An introduction to
+    chordal graphs and clique trees", 1993).
+
+    Rule: nodes are visited by increasing (bag size, id), and each is
+    contracted into its lowest-id current neighbour whose bag contains its
+    own, when it has one.  The surviving nodes keep their input order and
+    their bag lists, the tree edges come out sorted, and the root is 0.
+
+    Proof: contracting an edge ij with bag(i) inside bag(j) keeps every
+    vertex and edge covered and each vertex's nodes connected, so the
+    result is a tree decomposition of the same width.  A node kept at its
+    visit has no neighbour containing its bag, and never gets one: a node
+    y that becomes its neighbour through a contracted neighbour x (into y,
+    or into the node itself) shares with it only vertices of x, which lay
+    between them, so y contains its bag only if x, a neighbour, did.  So
+    no adjacent bags nest in the result, and then no two bags do: a bag
+    inside a non-adjacent bag is also inside the adjacent bag on the tree
+    path between them.
+
+    By the same argument a current neighbour contains a node's bag only
+    through an original edge at the node or at a node of equal bag
+    contracted into it.  So each node keeps a heap of references to the
+    original neighbours containing its bag, and a node contracted into one
+    of equal bag hands its heap over, the smaller heap pushed into the
+    larger.  A reference resolves through a union-find to the node it was
+    contracted into, so no neighbour list is moved.  It is keyed by the id
+    it resolved to when pushed, a lower bound on the id it resolves to
+    now, except when a node x contracts into a node j of larger bag and
+    lower id; so then x's neighbours of equal bag get an entry for j.
+    Popping entries that resolve to the node itself, and re-keying the
+    others, until one resolves to its key gives the lowest-id containing
+    neighbour.
+
+    Cost: O(sum of |bag|) to build the sets and test each tree edge from
+    its smaller bag, plus O(log N) per heap operation for N nodes.  An
+    entry moves only from the smaller of two merged heaps, so at most
+    log2 N times; a nested chain with many pendant bags moves none.
+    """
+    n = td.num_nodes
+    sets = [set(bag) for bag in td.bags]
+    size = [len(s) for s in sets]
+    up = [[] for _ in range(n)]  # heaps of (key, reference) to containing nodes
+    for i, j in td.tree_edges:
+        for a, c in ((i, j), (j, i)):
+            if size[a] <= size[c] and sets[a] <= sets[c]:
+                up[a].append((c, c))
+    for heap in up:
+        heapq.heapify(heap)
+    rep = list(range(n))  # union-find; a node's root is the node it contracted into
+
+    def find(x):
+        while rep[x] != x:
+            rep[x] = x = rep[rep[x]]
+        return x
+
+    for i in sorted(range(n), key=lambda x: (size[x], x)):
+        heap = up[i]
+        while heap:
+            key, ref = heap[0]
+            r = find(ref)
+            if r == i:
+                heapq.heappop(heap)
+            elif r != key:
+                heapq.heapreplace(heap, (r, ref))
+            else:
+                break
+        up[i] = None
+        if not heap:
+            continue
+        j = rep[i] = heap[0][0]
+        if size[j] == size[i]:  # equal bags: j now borders what contains i
+            small, big = sorted((heap, up[j]), key=len)
+            for entry in small:
+                heapq.heappush(big, entry)
+            up[j] = big
+        else:  # i's neighbours of equal bag now border j, maybe below their keys
+            for _, ref in heap:
+                z = find(ref)
+                if z != j and size[z] == size[i]:
+                    heapq.heappush(up[z], (j, j))
+    keep = [i for i in range(n) if rep[i] == i]
+    new_id = {i: t for t, i in enumerate(keep)}
+    edges = []
+    for i, j in td.tree_edges:
+        a, b = new_id[find(i)], new_id[find(j)]
+        if a != b:
+            edges.append((min(a, b), max(a, b)))
+    edges.sort()
+    return TreeDecomposition([td.bags[i] for i in keep], edges, root=0 if keep else None)
+
+
 # ---------------------------------------------------------------------------
 # rebalancing to logarithmic depth
 # ---------------------------------------------------------------------------
@@ -277,10 +373,17 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
     boundary-holding components (path case) are read off exactly; the pick
     minimizes the same (size, node) key as a component search per
     candidate would, so outputs are identical to that O(r^2) search.  The
-    sub-regions, the components of the region minus the split node c, are
-    preorder slices: each child subtree of c, and the rest of the region.
-    They are built in order of their minimum node, each entered at c's
-    neighbour in it.
+    centroid is found by descent from the walk root into the child holding
+    more than r/2 nodes: the node c reached has every component of region
+    - c at most r/2 (its children by the stop, the part above it because
+    c holds more than r/2).  Any other node keeps c's side in one
+    component, of more than r/2 nodes unless it is the root of a child
+    subtree of exactly r/2, whose key then ties on size; two such children
+    would need r >= r/2 + r/2 + 1.  So the least key is c's or that
+    child's.  The sub-regions, the components of the region minus the
+    split node c, are preorder slices: each child subtree of c, and the
+    rest of the region.  They are built in order of their minimum node,
+    each entered at c's neighbour in it.
     """
     if td.num_nodes == 0:
         return TreeDecomposition([[]], [], root=0)
@@ -359,9 +462,21 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
         else:
             if len(boundary) <= 1:
                 # centroid: the components of region - c are the child
-                # subtrees of c and the r - size[c] nodes above it
+                # subtrees of c and the r - size[c] nodes above it; descend
+                # into the child holding more than half of the region, then
+                # the node reached ties only with a child of exactly half
                 order = walk(start)
-                c = min(order, key=lambda x: (max(heavy[x], r - size[x]), x))
+                c = start
+                while True:
+                    kids = [v for v in badj[c] if v != up[c] and not split[v]]
+                    big = [v for v in kids if 2 * size[v] > r]
+                    if not big:
+                        break
+                    c = big[0]
+                c = min(
+                    [c] + [v for v in kids if 2 * size[v] == r],
+                    key=lambda x: (max(heavy[x], r - size[x]), x),
+                )
             else:
                 # walk the a2 -> a1 path; rooted at a1, the component
                 # holding a1 is the part above the candidate, and the one

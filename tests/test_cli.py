@@ -258,6 +258,24 @@ def test_bridge_malformed_decomposition_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unparsable_decomposition_files_are_named(tmp_path, capsys):
+    src = write_gr(tmp_path, "g.gr", gen_grid(3))
+    cases = []
+    for name, flag in (("bad.td", "--step1"), ("bad.tp", "--lift"), ("bad.tcd", "--from-tcd")):
+        bad = tmp_path / name
+        bad.write_text("no header here\n")
+        if flag == "--step1":
+            cases.append((bad, ["decompose", "-k", "2", "--step1", f"import:{bad}", src]))
+        else:
+            cases.append((bad, ["bridge", src, flag, str(bad)]))
+    cases.append((tmp_path / "bad.td", ["verify", "td", src, str(tmp_path / "bad.td")]))
+    for bad, argv in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: line 1: expected header"), argv
+        assert "RESULT" not in captured.out, argv
+
+
 def test_bench_report(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

@@ -1,23 +1,24 @@
-"""The heap-driven elimination and lower bound, the indexed block
-extraction, the subtree-size split choice of `balance_td`, the block
-forest, the pair listing and flow-saving tests of `build_gb`, the
-heavy-component separator walk, the component join of `combine_blocks` and
-step 4's size rule must return exactly what the straightforward versions
-return.
+"""The heap-driven elimination and lower bound, the heap-driven
+contraction of `reduce_td`, the indexed block extraction, the subtree-size
+split choice of `balance_td`, the block forest, the pair listing and
+flow-saving tests of `build_gb`, the heavy-component separator walk, the
+component join of `combine_blocks` and step 4's size rule must return
+exactly what the straightforward versions return.
 
 The straightforward versions are kept here as reference oracles: one `min`
 over all alive vertices per step, run on random and hub-heavy graphs (and
-both the degeneracy and the contraction bound), one scan of every bag and
-tree edge per block (keeping the nodes that meet the block minus its
-parent cutvertex), one component search per split candidate, a
-block-forest search that expands a cutvertex from every block holding it,
-one pair listing per bag, one whole-graph flow per pair the degree bound
-keeps, a separator walk that counts wset vertices per child subtree and
-falls back to scanning every node, a union-find join of the combined
-partition's tree components, and step 4's full per-block path (extract,
-balance, partition) for every block.  Bags, tree edges (in order), roots,
-block forests, auxiliary graphs and separator nodes must match, so a drift
-in a tie-break, in edge order or in a pruning test fails.
+both the degeneracy and the contraction bound), one contraction at a time
+on explicit neighbour sets, one scan of every bag and tree edge per block
+(keeping the nodes that meet the block minus its parent cutvertex), one
+component search per split candidate, a block-forest search that expands
+a cutvertex from every block holding it, one pair listing per bag, one
+whole-graph flow per pair the degree bound keeps, a separator walk that
+counts wset vertices per child subtree and falls back to scanning every
+node, a union-find join of the combined partition's tree components, and
+step 4's full per-block path (extract, balance, partition) for every
+block.  Bags, tree edges (in order), roots, block forests, auxiliary
+graphs and separator nodes must match, so a drift in a tie-break, in edge
+order or in a pruning test fails.
 """
 
 import itertools
@@ -52,9 +53,16 @@ from treepart.partitioner import (
     partition_isolated,
     partition_rooted,
 )
-from treepart.pipeline import PipelineParams, _extract_sub_td, _step2_pairs, _td_index, run
+from treepart.pipeline import (
+    PipelineParams,
+    _extract_sub_td,
+    _quotient_td,
+    _step2_pairs,
+    _td_index,
+    run,
+)
 from treepart.separators import build_gb, candidate_pairs, mu
-from treepart.treewidth import balance_td, heuristic_td, treewidth_lower_bound
+from treepart.treewidth import balance_td, heuristic_td, reduce_td, treewidth_lower_bound
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +165,35 @@ def ref_extract_sub_td(td, vertices, new_id, cut=None):
         if i in node_id and j in node_id
     ]
     return TreeDecomposition([bag for _, bag in keep], edges, root=0)
+
+
+def ref_reduce_td(td):
+    """Contract node by node on explicit neighbour sets: visit by (bag
+    size, id), move each node's neighbours to its lowest-id neighbour
+    whose bag contains its own."""
+    n = td.num_nodes
+    sets = [set(b) for b in td.bags]
+    nbr = [set() for _ in range(n)]
+    for i, j in td.tree_edges:
+        nbr[i].add(j)
+        nbr[j].add(i)
+    alive = [True] * n
+    for i in sorted(range(n), key=lambda x: (len(sets[x]), x)):
+        up = [j for j in nbr[i] if sets[i] <= sets[j]]
+        if not up:
+            continue
+        j = min(up)
+        alive[i] = False
+        for z in nbr[i]:
+            nbr[z].discard(i)
+            if z != j:
+                nbr[z].add(j)
+                nbr[j].add(z)
+        nbr[i] = set()
+    keep = [i for i in range(n) if alive[i]]
+    new_id = {i: t for t, i in enumerate(keep)}
+    edges = sorted((new_id[i], new_id[j]) for i in keep for j in nbr[i] if i < j)
+    return TreeDecomposition([td.bags[i] for i in keep], edges, root=0 if keep else None)
 
 
 def ref_candidate_pairs(td, vertices=None):
@@ -511,6 +548,30 @@ def random_corpus():
         p = (0.05, 0.1, 0.2, 0.35, 0.6)[i % 5]
         out.append(random_graph(n, p, 1000 + i))
     return out
+
+
+def random_bag_trees():
+    """Trees of bags over few vertices, in shuffled node order, where each
+    node copies its parent's bag, keeps part of it, or keeps part of it
+    and adds a vertex of its own: runs of equal bags, nested bags and
+    bags that nest in neither direction, met in every id order."""
+    rng = random.Random(5)
+    for _ in range(600):
+        n = rng.randint(1, 60)
+        bags, edges = [sorted(rng.sample(range(4), rng.randint(0, 3)))], []
+        for i in range(1, n):
+            p = rng.randrange(i)
+            part = sorted(rng.sample(bags[p], rng.randint(0, len(bags[p]))))
+            bags.append(
+                (list(bags[p]), part, part + [4 + i])[rng.choice((0, 0, 1, 2))]
+            )
+            edges.append((p, i) if rng.random() < 0.5 else (i, p))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        shuffled = [None] * n
+        for i, bag in enumerate(bags):
+            shuffled[perm[i]] = bag
+        yield TreeDecomposition(shuffled, [(perm[i], perm[j]) for i, j in edges], root=0)
 
 
 def hub_corpus():
@@ -942,22 +1003,29 @@ def extraction_cases():
 
 
 def test_block_extraction_keeps_the_nodes_meeting_block_minus_cut(monkeypatch):
-    """On the pipeline's own quotients and decompositions, every block's
-    extraction equals the full scan for the nodes meeting the block minus
-    its parent cutvertex (for a root block, the nodes meeting the block),
-    has a tree for its tree, and is a decomposition of the block."""
-    tds = []
-    real_index = pipeline._td_index
+    """On the pipeline's own quotients and their reduced decompositions
+    (`_quotient_td`, built from the captured step-1 decomposition and
+    quotient), every block's extraction equals the full scan for the nodes
+    meeting the block minus its parent cutvertex (for a root block, the
+    nodes meeting the block), has a tree for its tree, and is a
+    decomposition of the block."""
+    seen = {}  # the last component's graph, decomposition and quotient
+    real_heuristic = pipeline.heuristic_td
+    real_reduction = pipeline.b_reduction
     real_combine = pipeline.combine_blocks
     counts = {"root": 0, "below_cut": 0, "below_cut_3+": 0, "merged": 0}
 
-    def index(td):
-        tds.append(td)
-        return real_index(td)
+    def heuristic(g, *args):
+        seen["g"], seen["td"] = g, real_heuristic(g, *args)
+        return seen["td"]
+
+    def reduction(g, gb):
+        seen["red"] = real_reduction(g, gb)
+        return seen["red"]
 
     def combine(h, bf, per_block):
-        td = tds[-1]  # the quotient's decomposition, indexed last
-        idx = real_index(td)
+        td = _quotient_td(seen["td"], seen["red"], seen["g"])  # step 4's decomposition
+        idx = _td_index(td)
         for bidx, blk in enumerate(bf.blocks):
             cut = bf.parent_cut[bidx]
             sub, old = h.induced(blk)
@@ -973,7 +1041,8 @@ def test_block_extraction_keeps_the_nodes_meeting_block_minus_cut(monkeypatch):
             counts["below_cut_3+"] += cut is not None and len(blk) > 2
         return real_combine(h, bf, per_block)
 
-    monkeypatch.setattr(pipeline, "_td_index", index)
+    monkeypatch.setattr(pipeline, "heuristic_td", heuristic)
+    monkeypatch.setattr(pipeline, "b_reduction", reduction)
     monkeypatch.setattr(pipeline, "combine_blocks", combine)
     for g, k in extraction_cases():
         before = counts["below_cut"]
@@ -982,6 +1051,18 @@ def test_block_extraction_keeps_the_nodes_meeting_block_minus_cut(monkeypatch):
         counts["merged"] += merged and counts["below_cut"] > before
     assert counts["root"] > 250 and counts["below_cut"] > 900, counts
     assert counts["below_cut_3+"] > 300 and counts["merged"] >= 10, counts
+
+
+def test_reduce_td_matches_contraction_by_contraction():
+    for idx, g in enumerate(random_corpus()):
+        td = heuristic_td(g, "min-fill" if idx % 2 else "min-degree", idx % 4)
+        for t in (td, balance_td(g, td)):
+            assert same_td(reduce_td(t), ref_reduce_td(t)), idx
+    for idx, td in enumerate(random_bag_trees()):
+        assert same_td(reduce_td(td), ref_reduce_td(td)), idx
+    for name in ("grid20", "wall20"):
+        td = heuristic_td(STRUCTURED[name]())
+        assert same_td(reduce_td(td), ref_reduce_td(td)), name
 
 
 def test_candidate_pairs_match_per_bag_listing():

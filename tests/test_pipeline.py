@@ -224,6 +224,34 @@ def test_size_rule_skips_block_decompositions(monkeypatch):
     assert calls == {"balance_td": 7, "_extract_sub_td": 7}
 
 
+def test_step4_builds_one_reduced_decomposition_on_first_need(monkeypatch):
+    """Step 4 reduces the quotient's decomposition once, for the first
+    block the size rule leaves, and reads it in place for a block that is
+    all of H; blocks the size rule decides, and rejects, build nothing."""
+    calls = {"reduce_td": 0, "_td_index": 0, "_extract_sub_td": 0}
+    for name in calls:
+        real = getattr(pipeline, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(pipeline, name, counting)
+
+    def counted(g, k):
+        calls.update(dict.fromkeys(calls, 0))
+        return run(g, PipelineParams(k=k)).accepted, dict(calls)
+
+    # grid 40 is one block and its own quotient
+    assert counted(gen_grid(40), 16) == (True, {"reduce_td": 1, "_td_index": 0, "_extract_sub_td": 0})
+    accepted, wall = counted(gen_wall(40), 16)
+    assert accepted and wall["reduce_td"] == 1
+    none = dict.fromkeys(calls, 0)
+    assert counted(Graph(2000, [(i, i + 1) for i in range(1999)]), 2) == (True, none)
+    assert counted(gen_complete_bipartite(1, 3000), 1) == (True, none)
+    assert counted(gen_fan(7), 2) == (False, none)
+
+
 def test_one_block_input_is_never_copied(monkeypatch):
     """A connected input with one block and no merged pair is its own
     component, quotient and block: the graph `balance_td` gets is the

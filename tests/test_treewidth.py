@@ -1,14 +1,24 @@
 import heapq
 import math
+import random
 
-from treepart.decomp import Violation, verify_td
-from treepart.families import gen_complete_bipartite, random_graph, random_tree
-from treepart.graph import Graph
+from treepart.decomp import TreeDecomposition, Violation, verify_td
+from treepart.families import (
+    gen_complete_bipartite,
+    gen_grid,
+    gen_multiple_tree,
+    gen_wall,
+    random_graph,
+    random_tree,
+)
+from treepart.graph import Graph, connected_components, quotient
 from treepart.treewidth import (
+    _td_from_elimination,
     balance_td,
     exact_td,
     heuristic_td,
     occupancy_tables,
+    reduce_td,
     treewidth_lower_bound,
 )
 
@@ -107,3 +117,107 @@ def test_occupancy_tables_semantics():
     root = td.root
     for v in range(g.n):
         assert tin[root] <= tin[top[v]] <= tout[root]
+
+
+def random_order_td(g, seed):
+    """The decomposition of a random elimination order of g."""
+    order = list(range(g.n))
+    random.Random(seed).shuffle(order)
+    nbr = [set(g.adj[v]) for v in range(g.n)]
+    elim_bags = [None] * g.n
+    for v in order:
+        elim_bags[v] = nbr[v] | {v}
+        for u in nbr[v]:
+            nbr[u] |= nbr[v]
+            nbr[u] -= {u, v}
+    return _td_from_elimination(g.n, order, elim_bags)
+
+
+def transported(g, td, seed):
+    """(H, td's bags mapped onto H) for the quotient H of g by the
+    components of a random half of its edges: many bags become equal."""
+    rng = random.Random(seed)
+    half = Graph(g.n, [e for e in g.edges() if rng.random() < 0.5])
+    h, part_of = quotient(g, connected_components(half))
+    bags = [sorted({part_of[v] for v in bag}) for bag in td.bags]
+    return h, TreeDecomposition(bags, td.tree_edges, root=0)
+
+
+def reduce_cases():
+    """(graph, decomposition) pairs: heuristic, balanced, random-order and
+    transported decompositions of random graphs; grids, walls and
+    windmills; a single node; an empty leaf bag."""
+    for seed in range(40):
+        g = random_graph(30, 0.12, seed)
+        td = heuristic_td(g, "min-fill" if seed % 2 else "min-degree", seed)
+        yield g, td
+        yield g, balance_td(g, td)
+        yield g, random_order_td(g, seed)
+        yield transported(g, td, seed)
+        yield transported(g, balance_td(g, td), seed)
+    for g in (gen_grid(12), gen_wall(12), gen_multiple_tree(gen_complete_bipartite(1, 10), 12)):
+        td = heuristic_td(g)
+        yield g, td
+        yield g, balance_td(g, td)
+    yield complete(4), TreeDecomposition([[0, 1, 2, 3]], [], root=0)
+    yield path(3), TreeDecomposition([[0, 1], [1, 2], []], [(0, 1), (1, 2)], root=0)
+
+
+def test_reduce_td_leaves_no_nested_bags():
+    for idx, (g, td) in enumerate(reduce_cases()):
+        red = reduce_td(td)
+        assert verify_td(g, red) == td.width(), idx
+        sets = [set(bag) for bag in red.bags]
+        for i, j in red.tree_edges:
+            assert not sets[i] <= sets[j] and not sets[j] <= sets[i], (idx, i, j)
+        for bag in td.bags:
+            assert any(set(bag) <= s for s in sets), (idx, bag)
+        again = reduce_td(red)
+        assert (again.bags, again.tree_edges, again.root) == (red.bags, red.tree_edges, 0), idx
+
+
+def test_reduce_td_keeps_the_maximal_cliques_of_grid_40():
+    red = reduce_td(heuristic_td(gen_grid(40)))
+    assert (red.num_nodes, sum(map(len, red.bags))) == (1196, 10300)
+
+
+def nested_chain(length, pendants, equal):
+    """A chain of `length` bags, nested (bag t is {0..t}) or all equal to
+    {0, 1}, each with `pendants` bags hanging off it: bags {t, fresh}
+    under a nested chain, {0, 1, fresh} above an equal one.  Chain nodes
+    come first, so an equal chain contracts along itself before it reaches
+    a pendant."""
+    bags, edges = [], []
+    for t in range(length):
+        bags.append(list(range(t + 1)) if not equal else [0, 1])
+        if t:
+            edges.append((t - 1, t))
+    fresh = length + 1
+    for t in range(length):
+        for _ in range(pendants):
+            edges.append((t, len(bags)))
+            bags.append([0, 1, fresh] if equal else [t, fresh])
+            fresh += 1
+    return TreeDecomposition(bags, edges, root=0)
+
+
+def test_reduce_td_moves_no_neighbour_lists_along_a_chain(monkeypatch):
+    """A chain of contractions through nodes with many pendant bags costs
+    heap operations linear in the nodes: a nested chain moves none, and an
+    equal chain moves each contracted node's own entries, never the ones
+    it inherited (pushing the inherited ones costs about 500,000 here)."""
+    ops = []
+    for name in ("heappush", "heappop", "heapreplace"):
+        real = getattr(heapq, name)
+
+        def counting(*args, _real=real):
+            ops.append(1)
+            return _real(*args)
+
+        monkeypatch.setattr(heapq, name, counting)
+    for equal in (False, True):
+        td = nested_chain(500, 4, equal)
+        ops.clear()
+        red = reduce_td(td)
+        assert red.num_nodes == (1 + 500 * 4 if not equal else 500 * 4), equal
+        assert len(ops) < 2 * td.num_nodes, (equal, len(ops))

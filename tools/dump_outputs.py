@@ -11,7 +11,8 @@ carries `millis`.  Dumps of two versions are equal exactly when those
 versions agree on all of it, so a change meant to keep outputs
 byte-identical is checked with `cmp`, and one that changes them is
 reported by `--compare`: verdict changes, and per family the accepts,
-their width sums and the records that differ.  `dump_outputs.sha256`
+their width sums and maxima on each side, how many got narrower and how
+many wider, and the records that differ.  `dump_outputs.sha256`
 pins the current outputs:
 
     PYTHONPATH=src python tools/dump_outputs.py dump.json
@@ -127,7 +128,10 @@ def compare(path_a: str, path_b: str) -> int:
     ]:
         print("the two dumps cover different corpora")
         return 2
-    fam = defaultdict(lambda: [0, 0, 0, 0])  # accepts, width A, width B, changed
+    # per family: accepts on both sides, width sums A and B, width maxima
+    # A and B, records narrower and wider in B, records changed
+    cols = ("accepts", "width A", "width B", "max A", "max B", "narrower", "wider", "changed")
+    fam = defaultdict(lambda: [0] * len(cols))
     flips = 0
     for ra, rb in zip(a, b):
         key = f'{ra["label"]} k={ra["k"]}'
@@ -136,21 +140,30 @@ def compare(path_a: str, path_b: str) -> int:
             print(f"verdict {key}: {ra['accepted']} -> {rb['accepted']}")
         f = fam[ra["family"]]
         if ra["accepted"] and rb["accepted"]:
+            wa, wb = ra["width"], rb["width"]
             f[0] += 1
-            f[1] += ra["width"]
-            f[2] += rb["width"]
+            f[1] += wa
+            f[2] += wb
+            f[3] = max(f[3], wa)
+            f[4] = max(f[4], wb)
+            f[5] += wb < wa
+            f[6] += wb > wa
         if ra != rb:
-            f[3] += 1
+            f[7] += 1
             if ra["width"] != rb["width"]:
                 print(f"width {key}: {ra['width']} -> {rb['width']}")
-    print(f"{'family':<18}{'accepts':>8}{'width A':>10}{'width B':>10}{'changed':>9}")
-    tot = [0, 0, 0, 0]
+
+    def row(name, vals):
+        print(f"{name:<18}" + "".join(f"{v:>{len(c) + 2}}" for v, c in zip(vals, cols)))
+
+    row("family", cols)
+    tot = [0] * len(cols)
     for name in sorted(fam):
-        print(f"{name:<18}" + "".join(f"{v:>{w}}" for v, w in zip(fam[name], (8, 10, 10, 9))))
-        tot = [x + y for x, y in zip(tot, fam[name])]
-    print(f"{'total':<18}" + "".join(f"{v:>{w}}" for v, w in zip(tot, (8, 10, 10, 9))))
-    print(f"{len(a)} records, {flips} verdict changes, {tot[3]} records changed")
-    return 1 if tot[3] or flips else 0
+        row(name, fam[name])
+        tot = [max(x, y) if c.startswith("max") else x + y for c, x, y in zip(cols, tot, fam[name])]
+    row("total", tot)
+    print(f"{len(a)} records, {flips} verdict changes, {tot[7]} records changed")
+    return 1 if tot[7] or flips else 0
 
 
 def main(argv=None) -> int:
