@@ -179,16 +179,19 @@ def connected_components(g: Graph, vertices=None):
     left = set(vertices)
     comps = []
     while left:
-        s = left.pop()
-        stack = [s]
-        comp = [s]
-        while stack:
-            u = stack.pop()
-            for v in g.adj[u]:
+        comp = [left.pop()]
+        for u in comp:  # comp grows while the search runs
+            if not left:  # every vertex is reached
+                break
+            nu = g.adj[u]
+            if len(nu) > 16:  # a hub: one C-level pass instead of a loop
+                comp += left.intersection(nu)
+                left.difference_update(nu)
+                continue
+            for v in nu:
                 if v in left:
                     left.discard(v)
                     comp.append(v)
-                    stack.append(v)
         comp.sort()
         comps.append(comp)
     comps.sort()

@@ -138,13 +138,14 @@ def build_gb(g: Graph, b: int, pairs) -> Graph:
     Each pair goes through three exact tests, cheapest first; a flow runs
     only when none of them settles it:
 
-    1. Degree bound, O(log deg): every u-v path in G-uv leaves u and v by
+    1. Degree bound, O(1): every u-v path in G-uv leaves u and v by
        distinct edges, so mu <= min(deg u, deg v) - [uv in E].  Skip when
-       this is below b.
-    2. Common neighbours, O(min(deg u, deg v)) with the neighbour sets
-       built once per vertex: each w in N(u) & N(v) gives the path u-w-v,
-       which avoids uv, and these paths share no inner vertex, so
-       mu >= |N(u) & N(v)|.  Accept when this reaches b.
+       this is below b; the neighbour sets, built once per vertex, answer
+       [uv in E].
+    2. Common neighbours, O(min(deg u, deg v)) on those sets: each w in
+       N(u) & N(v) gives the path u-w-v, which avoids uv, and these paths
+       share no inner vertex, so mu >= |N(u) & N(v)|.  Accept when the
+       count, which stops there, reaches b.
     3. Blocks, for b >= 2 only, O(1) per pair after one O(n + m) pass,
        made when a pair first gets here, for the block forest and each
        block's edges.  Two vertices share at most one block (`block_of`),
@@ -159,18 +160,18 @@ def build_gb(g: Graph, b: int, pairs) -> Graph:
     """
     if b < 1:
         raise ValueError("b must be >= 1")
-    nbrs = {}  # vertex -> neighbour set, built on first use
+    nbrs = [None] * g.n  # vertex -> neighbour set, built on first use
     forest = None  # b >= 2: the block forest and its block_edges, built on first use
     blocks = {}  # block id -> (subgraph, vertex -> subgraph id)
     edges = []
     for u, v in pairs:
-        adjacent = g.has_edge(u, v)
-        if min(g.degree(u), g.degree(v)) - adjacent < b:
+        nu = nbrs[u] = nbrs[u] or set(g.adj[u])  # an empty set is rebuilt, in O(1)
+        nv = nbrs[v] = nbrs[v] or set(g.adj[v])
+        adjacent = v in nu
+        if min(len(nu), len(nv)) - adjacent < b:
             continue
-        for x in (u, v):
-            if x not in nbrs:
-                nbrs[x] = set(g.adj[x])
-        if len(nbrs[u] & nbrs[v]) >= b:
+        small, big = sorted((nu, nv), key=len)
+        if len(list(itertools.islice(filter(big.__contains__, small), b))) == b:
             edges.append((min(u, v), max(u, v)))
             continue
         if b == 1:

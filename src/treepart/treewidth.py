@@ -18,11 +18,11 @@ from .exact import CapacityError, _bits
 from .graph import Graph, tree_bfs
 
 
-def _td_from_elimination(n: int, order, elim_bags) -> TreeDecomposition:
+def _td_from_elimination(n: int, order, nbrs) -> TreeDecomposition:
     """Build a decomposition from an elimination order.
 
-    elim_bags[v] is the bag recorded when v was eliminated (v plus its
-    remaining neighbors in the fill graph).  Node i of the tree holds the
+    nbrs[v] holds v's remaining neighbors in the fill graph when v was
+    eliminated, so v's bag is v plus nbrs[v].  Node i of the tree holds the
     bag of order[i] and is joined to the node of its bag's member
     eliminated next, or to node i + 1 when it has none (the last vertex of
     a component); the root is the last elimination.  Linear in the bags.
@@ -30,11 +30,10 @@ def _td_from_elimination(n: int, order, elim_bags) -> TreeDecomposition:
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
-    bags = [sorted(elim_bags[v]) for v in order]
+    bags = [sorted([v, *nbrs[v]]) for v in order]
     edges = []
     for i, v in enumerate(order[:-1]):
-        later = [pos[u] for u in elim_bags[v] if u != v]
-        edges.append((i, min(later) if later else i + 1))
+        edges.append((i, min(map(pos.__getitem__, nbrs[v])) if nbrs[v] else i + 1))
     return TreeDecomposition(bags, edges, root=len(order) - 1)
 
 
@@ -62,6 +61,12 @@ def _lower(heap, cur, low, x, c, tie, s) -> None:
         heapq.heappush(heap, (low[x], tie, x))
 
 
+def _fill(nbr, v) -> int:
+    """The fill-in of eliminating v: the non-adjacent pairs of N(v)."""
+    nv = nbr[v]
+    return (len(nv) * (len(nv) - 1) - sum(len(nbr[u] & nv) for u in nv)) // 2
+
+
 def heuristic_td(g: Graph, strategy: str = "min-degree", seed: int = 0) -> TreeDecomposition:
     """Greedy elimination-order decomposition.
 
@@ -80,13 +85,27 @@ def heuristic_td(g: Graph, strategy: str = "min-degree", seed: int = 0) -> TreeD
     other entry is dropped (`_pick`).  A new score pushes an entry only
     when it drops below low[x], at half its value while that stays above
     the score just picked (`_lower`), so a hub whose degree falls by one
-    per step pays O(log deg) pushes instead of one per step.  After
-    eliminating v only the scores that can change are recomputed: those of
-    N(v), and for min-fill also those of the neighbors of every vertex
-    that gained a fill edge (a subset of N(N(v))).  Cost: O(log n) per
-    push plus the rescoring, O(sum of deg(v)) for min-degree and O(sum of
-    d^2 per rescored vertex) for min-fill, where degrees are taken in the
-    fill graph; near-linear on sparse graphs of bounded width.
+    per step pays O(log deg) pushes instead of one per step.
+
+    Eliminating v makes N(v) a clique.  A simplicial v, whose N(v) is one
+    already, adds no fill edge (Bodlaender and Koster, "Treewidth
+    computations I. Upper bounds", 2010): its neighbours just lose v, in
+    O(deg v), and no other score changes.  Under min-fill, v is simplicial
+    exactly when its score is 0, and a neighbour u loses the pairs {v, w}
+    for its deg(u) - |N(v)| neighbours w outside the clique N(v) + v, so its
+    fill drops by that much.  Under min-degree, v counts as simplicial with
+    at most one neighbour, two adjacent ones, or N(v) inside nbr[t] for the
+    stamp t of its least neighbour: the merge below stamps N(t) with t and
+    makes it a clique, which nbr[t] keeps once t is gone, since edges
+    between alive vertices are never removed; an initial stamp u (alive)
+    fails, as nbr[u] never holds u.  So a "yes" is exact; a missed
+    simplicial v takes the merge, which adds nothing.  Otherwise N(v) is
+    merged into each neighbour's set and the scores of N(v) are recomputed,
+    for min-fill from scratch (`_fill`) with those of the neighbours of each
+    vertex that gained a fill edge.  Cost: O(log n) per push, O(deg v) per
+    simplicial v, and per other v O(sum of deg) or, for min-fill, O(sum of
+    d^2 per rescored vertex), in the fill graph: near-linear on sparse
+    graphs of bounded width and on hubs with simplicial leaves.
     """
     if strategy not in ("min-degree", "min-fill"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -95,40 +114,42 @@ def heuristic_td(g: Graph, strategy: str = "min-degree", seed: int = 0) -> TreeD
         return TreeDecomposition([[]], [], root=0)
     rnd = random.Random(seed)
     salt = [rnd.random() for _ in range(n)]
-    nbr = [set(g.adj[v]) for v in range(n)]
+    nbr = [set(a) for a in g.adj]
     min_fill = strategy == "min-fill"
-
-    def score(v):
-        nv = nbr[v]
-        d = len(nv)
-        if not min_fill:
-            return d
-        # non-adjacent pairs of N(v): all pairs minus the adjacent ones
-        return (d * (d - 1) - sum(len(nbr[u] & nv) for u in nv)) // 2
-
-    cur = [score(v) for v in range(n)]
+    cur = [_fill(nbr, v) for v in range(n)] if min_fill else [len(nv) for nv in nbr]
     low = list(cur)
     heap = [(cur[v], salt[v], v) for v in range(n)]
     heapq.heapify(heap)
+    stamp = list(range(n))
     order = []
-    elim_bags = [None] * n
     for _ in range(n):
         v = _pick(heap, cur, low)
         s, cur[v] = cur[v], -1
         order.append(v)
         nv = nbr[v]
-        elim_bags[v] = nv | {v}
-        rescore = set(nv)
+        simplicial = s == 0 if min_fill else (
+            s < 2 or s == 2 and min(nv) in nbr[max(nv)] or nv <= nbr[stamp[min(nv)]])
+        if simplicial:
+            d = len(nv) - 1
+            for u in nv:
+                nu = nbr[u]
+                nu.discard(v)
+                c = cur[u] = cur[u] - len(nu) + d if min_fill else len(nu)
+                if c < low[u]:  # else `_lower` would only set cur[u]
+                    _lower(heap, cur, low, u, c, salt[u], s)
+            continue
+        rescore = set() if min_fill else nv  # under min-fill two of N(v) gain and cover it
         for u in nv:
             before = len(nbr[u])
             nbr[u] |= nv
             nbr[u].discard(u)
             nbr[u].discard(v)
+            stamp[u] = v
             if min_fill and len(nbr[u]) >= before:  # u gained a fill edge
                 rescore |= nbr[u]
         for u in rescore:
-            _lower(heap, cur, low, u, score(u), salt[u], s)
-    return _td_from_elimination(n, order, elim_bags)
+            _lower(heap, cur, low, u, _fill(nbr, u) if min_fill else len(nbr[u]), salt[u], s)
+    return _td_from_elimination(n, order, nbr)  # no step changes nbr[v] once v is gone
 
 
 def treewidth_lower_bound(g: Graph) -> int:
@@ -244,7 +265,7 @@ def exact_td(g: Graph, k: int, cap: int = 15):
             q = q_mask(s_mask, v)
             if bin(q).count("1") <= k and feasible(s_mask | (1 << v)):
                 order.append(v)
-                elim_bags[v] = {v} | set(_bits(q))
+                elim_bags[v] = list(_bits(q))
                 s_mask |= 1 << v
                 break
     return _td_from_elimination(n, order, elim_bags)

@@ -6,8 +6,9 @@ component join of `combine_blocks` and step 4's size rule must return
 exactly what the straightforward versions return.
 
 The straightforward versions are kept here as reference oracles: one `min`
-over all alive vertices per step, run on random and hub-heavy graphs (and
-both the degeneracy and the contraction bound), one contraction at a time
+over all alive vertices per step, run on random, hub-heavy and
+simplicial-heavy graphs (and, for the lower bound, both the degeneracy and
+the contraction bound), one contraction at a time
 on explicit neighbour sets, one scan of every bag and tree edge per block
 (keeping the nodes that meet the block minus its parent cutvertex), one
 component search per split candidate, a block-forest search that expands
@@ -599,6 +600,52 @@ def hub_corpus():
         yield Graph(n + hubs, edges)
 
 
+def blow_up(g, rng):
+    """Each vertex of g becomes a clique or an independent set of 1-4
+    twins, joined to all twins of its neighbours."""
+    copies, n = [], 0
+    for _ in range(g.n):
+        copies.append(range(n, n + rng.randint(1, 4)))
+        n += len(copies[-1])
+    edges = [(a, b) for u, v in g.edges() for a in copies[u] for b in copies[v]]
+    for c in copies:
+        if rng.random() < 0.5:
+            edges += itertools.combinations(c, 2)
+    return Graph(n, edges)
+
+
+def random_ktree(n, k, rng):
+    """A random k-tree: a (k+1)-clique, then each vertex joined to a
+    random k-clique already there."""
+    edges = list(itertools.combinations(range(k + 1), 2))
+    cliques = [tuple(c) for c in itertools.combinations(range(k + 1), k)]
+    for v in range(k + 1, n):
+        base = rng.choice(cliques)
+        edges += [(u, v) for u in base]
+        cliques += [base[:i] + base[i + 1 :] + (v,) for i in range(k)]
+    return Graph(n, edges)
+
+
+def simplicial_corpus():
+    """Graphs where most eliminations are of simplicial vertices (whose
+    remaining neighbours form a clique), mixed with ones that are not:
+    twin blow-ups of random graphs, random k-trees, K_{a,N}, fans and tree
+    multiples."""
+    rng = random.Random(77)
+    for i in range(120):
+        n = rng.randint(3, 14)
+        yield blow_up(random_graph(n, (0.1, 0.25, 0.5)[i % 3], 4000 + i), rng)
+    for k in [1, 2, 3, 4, 5] * 12:
+        yield random_ktree(rng.randint(k + 1, 40), k, rng)
+    for a in (1, 2, 3, 5, 10):
+        for n in (1, 2, 7, 20, 45):
+            yield gen_complete_bipartite(a, n)
+    for n in (2, 3, 5, 17, 40, 80):
+        yield gen_fan(n)
+    for i in range(32):
+        yield gen_multiple_tree(random_tree(rng.randint(2, 12), 5000 + i), rng.randint(1, 6))
+
+
 def star(leaves):
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
@@ -738,6 +785,14 @@ def test_lower_bound_matches_scan_on_random_graphs():
 @pytest.mark.parametrize("seed", [0, 3])
 def test_heuristic_td_matches_scan_on_hub_graphs(strategy, seed):
     for idx, g in enumerate(hub_corpus()):
+        got = heuristic_td(g, strategy, seed)
+        assert same_td(got, ref_heuristic_td(g, strategy, seed)), idx
+
+
+@pytest.mark.parametrize("strategy", ["min-degree", "min-fill"])
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_heuristic_td_matches_scan_on_simplicial_graphs(strategy, seed):
+    for idx, g in enumerate(simplicial_corpus()):
         got = heuristic_td(g, strategy, seed)
         assert same_td(got, ref_heuristic_td(g, strategy, seed)), idx
 

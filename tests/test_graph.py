@@ -161,6 +161,34 @@ def test_connected_components_of_a_vertex_subset():
     assert connected_components(g, range(7)) == connected_components(g)
 
 
+def test_connected_components_through_hubs_match_union_find():
+    # vertices of degree above 16 take their unvisited neighbours in one
+    # set intersection; with a vertex subset, some of those neighbours are
+    # outside it
+    rng = random.Random(9)
+    for i in range(60):
+        n = rng.randint(20, 80)
+        edges = random_graph(n, 0.02, 600 + i).edges()
+        for h in rng.sample(range(n), rng.randint(1, 4)):
+            edges += [(h, v) for v in rng.sample(range(n), rng.randint(17, n - 1)) if v != h]
+        g = Graph(n, edges)
+        keep = set(rng.sample(range(n), rng.randint(1, n))) if i % 2 else set(range(n))
+        rep = {v: v for v in keep}
+
+        def find(x):
+            while rep[x] != x:
+                x = rep[x]
+            return x
+
+        for u, v in edges:
+            if u in keep and v in keep:
+                rep[find(u)] = find(v)
+        want = {}
+        for v in sorted(keep):
+            want.setdefault(find(v), []).append(v)
+        assert connected_components(g, keep) == sorted(want.values()), i
+
+
 def test_tree_bfs_parent_and_order():
     #        3
     #      / | \

@@ -1,7 +1,9 @@
 import heapq
 import math
 import random
+from collections import Counter
 
+from treepart import treewidth
 from treepart.decomp import TreeDecomposition, Violation, verify_td
 from treepart.families import (
     gen_complete_bipartite,
@@ -78,6 +80,28 @@ def test_hubs_cost_few_heap_pushes(monkeypatch):
         assert len(pushes) < g.n, fn.__name__
 
 
+def test_hub_leaves_skip_rescoring(monkeypatch):
+    # the first leaf of K_{10,4800} makes the hubs a clique, and every
+    # later leaf is simplicial: min-fill lowers the hubs' fill counts
+    # without a recount, so only the initial scores and that first
+    # rescoring count from scratch, and min-degree reaches `_lower` only
+    # when a hub's degree drops below its heap key (a recount or a call
+    # per hub per leaf would make 48,000 more)
+    g = gen_complete_bipartite(10, 4800)
+    calls = Counter()
+    for name in ("_fill", "_lower"):
+
+        def counting(*args, _real=getattr(treewidth, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(treewidth, name, counting)
+    for strategy, helper, bound in (("min-fill", "_fill", 2 * g.n), ("min-degree", "_lower", g.n)):
+        calls.clear()
+        assert heuristic_td(g, strategy).width() == 10
+        assert calls[helper] < bound, (strategy, calls)
+
+
 def test_exact_td_known_widths():
     assert exact_td(cycle(6), 1) is None
     td = exact_td(cycle(6), 2)
@@ -126,7 +150,7 @@ def random_order_td(g, seed):
     nbr = [set(g.adj[v]) for v in range(g.n)]
     elim_bags = [None] * g.n
     for v in order:
-        elim_bags[v] = nbr[v] | {v}
+        elim_bags[v] = set(nbr[v])
         for u in nbr[v]:
             nbr[u] |= nbr[v]
             nbr[u] -= {u, v}
