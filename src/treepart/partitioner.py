@@ -253,22 +253,29 @@ def partition_isolated(g: Graph, td: TreeDecomposition, v: int) -> TreePartition
     return TreePartition(builder.bags, builder.edges, root=root)
 
 
-def partition_by_size(block, min_degree: int, cut=None) -> TreePartition | None:
+def partition_by_size(block, min_degree: int, cut=None, cut_degree=0) -> TreePartition | None:
     """The partition of a connected graph on the sorted vertex list block
-    (at least two vertices, minimum degree min_degree) that
-    `partition_isolated` at cut, or with no cut `partition_rooted` with a
-    one-vertex s_set, returns from every tree decomposition of it, in the
-    graph's own vertex ids; None when its size does not fix it.
+    (at least two vertices, minimum degree min_degree, and at least
+    cut_degree neighbours of cut) that `partition_isolated` at cut, or with
+    no cut `partition_rooted` with a one-vertex s_set, returns from every
+    tree decomposition of it, in the graph's own vertex ids; None when its
+    size does not fix it.
 
     Proof: any decomposition's width w is at least the treewidth, which is
     at least min_degree (with no bag inside a neighbouring bag, a leaf bag
     holds a vertex found in no other bag, so also all its neighbours), and
-    both fallbacks hold for every w >= min_degree once they hold at
+    every rule below holds for every w >= min_degree once it holds at
     min_degree: the two bags {cut}, rest when n <= window_low(w) + 1, and
-    the single bag when n <= 1 + w + 1.
+    the single bag when n <= 1 + w + 1.  Below cut the two bags also come
+    when n - 1 <= cut_degree + w + 1: block - cut, connected as a block of
+    three or more vertices is 2-connected, is then the one component
+    `partition_isolated` recurses on, with contract N(cut), and that call's
+    leaf test |universe| <= |contract| + w + 1 emits it whole.
     """
     n = len(block)
-    if cut is not None and n <= CONSTANTS.window_low(min_degree) + 1:
+    if cut is not None and (
+        n <= CONSTANTS.window_low(min_degree) + 1 or n - 1 <= cut_degree + min_degree + 1
+    ):
         return TreePartition([[cut], [v for v in block if v != cut]], [(0, 1)], root=0)
     if cut is None and n <= min_degree + 2:
         return TreePartition([list(block)], [], root=0)

@@ -18,8 +18,10 @@ from dataclasses import dataclass, field
 
 from .decomp import TreeDecomposition, TreePartition, Violation, verify_td
 from .graph import Graph, biconnected_components, connected_components, subgraph
-from .separators import b_reduction, build_gb, candidate_pairs
-from .treewidth import balance_td, exact_td, heuristic_td, reduce_td, treewidth_lower_bound
+# candidate_pairs and heuristic_td stay importable: perfbench/layers.py times them here
+from .separators import b_reduction, build_gb, candidate_pairs  # noqa: F401
+from .treewidth import _td_from_elimination, balance_td, eliminate, exact_elimination
+from .treewidth import heuristic_td, occupancy_tables, reduce_td, treewidth_lower_bound  # noqa: F401
 from .partitioner import (
     combine_blocks,
     expand,
@@ -173,25 +175,39 @@ def _quotient_td(td: TreeDecomposition, red, gc: Graph) -> TreeDecomposition:
     return reduce_td(td)
 
 
-def _step1_td(gc: Graph, params: PipelineParams, old_ids, lb: int, import_index) -> TreeDecomposition:
-    if params.step1 == "exact":
-        for k_try in range(max(lb, 0), gc.n + 1):
-            td = exact_td(gc, k_try)
-            if td is not None:
-                return td
-        raise AssertionError("exhausted widths without a decomposition")
+def _step1(gc: Graph, params: PipelineParams, old_ids, lb: int, import_index):
+    """Step 1's decomposition of gc as (width, own, tree): own[v] is v's
+    top bag, the one nearest the root (with or without v), and tree()
+    builds the decomposition.  For an elimination order own[v] is v's
+    neighbour set when eliminated, so no bag is sorted unless step 4 asks."""
     if params.step1 == "import":
         new_id = {v: i for i, v in enumerate(old_ids)}
-        return _extract_sub_td(params.import_td, new_id, import_index)
-    return heuristic_td(gc, params.step1[5:], params.seed)
+        td = _extract_sub_td(params.import_td, new_id, import_index)
+        top = occupancy_tables(gc, td)[0]
+        return td.width(), [td.bags[top[v]] for v in range(gc.n)], lambda: td
+    if params.step1 == "exact":
+        found = next(filter(None, (exact_elimination(gc, w) for w in range(max(lb, 0), gc.n))))
+    else:
+        found = eliminate(gc, params.step1[5:], params.seed)
+    order, own = found
+    return max(map(len, own)), own, lambda: _td_from_elimination(gc.n, order, own)
 
 
-def _step2_pairs(g: Graph, td: TreeDecomposition, b: int) -> list:
-    """The co-bagged pairs step 2 tests: those whose endpoints both have
-    degree >= b, since mu(u, v) <= min(deg u, deg v).  Bags are restricted
-    to these vertices before pairs are listed, so a wide bag of low-degree
-    vertices costs no pairs."""
-    return candidate_pairs(td, {v for v in range(g.n) if g.degree(v) >= b})
+def _step2_pairs(g: Graph, own, b: int) -> list:
+    """The co-bagged pairs step 2 tests, sorted: those whose endpoints both
+    have degree >= b, since mu(u, v) <= min(deg u, deg v) - [uv in E], less
+    the adjacent ones with an endpoint of degree exactly b, which that
+    bound rejects.  They are listed from the top bags own of `_step1`: two
+    subtrees of a rooted tree that meet have the top node of their
+    intersection at one of their own tops, so two vertices share a bag
+    exactly when one is in the other's top bag."""
+    deg = list(map(len, g.adj))
+    return sorted({
+        (h, y) if h < y else (y, h)
+        for h in range(g.n) if deg[h] >= b
+        for y in own[h]
+        if y != h and deg[y] >= b and not (b in (deg[h], deg[y]) and g.has_edge(h, y))
+    })
 
 
 def _fold(record: dict, op, **fields) -> None:
@@ -222,38 +238,38 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
     first).  It runs first when delta > 2k - 1, where it must reject, and
     in exact mode, whose search starts at it and must reject before its
     capacity error.  Otherwise the decomposition comes first, and lb = w
-    when delta >= w.
+    when delta >= w.  It is kept as its width and top bags (`_step1`), from
+    which step 2 lists its pairs (`_step2_pairs`); step 3 reuses step 2's
+    components of G^b.
 
     Step 4 partitions each block on its own.  One pass over H's edges
     gives each block its edge list (`BlockForest.block_edges`), from which
     the in-block degrees are counted, so a cutvertex of high degree costs
     each of its blocks only that block's edges.  A block whose size and
-    minimum in-block degree already fix its partition takes it from
-    `partition_by_size`: a bridge always, and a larger block with n <=
-    min-degree + 2 as the root block or n <= window_low(min-degree) + 1
-    below a cutvertex.  Every other block is built as a graph from its
+    in-block degrees already fix its partition takes it from
+    `partition_by_size`.  Every other block is built as a graph from its
     edge list (H itself when it holds all of H) and has its decomposition
-    rebalanced before the partitioner runs on it.  Step 3 builds nothing
-    for this: the first such block builds H's reduced decomposition
-    (`_quotient_td`), once, and a block that is all of H reads it in
-    place, while any other block extracts its share through `_td_index`,
-    built on first use.  Below a cutvertex the extraction keeps only the
-    nodes meeting the block minus the cutvertex, so a cutvertex shared by
-    many blocks costs each block only its own share of the decomposition.
-    Inputs whose blocks the size rule decides, and rejects, build no
-    decomposition of H at all."""
+    rebalanced before the partitioner runs on it.  The first such block
+    builds step 1's tree, and from it H's reduced decomposition
+    (`_quotient_td`), once, and drops the top bags; a block that is all of
+    H reads it in place, while any other block extracts its share through
+    `_td_index`, built on first use.  Below a cutvertex the extraction
+    keeps only the nodes meeting the block minus the cutvertex, so a
+    cutvertex shared by many blocks costs each block only its own share of
+    the decomposition.  Inputs whose blocks the size rule decides, and
+    rejects, build no decomposition at all."""
     k = params.k
 
     t0 = time.perf_counter()
     delta = min(map(len, gc.adj))
-    early = params.step1 == "exact" or delta > 2 * k - 1
-    td = None if early else _step1_td(gc, params, old_ids, 0, import_index)
-    lb = td.width() if not early and delta >= td.width() else treewidth_lower_bound(gc)
+    w = None
+    if not (params.step1 == "exact" or delta > 2 * k - 1):
+        w, own, tree = _step1(gc, params, old_ids, 0, import_index)
+    lb = w if w is not None and delta >= w else treewidth_lower_bound(gc)
     if lb > 2 * k - 1:
         return "reject", TreewidthLB(lb, 2 * k - 1)
-    if td is None:
-        td = _step1_td(gc, params, old_ids, lb, import_index)
-    w = td.width()
+    if w is None:
+        w, own, tree = _step1(gc, params, old_ids, lb, import_index)
     _fold(stats["step1"], max, w=w, lb=lb)
     t0 = _lap(stats["step1"], t0)
 
@@ -262,7 +278,7 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
         if params.b_override < b:
             raise ValueError(f"b_override {params.b_override} below required {b}")
         b = params.b_override
-    gb = build_gb(gc, b, _step2_pairs(gc, td, b))
+    gb = build_gb(gc, b, _step2_pairs(gc, own, b))
     gb_comps = connected_components(gb)
     _fold(stats["step2"], max, b=b)
     _fold(stats["step2"], operator.add, gb_edges=gb.m)
@@ -274,7 +290,7 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
                 frozenset(old_ids[v] for v in comp), b
             )
 
-    red = b_reduction(gc, gb)
+    red = b_reduction(gc, gb, gb_comps)
     h = red.h
     bf = biconnected_components(h)
     _fold(stats["step3"], operator.add, h_n=h.n, blocks=len(bf.blocks))
@@ -285,11 +301,12 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
     stats["step4"]["threshold"] = thr
     block_edges = bf.block_edges(h)
     degree = [0] * h.n  # in-block degrees of the block being scanned
-    min_degree = []
-    for blk, blk_edges in zip(bf.blocks, block_edges):
+    degrees = []  # per block: minimum in-block degree, parent cutvertex's in-block degree
+    for blk, blk_edges, cut in zip(bf.blocks, block_edges, bf.parent_cut):
         for u, v in blk_edges:
             degree[u] += 1
             degree[v] += 1
+        d_cut = 0 if cut is None else degree[cut]
         low = len(blk)
         for v in blk:
             d, degree[v] = degree[v], 0
@@ -297,15 +314,17 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
             if d > thr:
                 groups = tuple(frozenset(old_ids[x] for x in red.parts[u]) for u in blk)
                 return "reject", BlockDegree(groups, groups[blk.index(v)], d, thr)
-        min_degree.append(low)
+        degrees.append((low, d_cut))
     per_block = {}
     tdh = tdh_index = None  # built for the first block that needs them
     for bidx, blk in enumerate(bf.blocks):
         cut = bf.parent_cut[bidx]
-        tp_block = partition_by_size(blk, min_degree[bidx], cut)
+        low, d_cut = degrees[bidx]
+        tp_block = partition_by_size(blk, low, cut, d_cut)
         if tp_block is None:
             if tdh is None:
-                tdh = _quotient_td(td, red, gc)
+                tdh = _quotient_td(tree(), red, gc)
+                own = tree = None  # the neighbour sets are not needed again
             sub, new_id = subgraph(h, blk, block_edges[bidx])
             if sub is h:  # extracting all of H returns tdh itself
                 sub_td = tdh

@@ -204,9 +204,12 @@ class BReduction:
     parts: list  # part id -> sorted vertex list
 
 
-def b_reduction(g: Graph, gb: Graph) -> BReduction:
+def b_reduction(g: Graph, gb: Graph, parts=None) -> BReduction:
+    """The quotient of g by gb's components; parts, when given, must be
+    `connected_components(gb)`, which is then not searched again."""
     if gb.n != g.n:
         raise ValueError("auxiliary graph must share the vertex set")
-    parts = connected_components(gb)
+    if parts is None:
+        parts = connected_components(gb)
     h, part_of = quotient(g, parts)
     return BReduction(h, part_of, parts)

@@ -25,8 +25,12 @@ def _td_from_elimination(n: int, order, nbrs) -> TreeDecomposition:
     eliminated, so v's bag is v plus nbrs[v].  Node i of the tree holds the
     bag of order[i] and is joined to the node of its bag's member
     eliminated next, or to node i + 1 when it has none (the last vertex of
-    a component); the root is the last elimination.  Linear in the bags.
+    a component); the root is the last elimination.  A node's parent is
+    eliminated later, so v's node is the top of v's occupancy.  Linear in
+    the bags; no vertices give the one empty bag.
     """
+    if not order:
+        return TreeDecomposition([[]], [], root=0)
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
@@ -68,7 +72,14 @@ def _fill(nbr, v) -> int:
 
 
 def heuristic_td(g: Graph, strategy: str = "min-degree", seed: int = 0) -> TreeDecomposition:
-    """Greedy elimination-order decomposition.
+    """Greedy elimination-order decomposition (`eliminate`)."""
+    return _td_from_elimination(g.n, *eliminate(g, strategy, seed))
+
+
+def eliminate(g: Graph, strategy: str = "min-degree", seed: int = 0):
+    """Greedy elimination order, as (order, nbrs): nbrs[v] is the set of v's
+    neighbours in the fill graph when v was eliminated (v's bag in
+    `heuristic_td` is v plus nbrs[v]), which no later step changes.
 
     strategy is "min-degree" or "min-fill".  Each step eliminates the alive
     vertex with the least (score, salt, id), where salt is a seeded
@@ -110,8 +121,6 @@ def heuristic_td(g: Graph, strategy: str = "min-degree", seed: int = 0) -> TreeD
     if strategy not in ("min-degree", "min-fill"):
         raise ValueError(f"unknown strategy {strategy!r}")
     n = g.n
-    if n == 0:
-        return TreeDecomposition([[]], [], root=0)
     rnd = random.Random(seed)
     salt = [rnd.random() for _ in range(n)]
     nbr = [set(a) for a in g.adj]
@@ -149,7 +158,7 @@ def heuristic_td(g: Graph, strategy: str = "min-degree", seed: int = 0) -> TreeD
                 rescore |= nbr[u]
         for u in rescore:
             _lower(heap, cur, low, u, _fill(nbr, u) if min_fill else len(nbr[u]), salt[u], s)
-    return _td_from_elimination(n, order, nbr)  # no step changes nbr[v] once v is gone
+    return order, nbr
 
 
 def treewidth_lower_bound(g: Graph) -> int:
@@ -204,7 +213,15 @@ def treewidth_lower_bound(g: Graph) -> int:
 
 
 def exact_td(g: Graph, k: int, cap: int = 15):
-    """A tree decomposition of width <= k, or None if none exists.
+    """A tree decomposition of width <= k, or None if none exists
+    (`exact_elimination`)."""
+    found = exact_elimination(g, k, cap)
+    return None if found is None else _td_from_elimination(g.n, *found)
+
+
+def exact_elimination(g: Graph, k: int, cap: int = 15):
+    """An elimination order of width <= k as (order, nbrs), in the form of
+    `eliminate`, or None if none exists.
 
     Exhaustive search over elimination orders with memoization on the set
     of already-eliminated vertices; the cost of eliminating v after S is
@@ -215,8 +232,6 @@ def exact_td(g: Graph, k: int, cap: int = 15):
         raise CapacityError(f"n={n} exceeds cap {cap}")
     if k < 0:
         return None
-    if n == 0:
-        return TreeDecomposition([[]], [], root=0)
     adj_mask = [0] * n
     for u in range(n):
         for v in g.adj[u]:
@@ -258,7 +273,7 @@ def exact_td(g: Graph, k: int, cap: int = 15):
     if not feasible(0):
         return None
     order = []
-    elim_bags = {}
+    elim_bags = [None] * n
     s_mask = 0
     while s_mask != full:
         for v in _bits(full & ~s_mask):
@@ -268,7 +283,7 @@ def exact_td(g: Graph, k: int, cap: int = 15):
                 elim_bags[v] = list(_bits(q))
                 s_mask |= 1 << v
                 break
-    return _td_from_elimination(n, order, elim_bags)
+    return order, elim_bags
 
 
 def reduce_td(td: TreeDecomposition) -> TreeDecomposition:

@@ -1,9 +1,10 @@
 """The heap-driven elimination and lower bound, the heap-driven
 contraction of `reduce_td`, the indexed block extraction, the subtree-size
-split choice of `balance_td`, the block forest, the pair listing and
-flow-saving tests of `build_gb`, the heavy-component separator walk, the
-component join of `combine_blocks` and step 4's size rule must return
-exactly what the straightforward versions return.
+split choice of `balance_td`, the block forest, step 2's listing of
+pairs from each vertex's own bag, the flow-saving tests of `build_gb`,
+the heavy-component separator walk, the component join of
+`combine_blocks` and step 4's size rule must return exactly what the
+straightforward versions return.
 
 The straightforward versions are kept here as reference oracles: one `min`
 over all alive vertices per step, run on random, hub-heavy and
@@ -58,12 +59,19 @@ from treepart.pipeline import (
     PipelineParams,
     _extract_sub_td,
     _quotient_td,
+    _step1,
     _step2_pairs,
     _td_index,
     run,
 )
 from treepart.separators import build_gb, candidate_pairs, mu
-from treepart.treewidth import balance_td, heuristic_td, reduce_td, treewidth_lower_bound
+from treepart.treewidth import (
+    balance_td,
+    eliminate,
+    heuristic_td,
+    reduce_td,
+    treewidth_lower_bound,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -678,13 +686,32 @@ def block_chain(seed, max_size=15, blocks=8):
     return Graph(n, edges)
 
 
+def spoked_cycle(length, spokes):
+    """A pendant vertex 0 on a hub, vertex 1, joined to `spokes` evenly
+    spaced vertices of a cycle on 2..length + 1: one block of length + 1
+    vertices below the cutvertex 1, of minimum degree 2 for spokes <
+    length."""
+    cycle = [(2 + i, 2 + (i + 1) % length) for i in range(length)]
+    hub = [(1, 2 + i * length // spokes) for i in range(spokes)]
+    return Graph(length + 2, [(0, 1)] + hub + cycle)
+
+
 def size_rule_cases():
     """(graph, k) runs for step 4's size rule: tree multiples with every m
-    up to 12 at a k with b > m, block chains, the smallest rung of each
-    benchmark family (perfbench/corpus.py) at its k, and random graphs."""
+    up to 14 at a k with b > m, and at k = ceil(m / 2), where step 2 merges
+    tree vertices, windmills of K_{2,12} blades on one hub, block chains,
+    the smallest rung of each benchmark family (perfbench/corpus.py) at
+    its k, cycles below a hub joined to some of their vertices, and random
+    graphs."""
     tree = random_tree(20, 3)
-    for m in range(1, 13):
+    for m in range(1, 15):
         yield gen_multiple_tree(tree, m), (m + 1) // 2 + 1
+        yield gen_multiple_tree(random_tree(4, m), m), (m + 1) // 2
+    for blades in (1, 2, 7, 30):
+        yield gen_multiple_tree(star(blades), 12), 7
+    for length in range(10, 17):  # blocks at n - 1 = spokes + 3 .. spokes + 5
+        for spokes in range(length - 5, length - 2):
+            yield spoked_cycle(length, spokes), 3
     yield gen_multiple_tree(random_tree(60, 10), 3), 3
     for seed in range(40):
         for k in (2, 8):
@@ -704,17 +731,22 @@ def size_rule_cases():
         yield g, 3
 
 
-def size_rule_fires(n, min_degree, cut):
+def size_rule_fires(n, min_degree, cut, cut_degree):
     """Where `partition_by_size` must decide a block: the fallbacks of
-    `partition_isolated` and `partition_rooted` at width min_degree."""
+    `partition_isolated` and `partition_rooted` at width min_degree, and
+    the leaf test of the one component below cut."""
     if cut is None:
         return n <= min_degree + 2
-    return n <= CONSTANTS.window_low(min_degree) + 1
+    return n <= CONSTANTS.window_low(min_degree) + 1 or n - 1 <= cut_degree + min_degree + 1
+
+
+def in_degree(g, blk, v):
+    blkset = set(blk)
+    return sum(u in blkset for u in g.adj[v])
 
 
 def min_in_degree(g, blk):
-    blkset = set(blk)
-    return min(sum(u in blkset for u in g.adj[v]) for v in blk)
+    return min(in_degree(g, blk, v) for v in blk)
 
 
 def step2_cases():
@@ -866,7 +898,8 @@ def test_build_gb_matches_flow_per_pair_on_random_graphs(b):
         pairs = candidate_pairs(td)
         want = ref_build_gb(g, b, pairs)
         assert build_gb(g, b, pairs) == want, idx
-        assert build_gb(g, b, _step2_pairs(g, td, b)) == want, idx
+        own = eliminate(g, "min-fill" if idx % 2 else "min-degree", idx % 4)[1]
+        assert build_gb(g, b, _step2_pairs(g, own, b)) == want, idx
 
 
 @pytest.mark.parametrize(
@@ -875,9 +908,72 @@ def test_build_gb_matches_flow_per_pair_on_random_graphs(b):
 def test_build_gb_matches_flow_per_pair_on_structured_graphs(g, b):
     pairs = list(itertools.combinations(range(g.n), 2))
     assert build_gb(g, b, pairs) == ref_build_gb(g, b, pairs)
-    td = heuristic_td(g)
-    want = ref_build_gb(g, b, candidate_pairs(td))
-    assert build_gb(g, b, _step2_pairs(g, td, b)) == want
+    want = ref_build_gb(g, b, candidate_pairs(heuristic_td(g)))
+    assert build_gb(g, b, _step2_pairs(g, eliminate(g)[1], b)) == want
+
+
+def pair_cases():
+    """(graph, b) runs of step 2's pair listing: random graphs, twin
+    blow-ups, tree multiples with m = 2..14 at b = m - 1, m, m + 1, K_{a,N}
+    at b = a, a + 1, fans, grids and walls, and all of them at b = 2, 3."""
+    rng = random.Random(15)
+    graphs = [(g, ()) for g in random_corpus()[::3]]
+    graphs += [(blow_up(random_graph(rng.randint(3, 9), 0.3, 6000 + i), rng), ()) for i in range(30)]
+    graphs += [(gen_multiple_tree(random_tree(6, m), m), (m - 1, m, m + 1)) for m in range(2, 15)]
+    graphs += [(gen_complete_bipartite(a, n), (a, a + 1)) for a, n in ((1, 30), (2, 12), (3, 20), (10, 30))]
+    graphs += [(gen_fan(n), (4,)) for n in (10, 40)]
+    graphs += [(make(side), (4,)) for make in (gen_grid, gen_wall) for side in (5, 8)]
+    for g, extra in graphs:
+        for b in sorted({2, 3, *extra}):
+            yield g, b
+
+
+@pytest.mark.parametrize("strategy", ["min-degree", "min-fill"])
+def test_step2_pairs_are_the_co_bagged_pairs_less_adjacent_tight_ones(strategy):
+    """Listed from each vertex's own bag, step 2's pairs are the co-bagged
+    pairs of vertices of degree >= b less the adjacent ones with an
+    endpoint of degree exactly b, for `_step1`'s elimination and for an
+    imported (balanced) decomposition read through its top bags; G^b is
+    the per-pair flow oracle's on all co-bagged pairs, so keeping the
+    adjacent tight pairs would not change it.  Listing only (h, y) with
+    y > h, or dropping every pair with an endpoint of degree b, would: G^b
+    of a sublist of the pairs is G^b restricted to it, since `build_gb`
+    decides each pair on its own."""
+    params = PipelineParams(k=1, step1="heur:" + strategy, seed=1)
+    differ = {"y > h only": 0, "no degree-b endpoint": 0}
+    imported = 0
+    for idx, (g, b) in enumerate(pair_cases()):
+        td = heuristic_td(g, strategy, 1)
+        w, own, tree = _step1(g, params, range(g.n), 0, None)
+        assert w == td.width() and same_td(tree(), td), idx
+        deg = [g.degree(v) for v in range(g.n)]
+        high = {v for v in range(g.n) if deg[v] >= b}
+
+        def listed(t):
+            return [
+                (u, v) for u, v in candidate_pairs(t, high)
+                if b not in (deg[u], deg[v]) or not g.has_edge(u, v)
+            ]
+
+        pairs = _step2_pairs(g, own, b)
+        assert pairs == listed(td), idx
+        gb = build_gb(g, b, pairs)
+        assert gb == ref_build_gb(g, b, candidate_pairs(td, high)), idx
+        mutants = {
+            "y > h only": {(h, y) for h in high for y in own[h] if y > h and y in high},
+            "no degree-b endpoint": {(u, v) for u, v in pairs if b not in (deg[u], deg[v])},
+        }
+        for name, mutant in mutants.items():
+            differ[name] += not mutant.issuperset(gb.edges())
+        if len(connected_components(g)) == 1:
+            balanced = balance_td(g, td)
+            imports = PipelineParams(k=1, step1="import", import_td=balanced)
+            w, own, _ = _step1(g, imports, range(g.n), 0, _td_index(balanced))
+            assert w == balanced.width(), idx
+            assert _step2_pairs(g, own, b) == listed(balanced), idx
+            imported += 1
+    assert differ["y > h only"] >= 100 and differ["no degree-b endpoint"] >= 25, differ
+    assert imported > 150, imported
 
 
 def block_partitions(g):
@@ -967,8 +1063,8 @@ def test_size_rule_matches_full_block_path(monkeypatch):
     fired = []  # one flag per rule call of the current component
     combined = []  # (h, bf, per_block, flags) per combine_blocks call
 
-    def rule(block, min_degree, cut):
-        tp = real_rule(block, min_degree, cut) if use_rule[0] else None
+    def rule(block, min_degree, cut, cut_degree):
+        tp = real_rule(block, min_degree, cut, cut_degree) if use_rule[0] else None
         fired.append(tp is not None)
         return tp
 
@@ -995,8 +1091,9 @@ def test_size_rule_matches_full_block_path(monkeypatch):
             for bidx, blk in enumerate(bf.blocks):
                 assert same_td(per_block[bidx], per_block_full[bidx]), (idx, blk)
                 cut = bf.parent_cut[bidx]
+                d_cut = 0 if cut is None else in_degree(h, blk, cut)
                 assert flags[bidx] == size_rule_fires(
-                    len(blk), min_in_degree(h, blk), cut
+                    len(blk), min_in_degree(h, blk), cut, d_cut
                 ), (idx, blk)
                 shortcuts += flags[bidx]
                 full += not flags[bidx]
@@ -1020,7 +1117,10 @@ def test_size_rule_matches_partitioner_in_both_roles():
             btd = balance_td(sub, _extract_sub_td(td, new_id, index))
             low = min_in_degree(sub, range(sub.n))
             for cut in [None] + list(range(sub.n)):
-                got = partition_by_size(blk, low, None if cut is None else old[cut])
+                if cut is None:
+                    got = partition_by_size(blk, low)
+                else:
+                    got = partition_by_size(blk, low, old[cut], sub.degree(cut))
                 if got is None:
                     continue
                 if cut is None:
@@ -1059,24 +1159,27 @@ def extraction_cases():
 
 def test_block_extraction_keeps_the_nodes_meeting_block_minus_cut(monkeypatch):
     """On the pipeline's own quotients and their reduced decompositions
-    (`_quotient_td`, built from the captured step-1 decomposition and
-    quotient), every block's extraction equals the full scan for the nodes
-    meeting the block minus its parent cutvertex (for a root block, the
-    nodes meeting the block), has a tree for its tree, and is a
-    decomposition of the block."""
+    (`_quotient_td`, built from the step-1 decomposition `heuristic_td` of
+    the captured component, which step 4 must be handed when it builds one,
+    and the captured quotient), every block's extraction equals the full
+    scan for the nodes meeting the block minus its parent cutvertex (for a
+    root block, the nodes meeting the block), has a tree for its tree, and
+    is a decomposition of the block."""
     seen = {}  # the last component's graph, decomposition and quotient
-    real_heuristic = pipeline.heuristic_td
     real_reduction = pipeline.b_reduction
+    real_quotient_td = pipeline._quotient_td
     real_combine = pipeline.combine_blocks
-    counts = {"root": 0, "below_cut": 0, "below_cut_3+": 0, "merged": 0}
+    counts = {"root": 0, "below_cut": 0, "below_cut_3+": 0, "merged": 0, "built": 0}
 
-    def heuristic(g, *args):
-        seen["g"], seen["td"] = g, real_heuristic(g, *args)
-        return seen["td"]
-
-    def reduction(g, gb):
-        seen["red"] = real_reduction(g, gb)
+    def reduction(g, gb, parts=None):
+        seen["g"], seen["td"] = g, heuristic_td(g)
+        seen["red"] = real_reduction(g, gb, parts)
         return seen["red"]
+
+    def quotient_td(td, red, gc):
+        assert same_td(td, seen["td"]) and red is seen["red"] and gc is seen["g"]
+        counts["built"] += 1
+        return real_quotient_td(td, red, gc)
 
     def combine(h, bf, per_block):
         td = _quotient_td(seen["td"], seen["red"], seen["g"])  # step 4's decomposition
@@ -1096,8 +1199,8 @@ def test_block_extraction_keeps_the_nodes_meeting_block_minus_cut(monkeypatch):
             counts["below_cut_3+"] += cut is not None and len(blk) > 2
         return real_combine(h, bf, per_block)
 
-    monkeypatch.setattr(pipeline, "heuristic_td", heuristic)
     monkeypatch.setattr(pipeline, "b_reduction", reduction)
+    monkeypatch.setattr(pipeline, "_quotient_td", quotient_td)
     monkeypatch.setattr(pipeline, "combine_blocks", combine)
     for g, k in extraction_cases():
         before = counts["below_cut"]
@@ -1106,6 +1209,7 @@ def test_block_extraction_keeps_the_nodes_meeting_block_minus_cut(monkeypatch):
         counts["merged"] += merged and counts["below_cut"] > before
     assert counts["root"] > 250 and counts["below_cut"] > 900, counts
     assert counts["below_cut_3+"] > 300 and counts["merged"] >= 10, counts
+    assert counts["built"] > 50, counts
 
 
 def test_reduce_td_matches_contraction_by_contraction():
