@@ -202,41 +202,6 @@ def test_import_index_is_built_once(monkeypatch):
     assert sum(t is td for t in indexed) == 1
 
 
-def test_rejects_and_size_ruled_inputs_build_no_decomposition(monkeypatch):
-    """Step 1 keeps its elimination order and builds the decomposition's
-    tree only when step 4 first needs it: never on the rejects of the
-    `flow_reject` workload, on paths, stars or the fan reject, and once on
-    grid 40.  Step 2 hands `build_gb` no pair its degree bound rejects,
-    so a fan's adjacent pairs of degree-b vertices never reach it."""
-    built, listed = [], []
-    real_build = treewidth._td_from_elimination
-    real_gb = pipeline.build_gb
-
-    def build(*args):
-        built.append(args[0])
-        return real_build(*args)
-
-    def gb(g, b, pairs):
-        listed.append(len(pairs))
-        return real_gb(g, b, pairs)
-
-    for owner in (pipeline, treewidth):
-        monkeypatch.setattr(owner, "_td_from_elimination", build)
-    monkeypatch.setattr(pipeline, "build_gb", gb)
-
-    def counted(g, k):
-        built.clear()
-        listed.clear()
-        return run(g, PipelineParams(k=k)).accepted, len(built)
-
-    for inst in corpus.build("flow_reject", 1):
-        assert counted(inst.graph, inst.k) == (False, 0), inst.label
-    assert counted(Graph(2000, [(i, i + 1) for i in range(1999)]), 2) == (True, 0)
-    assert counted(gen_complete_bipartite(1, 3000), 1) == (True, 0)
-    assert counted(gen_fan(1000), 2) == (False, 0) and listed == [0]
-    assert counted(gen_grid(40), 16) == (True, 1)
-
-
 def test_size_rule_skips_block_decompositions(monkeypatch):
     calls = {"balance_td": 0, "_extract_sub_td": 0}
     for name in calls:
@@ -261,10 +226,14 @@ def test_size_rule_skips_block_decompositions(monkeypatch):
 
 
 def test_step4_builds_one_reduced_decomposition_on_first_need(monkeypatch):
-    """Step 4 reduces the quotient's decomposition once, for the first
-    block the size rule leaves, and reads it in place for a block that is
-    all of H; blocks the size rule decides, and rejects, build nothing."""
-    calls = {"reduce_td": 0, "_td_index": 0, "_extract_sub_td": 0}
+    """Step 1 keeps its elimination order, and the first block the size
+    rule leaves builds the decomposition's tree from it and reduces it,
+    once; a block that is all of H reads it in place.  Blocks the size
+    rule decides, and rejects (every `flow_reject` instance), build
+    nothing.  Step 2 hands `build_gb` no pair its degree bound rejects, so
+    a fan's adjacent pairs of degree-b vertices never reach it."""
+    calls = {"_td_from_elimination": 0, "reduce_td": 0, "_td_index": 0, "_extract_sub_td": 0}
+    listed = []
     for name in calls:
         real = getattr(pipeline, name)
 
@@ -273,19 +242,29 @@ def test_step4_builds_one_reduced_decomposition_on_first_need(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(pipeline, name, counting)
+        if name == "_td_from_elimination":  # also behind heuristic_td
+            monkeypatch.setattr(treewidth, name, counting)
+    real_gb = pipeline.build_gb
+    monkeypatch.setattr(pipeline, "build_gb", lambda g, b, pairs: listed.append(len(pairs)) or real_gb(g, b, pairs))
 
     def counted(g, k):
         calls.update(dict.fromkeys(calls, 0))
+        listed.clear()
         return run(g, PipelineParams(k=k)).accepted, dict(calls)
 
     # grid 40 is one block and its own quotient
-    assert counted(gen_grid(40), 16) == (True, {"reduce_td": 1, "_td_index": 0, "_extract_sub_td": 0})
+    assert counted(gen_grid(40), 16) == (
+        True, {"_td_from_elimination": 1, "reduce_td": 1, "_td_index": 0, "_extract_sub_td": 0}
+    )
     accepted, wall = counted(gen_wall(40), 16)
-    assert accepted and wall["reduce_td"] == 1
+    assert accepted and wall["_td_from_elimination"] == wall["reduce_td"] == 1
     none = dict.fromkeys(calls, 0)
     assert counted(Graph(2000, [(i, i + 1) for i in range(1999)]), 2) == (True, none)
     assert counted(gen_complete_bipartite(1, 3000), 1) == (True, none)
     assert counted(gen_fan(7), 2) == (False, none)
+    for inst in corpus.build("flow_reject", 1):
+        assert counted(inst.graph, inst.k) == (False, none), inst.label
+    assert counted(gen_fan(1000), 2) == (False, none) and listed == [0]
 
 
 def test_one_block_input_is_never_copied(monkeypatch):
