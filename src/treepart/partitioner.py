@@ -1,9 +1,10 @@
 """Tree-partition construction from a tree decomposition under a degree
-bound: balanced-separator walk, boundary recursion with an optional rooted
-or isolated-vertex contract, combination of per-block partitions across
-cutvertices, and expansion of quotient vertices.
+bound: balanced-separator walk, one loop over a stack of boundary jobs
+with an optional rooted or isolated-vertex contract (no recursion, so long
+thin blocks need no deep call stack), combination of per-block partitions
+across cutvertices, and expansion of quotient vertices.
 
-The recursion is correctness-first: every output passes the tree-partition
+The job loop is correctness-first: every output passes the tree-partition
 verifier unconditionally; realized widths are tracked empirically against
 the reference bound rather than enforced.
 """
@@ -141,14 +142,12 @@ def _group_components(comps, boundaries, cap: float):
     groups = []  # (component index list, total boundary)
     for i in order:
         size = len(boundaries[i])
-        placed = False
         for grp in groups:
             if grp[1] + size <= cap:
                 grp[0].append(i)
                 grp[1] += size
-                placed = True
                 break
-        if not placed:
+        else:
             groups.append([[i], size])
     out = []
     for idx, _ in groups:
@@ -162,68 +161,78 @@ def _group_components(comps, boundaries, cap: float):
     return out
 
 
-class _Builder:
-    def __init__(self):
-        self.bags = []
-        self.edges = []
+def _partition(g: Graph, td: TreeDecomposition, bags, jobs):
+    """Run the jobs (universe, s_set, parent) of a partition of g whose
+    first bags are `bags`; returns (bags, tree edges, node of each job
+    whose parent is None).
 
-    def emit(self, bag) -> int:
-        self.bags.append(sorted(bag))
-        return len(self.bags) - 1
-
-
-def _partition_into(g, td, tables, width, builder, universe, s_set) -> int:
-    """Recursive boundary construction; returns the root node id of the
-    subtree built for g[universe], whose root bag contains s_set."""
-    if len(universe) <= len(s_set) + width + 1:
-        return builder.emit(universe)
-    sep_node = _separator_walk(g, td, tables, universe, s_set)
-    bag = s_set | (set(td.bags[sep_node]) & universe)
-    if not bag:
-        bag = {min(universe)}
-    root = builder.emit(bag)
-    comps = [set(c) for c in connected_components(g, universe - bag)]
-    touched = set().union(*(g.adj[v] for v in bag))
-    boundaries = [comp & touched for comp in comps]
-    for sub_universe, sub_s in _group_components(
-        comps, boundaries, CONSTANTS.window_low(width)
-    ):
-        child = _partition_into(g, td, tables, width, builder, sub_universe, sub_s)
-        builder.edges.append((root, child))
-    return root
-
-
-def _rooted_td(td: TreeDecomposition) -> TreeDecomposition:
-    if td.root is not None:
-        return td
-    return TreeDecomposition(td.bags, td.tree_edges, root=0)
+    A job's bag is its whole universe when that is small, else s_set plus
+    the restricted balanced-separator bag for s_set.  The components of
+    the rest, grouped by boundary size, become child jobs whose s_sets are
+    their neighbourhoods of the bag; when the whole boundary fits one
+    group, the rest is the one child job and is never split.  A node's bag
+    is appended when its job is popped, and the edge (parent, node) is
+    pushed below its child jobs, so it lands right after its subtree.
+    """
+    if td.root is None:
+        td = TreeDecomposition(td.bags, td.tree_edges, root=0)
+    tables = _walk_tables(g, td)
+    width = td.width()
+    cap = CONSTANTS.window_low(width)
+    edges = []
+    tops = []
+    stack = jobs[::-1]
+    while stack:
+        job = stack.pop()
+        if len(job) == 2:  # an edge (parent, node) whose subtree is done
+            edges.append(job)
+            continue
+        universe, s_set, parent = job
+        node = len(bags)
+        if parent is None:
+            tops.append(node)
+        else:
+            stack.append((parent, node))
+        if len(universe) <= len(s_set) + width + 1:
+            bags.append(sorted(universe))
+            continue
+        sep_node = _separator_walk(g, td, tables, universe, s_set)
+        bag = s_set | (set(td.bags[sep_node]) & universe)
+        if not bag:
+            bag = {min(universe)}
+        bags.append(sorted(bag))
+        rest = universe - bag
+        touched = set().union(*(g.adj[v] for v in bag))
+        boundary = rest & touched
+        if len(boundary) <= cap:
+            # component boundaries are disjoint, so first-fit decreasing
+            # would put every component into one group
+            stack.append((rest, boundary, node))
+            continue
+        comps = [set(c) for c in connected_components(g, rest)]
+        groups = _group_components(comps, [comp & touched for comp in comps], cap)
+        stack.extend((u, s, node) for u, s in reversed(groups))
+    return bags, edges, tops
 
 
 def partition_rooted(g: Graph, td: TreeDecomposition, s_set) -> TreePartition:
     """Tree-partition of g whose root bag contains s_set.
 
-    The root bag is s_set plus a balanced-separator bag for it; components
-    of the remainder are grouped by boundary size and recursed with their
-    neighborhoods of the root bag as the next contract sets.
+    Each component of g is one job with its share of s_set: its root bag
+    is that share plus a balanced-separator bag for it, and the components
+    of the remainder, grouped by boundary size, become child jobs with
+    their neighbourhoods of the bag as their s_sets.  The first
+    component's root is the root; the others hang below it.
     """
     s_set = set(s_set)
     if any(not (0 <= v < g.n) for v in s_set):
         raise ValueError("s_set outside the vertex range")
     if g.n == 0:
         return TreePartition([], [], root=None)
-    td = _rooted_td(td)
-    tables = _walk_tables(g, td)
-    width = td.width()
-    builder = _Builder()
-    roots = []
-    for comp in connected_components(g):
-        comp = set(comp)
-        roots.append(
-            _partition_into(g, td, tables, width, builder, comp, s_set & comp)
-        )
-    for extra in roots[1:]:
-        builder.edges.append((roots[0], extra))
-    return TreePartition(builder.bags, builder.edges, root=roots[0])
+    jobs = [(comp, s_set & comp, None) for comp in map(set, connected_components(g))]
+    bags, edges, roots = _partition(g, td, [], jobs)
+    edges += [(roots[0], extra) for extra in roots[1:]]
+    return TreePartition(bags, edges, root=roots[0])
 
 
 def partition_isolated(g: Graph, td: TreeDecomposition, v: int) -> TreePartition:
@@ -235,22 +244,16 @@ def partition_isolated(g: Graph, td: TreeDecomposition, v: int) -> TreePartition
     """
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
-    td = _rooted_td(td)
     width = td.width()
     if g.n == 1:
         return TreePartition([[v]], [], root=0)
     if g.n <= CONSTANTS.window_low(width) + 1:
         rest = sorted(u for u in range(g.n) if u != v)
         return TreePartition([[v], rest], [(0, 1)], root=0)
-    tables = _walk_tables(g, td)
-    builder = _Builder()
-    root = builder.emit({v})
     nv = set(g.adj[v])
-    for comp in connected_components(g, set(range(g.n)) - {v}):
-        comp = set(comp)
-        child = _partition_into(g, td, tables, width, builder, comp, nv & comp)
-        builder.edges.append((root, child))
-    return TreePartition(builder.bags, builder.edges, root=root)
+    comps = connected_components(g, set(range(g.n)) - {v})
+    bags, edges, _ = _partition(g, td, [[v]], [(c, nv & c, 0) for c in map(set, comps)])
+    return TreePartition(bags, edges, root=0)
 
 
 def partition_by_size(block, min_degree: int, cut=None, cut_degree=0) -> TreePartition | None:
@@ -268,9 +271,9 @@ def partition_by_size(block, min_degree: int, cut=None, cut_degree=0) -> TreePar
     min_degree: the two bags {cut}, rest when n <= window_low(w) + 1, and
     the single bag when n <= 1 + w + 1.  Below cut the two bags also come
     when n - 1 <= cut_degree + w + 1: block - cut, connected as a block of
-    three or more vertices is 2-connected, is then the one component
-    `partition_isolated` recurses on, with contract N(cut), and that call's
-    leaf test |universe| <= |contract| + w + 1 emits it whole.
+    three or more vertices is 2-connected, is then the one component job
+    of `partition_isolated`, with contract N(cut), and that job's leaf
+    test |universe| <= |contract| + w + 1 emits it whole.
     """
     n = len(block)
     if cut is not None and (

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import random
-import sys
 
 from .decomp import TreeDecomposition
 from .exact import CapacityError, _bits
@@ -563,12 +562,7 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
             out_edges.append((inter, children[2]))
         return node
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * len(nb) + 100))
-    try:
-        build(0, len(nb), [])
-    finally:
-        sys.setrecursionlimit(old_limit)
+    build(0, len(nb), [])  # recurses only as deep as the O(log N) output tree
     return TreeDecomposition(out_bags, out_edges, root=0)
 
 

@@ -27,6 +27,13 @@ def test_decompose_accept_and_verify(tmp_path, capsys):
     assert [ln.split()[0] for ln in lines] == [f"step=step{i}" for i in range(1, 6)]
 
 
+def test_decompose_accepts_a_long_cycle(tmp_path, capsys):
+    n = 6000
+    src = write_gr(tmp_path, "c.gr", Graph(n, [(i, (i + 1) % n) for i in range(n)]))
+    assert main(["decompose", "-k", "2", src]) == 0
+    assert "RESULT status=accept" in capsys.readouterr().out
+
+
 def test_decompose_reject_exit_code(tmp_path, capsys):
     k5 = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
     src = write_gr(tmp_path, "k5.gr", k5)

@@ -2,8 +2,8 @@
 contraction of `reduce_td`, the indexed block extraction, the subtree-size
 split choice of `balance_td`, the block forest, step 2's listing of
 pairs from each vertex's own bag, the flow-saving tests of `build_gb`,
-the heavy-component separator walk, the component join of
-`combine_blocks` and step 4's size rule must return exactly what the
+the heavy-component separator walk, the partitioner's job loop, the
+component join of `combine_blocks` and step 4's size rule must return exactly what the
 straightforward versions return.
 
 The straightforward versions are kept here as reference oracles: one `min`
@@ -16,8 +16,9 @@ component search per split candidate, a block-forest search that expands
 a cutvertex from every block holding it, one pair listing per bag, one
 whole-graph flow per pair the degree bound keeps, a separator walk that
 counts wset vertices per child subtree and falls back to scanning every
-node, a union-find join of the combined partition's tree components, and
-step 4's full per-block path (extract, balance, partition) for every
+node, the recursive boundary construction (one call per bag, every
+component listed and grouped), a union-find join of the combined
+partition's tree components, and step 4's full per-block path (extract, balance, partition) for every
 block.  Bags, tree edges (in order), roots, block forests, auxiliary
 graphs and separator nodes must match, so a drift in a tie-break, in edge
 order or in a pruning test fails.
@@ -480,6 +481,77 @@ def ref_separator_walk(g, td, tables, universe, wset):
         if balanced(node):
             return node, True
     raise AssertionError("no balanced separator bag found")
+
+
+class RefBuilder:
+    def __init__(self):
+        self.bags = []
+        self.edges = []
+
+    def emit(self, bag) -> int:
+        self.bags.append(sorted(bag))
+        return len(self.bags) - 1
+
+
+def ref_partition_into(g, td, tables, width, builder, universe, s_set) -> int:
+    """The recursive boundary construction, one call per bag; returns the
+    root node id of the subtree built for g[universe], whose root bag
+    contains s_set."""
+    if len(universe) <= len(s_set) + width + 1:
+        return builder.emit(universe)
+    sep_node = partitioner._separator_walk(g, td, tables, universe, s_set)
+    bag = s_set | (set(td.bags[sep_node]) & universe)
+    if not bag:
+        bag = {min(universe)}
+    root = builder.emit(bag)
+    comps = [set(c) for c in connected_components(g, universe - bag)]
+    touched = set().union(*(g.adj[v] for v in bag))
+    boundaries = [comp & touched for comp in comps]
+    for sub_universe, sub_s in partitioner._group_components(
+        comps, boundaries, CONSTANTS.window_low(width)
+    ):
+        child = ref_partition_into(g, td, tables, width, builder, sub_universe, sub_s)
+        builder.edges.append((root, child))
+    return root
+
+
+def ref_rooted_td(td):
+    return td if td.root is not None else TreeDecomposition(td.bags, td.tree_edges, root=0)
+
+
+def ref_partition_rooted(g, td, s_set):
+    s_set = set(s_set)
+    if g.n == 0:
+        return TreePartition([], [], root=None)
+    td = ref_rooted_td(td)
+    tables = partitioner._walk_tables(g, td)
+    builder = RefBuilder()
+    roots = []
+    for comp in connected_components(g):
+        comp = set(comp)
+        roots.append(ref_partition_into(g, td, tables, td.width(), builder, comp, s_set & comp))
+    for extra in roots[1:]:
+        builder.edges.append((roots[0], extra))
+    return TreePartition(builder.bags, builder.edges, root=roots[0])
+
+
+def ref_partition_isolated(g, td, v):
+    td = ref_rooted_td(td)
+    width = td.width()
+    if g.n == 1:
+        return TreePartition([[v]], [], root=0)
+    if g.n <= CONSTANTS.window_low(width) + 1:
+        rest = sorted(u for u in range(g.n) if u != v)
+        return TreePartition([[v], rest], [(0, 1)], root=0)
+    tables = partitioner._walk_tables(g, td)
+    builder = RefBuilder()
+    root = builder.emit({v})
+    nv = set(g.adj[v])
+    for comp in connected_components(g, set(range(g.n)) - {v}):
+        comp = set(comp)
+        child = ref_partition_into(g, td, tables, width, builder, comp, nv & comp)
+        builder.edges.append((root, child))
+    return TreePartition(builder.bags, builder.edges, root=root)
 
 
 def ref_combine_blocks(h, bf, per_block):
@@ -1025,6 +1097,35 @@ def test_separator_walk_matches_counting_walk(monkeypatch):
     assert len(walks) > 1000
     assert all(same for same, _ in walks)
     assert not any(scanned for _, scanned in walks)
+
+
+def test_job_loop_matches_recursive_construction():
+    """Both partitions, with rooted contracts {0} and random ones and with
+    random isolated vertices, on unbalanced and balanced decompositions,
+    and on balanced ones of cycles up to 3,000 vertices (the recursion is
+    about n/6 calls deep there): bags, tree edges in order and root match
+    the recursion's.  Nodes with several children and deep subtrees make
+    the child order and the edge order count."""
+    rng = random.Random(5)
+    graphs = random_corpus() + [gen_grid(m) for m in (10, 20, 30)]
+    graphs += [gen_wall(m) for m in (10, 20, 30)]
+    cases = []
+    for idx, g in enumerate(graphs):
+        td = heuristic_td(g, "min-fill" if idx % 2 else "min-degree", idx % 4)
+        cases += [(g, td), (g, balance_td(g, td))]
+    for n in (100, 1000, 3000):
+        g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        cases.append((g, balance_td(g, heuristic_td(g))))
+    branching = 0
+    for idx, (g, td) in enumerate(cases):
+        for s_set in ({0}, rng.sample(range(g.n), rng.randint(0, min(g.n, 8)))):
+            got = partition_rooted(g, td, s_set)
+            assert same_td(got, ref_partition_rooted(g, td, s_set)), idx
+            branching += len(got.tree_edges) > len({i for i, _ in got.tree_edges})
+        for v in rng.sample(range(g.n), min(g.n, 2)):
+            got = partition_isolated(g, td, v)
+            assert same_td(got, ref_partition_isolated(g, td, v)), (idx, v)
+    assert branching > 50, branching
 
 
 def test_combine_blocks_matches_union_find(monkeypatch):

@@ -55,6 +55,21 @@ def test_accept_paths_and_trees():
         assert verify_tp(g, out.tp) == out.width
 
 
+def ladder(n):
+    """The 2 x n grid."""
+    rails = [(r * n + i, r * n + i + 1) for r in (0, 1) for i in range(n - 1)]
+    return Graph(2 * n, rails + [(i, n + i) for i in range(n)])
+
+
+@pytest.mark.parametrize("g, k", [(cycle(6000), 2), (ladder(4000), 3)], ids=["cycle", "ladder"])
+def test_long_thin_blocks_are_accepted(g, k):
+    """One block about n/w separator levels long, more than Python's
+    default recursion limit, is partitioned and verified."""
+    out = run(g, PipelineParams(k=k))
+    assert out.accepted
+    assert verify_tp(g, out.tp) == out.width
+
+
 def test_reject_clique_with_certificate():
     out = run(complete(8), PipelineParams(k=1))
     assert not out.accepted
