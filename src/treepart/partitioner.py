@@ -78,45 +78,37 @@ def _heavy_vertex(g: Graph, universe, bag, wset):
     return None
 
 
-def _walk_tables(g: Graph, td: TreeDecomposition):
-    """`occupancy_tables(g, td)` plus the node adjacency, the tables every
-    separator walk of one partition reads."""
-    return occupancy_tables(g, td) + (td.node_adj(),)
-
-
 def _separator_walk(g: Graph, td: TreeDecomposition, tables, universe, wset):
     """Node whose restricted bag is a balanced separator of wset in
     g[universe], found by descending into the heavy component's subtree.
 
-    tables is `_walk_tables(g, td)`, built once per partition.
+    tables is `occupancy_tables(td)`, built once per partition.
 
     The heavy component H of a node t is connected and avoids t's bag, so
     the nodes whose bags meet H form a connected subtree of T - t.  It is
     below t: at the root every part of T - t is below it, and at a child t
     the heavy component of its parent lies in t's subtree and shares a
     wset vertex with H (each holds more than half of wset), which pins H
-    to a child subtree of t.  So top[x] of any x in H names the child to
-    step into, and that child's subtree holds more than half of wset, which
-    makes it the unique child with the most wset vertices.  Only an invalid
-    decomposition can leave no child holding H.  The component search
-    (`_heavy_vertex`) therefore returns just one vertex of H, and never
-    lists the other components.
+    to a child subtree of t.  So climbing parent pointers from top[x], for
+    any x in H, reaches the child to step into, and that child's subtree
+    holds more than half of wset, which makes it the unique child with the
+    most wset vertices.  Only an invalid decomposition can make the climb
+    pass t and end at -1.  The component search (`_heavy_vertex`)
+    therefore returns just one vertex of H, and never lists the other
+    components.
     """
-    top, tin, tout, adj = tables
+    top, parent = tables
     node = td.root
-    parent = -1
-    for _ in range(td.num_nodes):
+    while True:
         x = _heavy_vertex(g, universe, set(td.bags[node]) & universe, wset)
         if x is None:
             return node
-        t = tin[top[x]]
-        child = next(
-            (c for c in adj[node] if c != parent and tin[c] <= t <= tout[c]), None
-        )
-        if child is None:
-            break
-        parent, node = node, child
-    raise AssertionError("no balanced separator bag found")
+        child = top[x]
+        while parent[child] != node:
+            child = parent[child]
+            if child == -1:
+                raise AssertionError("no balanced separator bag found")
+        node = child
 
 
 def balanced_separator_bag(g: Graph, td: TreeDecomposition, wset) -> int:
@@ -128,8 +120,7 @@ def balanced_separator_bag(g: Graph, td: TreeDecomposition, wset) -> int:
     """
     if not wset:
         return td.root if td.root is not None else 0
-    tables = _walk_tables(g, td)
-    return _separator_walk(g, td, tables, set(range(g.n)), set(wset))
+    return _separator_walk(g, td, occupancy_tables(td), set(range(g.n)), set(wset))
 
 
 def _group_components(comps, boundaries, cap: float):
@@ -167,7 +158,8 @@ def _partition(g: Graph, td: TreeDecomposition, bags, jobs):
     whose parent is None).
 
     A job's bag is its whole universe when that is small, else s_set plus
-    the restricted balanced-separator bag for s_set.  The components of
+    the restricted balanced-separator bag for s_set, from a walk that reads
+    the one `occupancy_tables(td)` built here.  The components of
     the rest, grouped by boundary size, become child jobs whose s_sets are
     their neighbourhoods of the bag; when the whole boundary fits one
     group, the rest is the one child job and is never split.  A node's bag
@@ -176,7 +168,7 @@ def _partition(g: Graph, td: TreeDecomposition, bags, jobs):
     """
     if td.root is None:
         td = TreeDecomposition(td.bags, td.tree_edges, root=0)
-    tables = _walk_tables(g, td)
+    tables = occupancy_tables(td)
     width = td.width()
     cap = CONSTANTS.window_low(width)
     edges = []

@@ -183,7 +183,7 @@ def _step1(gc: Graph, params: PipelineParams, old_ids, lb: int, import_index):
     if params.step1 == "import":
         new_id = {v: i for i, v in enumerate(old_ids)}
         td = _extract_sub_td(params.import_td, new_id, import_index)
-        top = occupancy_tables(gc, td)[0]
+        top = occupancy_tables(td)[0]
         return td.width(), [td.bags[top[v]] for v in range(gc.n)], lambda: td
     if params.step1 == "exact":
         found = next(filter(None, (exact_elimination(gc, w) for w in range(max(lb, 0), gc.n))))

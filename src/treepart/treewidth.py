@@ -390,15 +390,24 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
     """Rebalance a decomposition to a rooted binary tree of logarithmic depth.
 
     The tree is first binarized (high-degree nodes expand into chains of
-    duplicate bags), then recursively split.  A region of the tree carries
-    at most two boundary edges to the outside; each new node's bag is the
-    split node's bag united with the bags just outside the boundary edges,
-    so bags combine at most three input bags: width <= 3*w(td) + 2.
+    duplicate bags), then split by one loop over a stack of jobs.  A region
+    of the tree carries at most two boundary edges to the outside; each new
+    node's bag is the split node's bag united with the bags just outside
+    the boundary edges, so bags combine at most three input bags: width <=
+    3*w(td) + 2.
 
     Split-node choice alternates implicitly between pure centroids (at most
     one boundary edge) and nodes on the path between the two boundary
     attachment points (chosen so both boundary-retaining components at most
     halve), which bounds the depth by O(log #nodes).
+
+    A split job (start, r, boundary, siblings) splits the region of r nodes
+    holding start, whose boundary edges are (outside node, attachment node)
+    pairs, emits the new node's bag and appends its id to siblings.  Its
+    finish job (node, bag, children) goes on the stack below the split jobs
+    of its parts, pushed in reverse order, so the parts' subtrees are
+    emitted in order and a node's tree edges land after theirs; a node with
+    three children gets an intermediate node of the same bag at its finish.
 
     Cost: O(r) per region of r binarized nodes, so O(N log N) for N
     nodes.  A region is a component of the binarized tree minus the split
@@ -451,150 +460,122 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
             badj[u].append(v)
             badj[v].append(u)
 
-    # --- recursive splitting --------------------------------------------
+    # --- splitting -----------------------------------------------------
     out_bags = []
     out_edges = []
-
-    def emit(bag) -> int:
-        out_bags.append(sorted(bag))
-        return len(out_bags) - 1
-
     split = [False] * len(nb)  # split nodes chosen so far
-    size = [0] * len(nb)  # subtree sizes of the region rooted by walk()
-    up = [-1] * len(nb)  # parents of the region rooted by walk()
-    heavy = [0] * len(nb)  # largest child subtree of the region rooted by walk()
-    pos = [0] * len(nb)  # preorder positions of the region rooted by walk()
-
-    def walk(root) -> list:
-        """List root's region in preorder from root, filling
-        size/up/heavy/pos; every subtree is a slice of the list."""
-        up[root] = -1
-        order = []
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            pos[u] = len(order)
-            order.append(u)
-            size[u] = 1
-            heavy[u] = 0
-            for v in badj[u]:
-                if v != up[u] and not split[v]:
-                    up[v] = u
-                    stack.append(v)
-        for u in reversed(order[1:]):
-            p = up[u]
-            size[p] += size[u]
-            if size[u] > heavy[p]:
-                heavy[p] = size[u]
-        return order
-
-    def build(start, r, boundary) -> int:
-        """Split the region of r nodes holding start, whose boundary
-        edges are (outside node, attachment node) pairs."""
+    size = [0] * len(nb)  # subtree sizes of the region's walk
+    up = [-1] * len(nb)  # parents of the region's walk
+    heavy = [0] * len(nb)  # largest child subtree of the region's walk
+    pos = [0] * len(nb)  # preorder positions of the region's walk
+    stack = [(0, len(nb), [], [])]
+    while stack:
+        job = stack.pop()
+        if len(job) == 3:  # finish: the subtrees of node's children are done
+            node, bag, children = job
+            if len(children) <= 2:
+                out_edges += [(node, ch) for ch in children]
+            else:
+                inter = len(out_bags)
+                out_bags.append(bag)
+                out_edges += [(node, children[0]), (node, inter)]
+                out_edges += [(inter, children[1]), (inter, children[2])]
+            continue
+        start, r, boundary, siblings = job
         parts = []  # (minimum node, size, entry node, boundary)
-        if r == 1:
-            c = start
-        else:
+        c = start
+        if r > 1:
+            # list the region in preorder from the attachment node a1 of
+            # its first boundary edge when it has two, else from start,
+            # with subtree sizes; every subtree is a slice of the list
+            root = boundary[0][1] if len(boundary) == 2 else start
+            up[root] = -1
+            region = []
+            todo = [root]
+            while todo:
+                u = todo.pop()
+                pos[u] = len(region)
+                region.append(u)
+                size[u] = 1
+                heavy[u] = 0
+                for v in badj[u]:
+                    if v != up[u] and not split[v]:
+                        up[v] = u
+                        todo.append(v)
+            for u in reversed(region[1:]):
+                p = up[u]
+                size[p] += size[u]
+                if size[u] > heavy[p]:
+                    heavy[p] = size[u]
             if len(boundary) <= 1:
                 # centroid: the components of region - c are the child
                 # subtrees of c and the r - size[c] nodes above it; descend
                 # into the child holding more than half of the region, then
                 # the node reached ties only with a child of exactly half
-                order = walk(start)
-                c = start
                 while True:
                     kids = [v for v in badj[c] if v != up[c] and not split[v]]
                     big = [v for v in kids if 2 * size[v] > r]
                     if not big:
                         break
                     c = big[0]
-                c = min(
-                    [c] + [v for v in kids if 2 * size[v] == r],
-                    key=lambda x: (max(heavy[x], r - size[x]), x),
-                )
+                best = (max(heavy[c], r - size[c]), c)
+                for v in kids:
+                    if 2 * size[v] == r:
+                        best = min(best, (max(heavy[v], r - size[v]), v))
             else:
                 # walk the a2 -> a1 path; rooted at a1, the component
                 # holding a1 is the part above the candidate, and the one
                 # holding a2 is the subtree of the path node below it
-                # (`below` nodes)
-                (_, a1), (_, a2) = boundary
-                order = walk(a1)
-                best = None
-                cand, below = a2, 0
-                while True:
-                    worst = max(r - size[cand], below)
-                    if best is None or (worst, cand) < best:
-                        best = (worst, cand)
-                    if cand == a1:
-                        break
-                    cand, below = up[cand], size[cand]
-                c = best[1]
+                c = boundary[1][1]
+                best = (r - size[c], c)
+                while c != root:
+                    c, below = up[c], size[c]
+                    best = min(best, (max(r - size[c], below), c))
+            c = best[1]
             lo, hi = pos[c], pos[c] + size[c]
             i = lo + 1
             while i < hi:
-                ch = order[i]
+                ch = region[i]
                 j = i + size[ch]
                 bnd = [(x, a) for x, a in boundary if i <= pos[a] < j]
-                parts.append((min(order[i:j]), j - i, ch, bnd))
+                parts.append((min(region[i:j]), j - i, ch, bnd))
                 i = j
             if r > size[c]:
                 bnd = [(x, a) for x, a in boundary if not lo <= pos[a] < hi]
-                low = min(order[:lo] + order[hi:])
+                low = min(region[:lo] + region[hi:])
                 parts.append((low, r - size[c], up[c], bnd))
             parts.sort()
         split[c] = True
         bag = set(nb[c])
         for x, _ in boundary:
             bag |= set(nb[x])
-        node = emit(bag)
+        bag = sorted(bag)
+        node = len(out_bags)
+        out_bags.append(bag)
+        siblings.append(node)
         children = []
-        for _, part_size, entry, bnd in parts:
+        stack.append((node, bag, children))
+        for _, part_size, entry, bnd in reversed(parts):
             bnd.append((c, entry))
-            children.append(build(entry, part_size, bnd))
-        if len(children) <= 2:
-            for ch in children:
-                out_edges.append((node, ch))
-        else:
-            inter = emit(bag)
-            out_edges.append((node, children[0]))
-            out_edges.append((node, inter))
-            out_edges.append((inter, children[1]))
-            out_edges.append((inter, children[2]))
-        return node
-
-    build(0, len(nb), [])  # recurses only as deep as the O(log N) output tree
+            stack.append((entry, part_size, bnd, children))
     return TreeDecomposition(out_bags, out_edges, root=0)
 
 
-def occupancy_tables(g: Graph, td: TreeDecomposition):
-    """Constant-time subtree-membership tables for a rooted decomposition.
+def occupancy_tables(td: TreeDecomposition):
+    """Occupancy tables of a rooted decomposition, as (top, parent).
 
-    Returns (top, tin, tout): top[v] is the highest node containing v, and
-    tin/tout are preorder intervals of the nodes.  Vertex v occupies a node
-    in the subtree of t iff tin[t] <= tin[top[v]] <= tout[t], or v lies in
-    the bag of t itself.
+    parent[t] is t's parent node, -1 at the root (`tree_bfs`), and top[v]
+    is the first node in breadth-first order whose bag holds v, which in a
+    valid decomposition is the highest node of v's occupancy subtree.  So v
+    occupies a node in the subtree of a node t outside its bag exactly when
+    climbing parent pointers from top[v] reaches t.
     """
     if td.root is None:
         raise ValueError("decomposition is not rooted")
-    adj = td.node_adj()
-    tin = [-1] * td.num_nodes
-    tout = [-1] * td.num_nodes
-    timer = 0
-    stack = [(td.root, -1, False)]
-    while stack:
-        u, p, closing = stack.pop()
-        if closing:
-            tout[u] = timer - 1
-            continue
-        tin[u] = timer
-        timer += 1
-        stack.append((u, p, True))
-        for v in adj[u]:
-            if v != p:
-                stack.append((v, u, False))
+    if not 0 <= td.root < td.num_nodes:
+        raise ValueError(f"root {td.root} is not a node")
+    parent, order = tree_bfs(td.node_adj(), td.root)
     top = {}
-    for i, bag in enumerate(td.bags):
-        for v in bag:
-            if v not in top or tin[i] < tin[top[v]]:
-                top[v] = i
-    return top, tin, tout
+    for i in reversed(order):
+        top.update(dict.fromkeys(td.bags[i], i))
+    return top, parent

@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines; each criterion is its own test so a failure pinpoints the clause.
 """
 
+import gc
 import itertools
 import json
 import math
@@ -366,13 +367,25 @@ def test_criterion_11_k3m_observation():
 
 
 def test_criterion_12_quadratic_time_smoke():
+    """Doubling n at most quintuples the time of a path run.  Each rung is
+    the best of 3 runs, each after a full collection and with the
+    collector paused, so a full collection of the test session's heap
+    (tens of milliseconds) never lands inside a timed run."""
     times = []
     for n in (1000, 2000, 4000):
         g = _path(n)
-        t0 = time.perf_counter()
-        out = run(g, PipelineParams(k=2))
-        times.append(time.perf_counter() - t0)
-        assert out.accepted and verify_tp(g, out.tp) == out.width
+        best = math.inf
+        for _ in range(3):
+            gc.collect()
+            gc.disable()
+            try:
+                t0 = time.perf_counter()
+                out = run(g, PipelineParams(k=2))
+                best = min(best, time.perf_counter() - t0)
+            finally:
+                gc.enable()
+            assert out.accepted and verify_tp(g, out.tp) == out.width
+        times.append(best)
     ratios = [times[i + 1] / times[i] for i in range(2)]
     _report(
         12,

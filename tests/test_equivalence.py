@@ -70,6 +70,7 @@ from treepart.treewidth import (
     balance_td,
     eliminate,
     heuristic_td,
+    occupancy_tables,
     reduce_td,
     treewidth_lower_bound,
 )
@@ -451,8 +452,10 @@ def ref_build_gb(g, b, pairs):
 def ref_separator_walk(g, td, tables, universe, wset):
     """The counting walk: step into the child whose subtree holds the most
     wset vertices, and scan every node if the walk runs out of children.
-    Returns (node, whether the scan ran)."""
-    top, tin, tout, _ = tables
+    A vertex is in a child's subtree when climbing parent pointers from
+    its top node reaches the child.  Returns (node, whether the scan
+    ran)."""
+    top, parent = tables
 
     def balanced(node):
         bag = set(td.bags[node]) & universe
@@ -462,21 +465,25 @@ def ref_separator_walk(g, td, tables, universe, wset):
             for comp in connected_components(g, universe - bag)
         )
 
+    def under(x, c):
+        while x not in (c, -1):
+            x = parent[x]
+        return x == c
+
     adj = td.node_adj()
     node = td.root
-    parent = -1
     for _ in range(td.num_nodes):
         if balanced(node):
             return node, False
-        children = [c for c in adj[node] if c != parent]
+        children = [c for c in adj[node] if c != parent[node]]
         if not children:
             break
         best = None
         for c in children:
-            count = sum(1 for v in wset if tin[c] <= tin[top[v]] <= tout[c])
+            count = sum(1 for v in wset if under(top[v], c))
             if best is None or (-count, c) < best:
                 best = (-count, c)
-        parent, node = node, best[1]
+        node = best[1]
     for node in range(td.num_nodes):
         if balanced(node):
             return node, True
@@ -524,7 +531,7 @@ def ref_partition_rooted(g, td, s_set):
     if g.n == 0:
         return TreePartition([], [], root=None)
     td = ref_rooted_td(td)
-    tables = partitioner._walk_tables(g, td)
+    tables = occupancy_tables(td)
     builder = RefBuilder()
     roots = []
     for comp in connected_components(g):
@@ -543,7 +550,7 @@ def ref_partition_isolated(g, td, v):
     if g.n <= CONSTANTS.window_low(width) + 1:
         rest = sorted(u for u in range(g.n) if u != v)
         return TreePartition([[v], rest], [(0, 1)], root=0)
-    tables = partitioner._walk_tables(g, td)
+    tables = occupancy_tables(td)
     builder = RefBuilder()
     root = builder.emit({v})
     nv = set(g.adj[v])

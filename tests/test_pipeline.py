@@ -1,3 +1,4 @@
+import gc
 import sys
 from pathlib import Path
 
@@ -411,3 +412,26 @@ def test_step1_lb_is_the_minor_min_degree_bound(monkeypatch):
 def test_exact_mode_rejects_on_the_bound_before_its_capacity():
     out = run(gen_grid(5), PipelineParams(k=2, step1="exact"))
     assert out.certificate == TreewidthLB(4, 3)
+
+
+@pytest.mark.parametrize(
+    "g, params",
+    [
+        (gen_grid(20), PipelineParams(k=4)),
+        (gen_wall(14), PipelineParams(k=3)),
+        (gen_multiple_tree(random_tree(18, 1), 12), PipelineParams(k=7)),
+        (gen_grid(12), PipelineParams(k=4, step1="import", import_td=heuristic_td(gen_grid(12)))),
+    ],
+    ids=["grid", "wall", "multitree", "import"],
+)
+def test_run_leaves_no_cyclic_garbage(g, params):
+    """A heuristic or imported run builds no reference cycle, so it frees
+    everything it made without the cyclic collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        out = run(g, params)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert out.accepted

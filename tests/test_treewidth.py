@@ -3,6 +3,8 @@ import math
 import random
 from collections import Counter
 
+import pytest
+
 from treepart import treewidth
 from treepart.decomp import TreeDecomposition, Violation, verify_td
 from treepart.families import (
@@ -131,16 +133,35 @@ def test_balance_td_bounds_random():
 
 
 def test_occupancy_tables_semantics():
-    g = path(10)
-    td = heuristic_td(g)
-    top, tin, tout = occupancy_tables(g, td)
-    # the reported top node always carries the vertex
-    for v in range(g.n):
-        assert v in td.bags[top[v]]
-    # subtree membership test agrees with direct bag scan for the root
-    root = td.root
-    for v in range(g.n):
-        assert tin[root] <= tin[top[v]] <= tout[root]
+    """On heuristic, balanced and random-order decompositions rooted at
+    random nodes: parent is the tree rooted there, top[v] holds v, and
+    every node holding v has top[v] as itself or an ancestor."""
+    rng = random.Random(3)
+    for seed in range(30):
+        g = random_graph(25, 0.15, seed)
+        td = heuristic_td(g, "min-fill" if seed % 2 else "min-degree", seed)
+        for t in (td, balance_td(g, td), random_order_td(g, seed)):
+            t = TreeDecomposition(t.bags, t.tree_edges, root=rng.randrange(t.num_nodes))
+            top, parent = occupancy_tables(t)
+            assert parent[t.root] == -1
+            assert sorted(map(sorted, t.tree_edges)) == sorted(
+                sorted((x, p)) for x, p in enumerate(parent) if p != -1
+            )
+            assert sorted(top) == list(range(g.n))
+            for i, bag in enumerate(t.bags):
+                for v in bag:
+                    assert v in t.bags[top[v]], (seed, v)
+                    x = i
+                    while x != top[v]:
+                        x = parent[x]
+                        assert x != -1, (seed, v, i)
+
+
+def test_occupancy_tables_reject_a_root_that_is_no_node():
+    td = heuristic_td(path(4))
+    for root in (None, -1, td.num_nodes):
+        with pytest.raises(ValueError):
+            occupancy_tables(TreeDecomposition(td.bags, td.tree_edges, root=root))
 
 
 def random_order_td(g, seed):
