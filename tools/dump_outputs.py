@@ -18,10 +18,14 @@ pins the current outputs:
     PYTHONPATH=src python tools/dump_outputs.py dump.json
     sha256sum -c tools/dump_outputs.sha256
 
-The corpus: both benchmark workloads (`perfbench/corpus.py`) at seeds 1
-and 2; 300 `random_graph(30, 0.1, s)` at k in {1, 2, 3, 5}; tree
-multiples; grids and walls of side 10, 20 and 30; windmills of 10 and 40
-`K_{2,12}` blades on one hub at k in {3, 7}.  The `treepart` on
+The corpus, in the default step-1 mode (min-degree, seed 0): both
+benchmark workloads (`perfbench/corpus.py`) at seeds 1 and 2; 300
+`random_graph(30, 0.1, s)` at k in {1, 2, 3, 5}; tree multiples; grids and
+walls of side 10, 20 and 30; windmills of 10 and 40 `K_{2,12}` blades on
+one hub at k in {3, 7}.  Then every other step-1 mode: exact on
+`random_graph(12, 0.3, s)` for s < 40 at k in {2, 3}, and min-fill,
+min-degree with seed 3 and an import of `heuristic_td(g, "min-fill", 1)`
+on the grids and walls at k in {3, 4, 8, 16}.  The `treepart` on
 PYTHONPATH is the one dumped, so pointing PYTHONPATH at another checkout's
 `src` dumps that version against the same corpus.  The dump exits 1 when
 any accept fails `verify_tp`.
@@ -41,31 +45,47 @@ from perfbench import corpus  # noqa: E402
 
 
 def _corpus():
-    """(family, label, graph, k) for every run of the dump."""
+    """(family, label, graph, params) for every run of the dump."""
     import treepart as tp
 
+    P = tp.PipelineParams
     for workload in sorted(corpus.WORKLOADS):
         for seed in (1, 2):
             for inst in corpus.build(workload, seed):
-                yield inst.family, f"{inst.label}@seed{seed}", inst.graph, inst.k
+                yield inst.family, f"{inst.label}@seed{seed}", inst.graph, P(inst.k)
     for s in range(300):
         g = tp.random_graph(30, 0.1, s)
         for k in (1, 2, 3, 5):
-            yield "random", f"random_graph(30,0.1,{s})", g, k
+            yield "random", f"random_graph(30,0.1,{s})", g, P(k)
     for nodes in (8, 20):
         for m in range(1, 13):
             g = tp.gen_multiple_tree(tp.random_tree(nodes, m), m)
             for k in range(1, 8):
-                yield "tree_multiple", f"multiple_tree({nodes},{m})", g, k
+                yield "tree_multiple", f"multiple_tree({nodes},{m})", g, P(k)
     for name, gen in (("grid", tp.gen_grid), ("wall", tp.gen_wall)):
         for side in (10, 20, 30):
             g = gen(side)
             for k in (2, 3, 4, 8, 16):
-                yield name, f"{name}/{side}", g, k
+                yield name, f"{name}/{side}", g, P(k)
     for blades in (10, 40):
         g = tp.gen_multiple_tree(tp.gen_complete_bipartite(1, blades), 12)
         for k in (3, 7):
-            yield "windmill", f"windmill/{blades}", g, k
+            yield "windmill", f"windmill/{blades}", g, P(k)
+    for s in range(40):
+        g = tp.random_graph(12, 0.3, s)
+        for k in (2, 3):
+            yield "exact", f"random_graph(12,0.3,{s})", g, P(k, step1="exact")
+    for name, gen in (("grid", tp.gen_grid), ("wall", tp.gen_wall)):
+        for side in (10, 20, 30):
+            g = gen(side)
+            imported = tp.heuristic_td(g, "min-fill", 1)
+            for k in (3, 4, 8, 16):
+                for mode, params in (
+                    ("min-fill", P(k, step1="heur:min-fill")),
+                    ("min-degree seed 3", P(k, seed=3)),
+                    ("import min-fill seed 1", P(k, step1="import", import_td=imported)),
+                ):
+                    yield f"{name} {mode}", f"{name}/{side} {mode}", g, params
 
 
 def _certificate(cert):
@@ -81,14 +101,14 @@ def _certificate(cert):
     return out
 
 
-def _record(family, label, g, k):
+def _record(family, label, g, params):
     import treepart as tp
 
-    out = tp.run(g, tp.PipelineParams(k=k))
+    out = tp.run(g, params)
     rec = {
         "family": family,
         "label": label,
-        "k": k,
+        "k": params.k,
         "accepted": out.accepted,
         "width": out.width,
         "certificate": _certificate(out.certificate),
