@@ -8,6 +8,7 @@ that downstream golden tests are reproducible.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 
@@ -61,15 +62,9 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         a = self.adj[u]
         if len(self.adj[v]) < len(a):
-            a, u, v = self.adj[v], v, u
-        lo, hi = 0, len(a)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if a[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(a) and a[lo] == v
+            a, v = self.adj[v], u
+        i = bisect.bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj

@@ -223,8 +223,10 @@ def exact_elimination(g: Graph, k: int, cap: int = 15):
     `eliminate`, or None if none exists.
 
     Exhaustive search over elimination orders with memoization on the set
-    of already-eliminated vertices; the cost of eliminating v after S is
-    the number of vertices outside S reachable from v through S.
+    of already-eliminated vertices (`_feasible`); the cost of eliminating
+    v after S is the number of vertices outside S reachable from v through
+    S (`_q_mask`).  The order takes at each step the least v whose
+    elimination keeps the rest feasible.
     """
     n = g.n
     if n > cap:
@@ -235,54 +237,68 @@ def exact_elimination(g: Graph, k: int, cap: int = 15):
     for u in range(n):
         for v in g.adj[u]:
             adj_mask[u] |= 1 << v
-
-    def q_mask(s_mask: int, v: int) -> int:
-        """Neighborhood outside s_mask of the through-S component of v."""
-        reach = 1 << v
-        nb = adj_mask[v]
-        frontier = nb & s_mask & ~reach
-        while frontier:
-            u = (frontier & -frontier).bit_length() - 1
-            reach |= 1 << u
-            nb |= adj_mask[u]
-            frontier = nb & s_mask & ~reach
-        return nb & ~s_mask & ~(1 << v)
-
     full = (1 << n) - 1
     memo = {}
-
-    def feasible(s_mask: int) -> bool:
-        if s_mask == full:
-            return True
-        hit = memo.get(s_mask)
-        if hit is not None:
-            return hit
-        rest = full & ~s_mask
-        cands = []
-        for v in _bits(rest):
-            q = q_mask(s_mask, v)
-            c = bin(q).count("1")
-            if c <= k:
-                cands.append((c, v))
-        cands.sort()
-        result = any(feasible(s_mask | (1 << v)) for _, v in cands)
-        memo[s_mask] = result
-        return result
-
-    if not feasible(0):
+    if not _feasible(adj_mask, k, memo, 0):
         return None
     order = []
     elim_bags = [None] * n
     s_mask = 0
     while s_mask != full:
         for v in _bits(full & ~s_mask):
-            q = q_mask(s_mask, v)
-            if bin(q).count("1") <= k and feasible(s_mask | (1 << v)):
+            q = _q_mask(adj_mask, s_mask, v)
+            if bin(q).count("1") <= k and _feasible(adj_mask, k, memo, s_mask | (1 << v)):
                 order.append(v)
                 elim_bags[v] = list(_bits(q))
                 s_mask |= 1 << v
                 break
     return order, elim_bags
+
+
+def _q_mask(adj_mask, s_mask: int, v: int) -> int:
+    """Neighborhood outside s_mask of the through-S component of v."""
+    reach = 1 << v
+    nb = adj_mask[v]
+    frontier = nb & s_mask & ~reach
+    while frontier:
+        u = (frontier & -frontier).bit_length() - 1
+        reach |= 1 << u
+        nb |= adj_mask[u]
+        frontier = nb & s_mask & ~reach
+    return nb & ~s_mask & ~(1 << v)
+
+
+def _feasible(adj_mask, k: int, memo, s_mask: int) -> bool:
+    """Whether the vertices outside s_mask can be eliminated after those
+    in it at width <= k.
+
+    A depth-first search over masks on an explicit stack of (mask,
+    untried successor masks), the successors by increasing (elimination
+    cost, vertex) among those of cost <= k.  memo maps each mask settled
+    so far to its answer: a mask is infeasible once all its successors
+    are, and a feasible successor makes every mask on the stack feasible.
+    """
+    full = (1 << len(adj_mask)) - 1
+    stack = []
+    t = s_mask
+    while True:
+        hit = True if t == full else memo.get(t)
+        if hit:
+            for m, _ in stack:
+                memo[m] = True
+            return True
+        if hit is None:
+            moves = sorted((bin(_q_mask(adj_mask, t, v)).count("1"), v) for v in _bits(full & ~t))
+            stack.append((t, iter([t | 1 << v for c, v in moves if c <= k])))
+        while True:  # the next untried successor, settling exhausted masks
+            if not stack:
+                return False
+            m, untried = stack[-1]
+            t = next(untried, 0)
+            if t:
+                break
+            memo[m] = False
+            stack.pop()
 
 
 def reduce_td(td: TreeDecomposition) -> TreeDecomposition:
@@ -387,7 +403,8 @@ def reduce_td(td: TreeDecomposition) -> TreeDecomposition:
 
 
 def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
-    """Rebalance a decomposition to a rooted binary tree of logarithmic depth.
+    """Rebalance a decomposition to a rooted tree of logarithmic depth in
+    which every node has at most three children.
 
     The tree is first binarized (high-degree nodes expand into chains of
     duplicate bags), then split by one loop over a stack of jobs.  A region
@@ -401,13 +418,14 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
     attachment points (chosen so both boundary-retaining components at most
     halve), which bounds the depth by O(log #nodes).
 
-    A split job (start, r, boundary, siblings) splits the region of r nodes
-    holding start, whose boundary edges are (outside node, attachment node)
-    pairs, emits the new node's bag and appends its id to siblings.  Its
-    finish job (node, bag, children) goes on the stack below the split jobs
-    of its parts, pushed in reverse order, so the parts' subtrees are
-    emitted in order and a node's tree edges land after theirs; a node with
-    three children gets an intermediate node of the same bag at its finish.
+    A job (start, r, boundary, above) splits the region of r nodes holding
+    start, whose boundary edges are (outside node, attachment node) pairs:
+    it appends the new node's bag and the tree edge (above, node), -1 above
+    the root, and pushes one job per part of the region minus the split
+    node, with the edge to that node appended to the part's boundary.
+    Only the rooted tree of bags is meant: step 4 reads the root, the bags
+    and the parent pointers (`occupancy_tables`), so node numbers and the
+    order of children and of tree edges carry no meaning.
 
     Cost: O(r) per region of r binarized nodes, so O(N log N) for N
     nodes.  A region is a component of the binarized tree minus the split
@@ -424,16 +442,12 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
     component, of more than r/2 nodes unless it is the root of a child
     subtree of exactly r/2, whose key then ties on size; two such children
     would need r >= r/2 + r/2 + 1.  So the least key is c's or that
-    child's.  The sub-regions, the components of the region minus the
-    split node c, are preorder slices: each child subtree of c, and the
-    rest of the region.  They are built in order of their minimum node,
-    each entered at c's neighbour in it.
+    child's.  The parts, the components of the region minus the split
+    node c, are preorder slices: each child subtree of c, entered at its
+    root, and the rest of the region, entered at c's parent in the walk.
     """
     if td.num_nodes == 0:
         return TreeDecomposition([[]], [], root=0)
-    bags = [sorted(set(b)) for b in td.bags]
-    if td.num_nodes == 1:
-        return TreeDecomposition([bags[0]], [], root=0)
 
     # --- root at 0 and binarize with duplicate-bag chains ---------------
     parent, order = tree_bfs(td.node_adj(), 0)
@@ -441,7 +455,7 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
     for v in order[1:]:
         kids[parent[v]].append(v)
 
-    nb = list(bags)  # bags of the binarized tree (shared lists are fine)
+    nb = [set(b) for b in td.bags]  # bags of the binarized tree; duplicates share
     chl = {}
     for u in range(td.num_nodes):
         cs = kids[u]
@@ -468,21 +482,9 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
     up = [-1] * len(nb)  # parents of the region's walk
     heavy = [0] * len(nb)  # largest child subtree of the region's walk
     pos = [0] * len(nb)  # preorder positions of the region's walk
-    stack = [(0, len(nb), [], [])]
+    stack = [(0, len(nb), [], -1)]
     while stack:
-        job = stack.pop()
-        if len(job) == 3:  # finish: the subtrees of node's children are done
-            node, bag, children = job
-            if len(children) <= 2:
-                out_edges += [(node, ch) for ch in children]
-            else:
-                inter = len(out_bags)
-                out_bags.append(bag)
-                out_edges += [(node, children[0]), (node, inter)]
-                out_edges += [(inter, children[1]), (inter, children[2])]
-            continue
-        start, r, boundary, siblings = job
-        parts = []  # (minimum node, size, entry node, boundary)
+        start, r, boundary, above = stack.pop()
         c = start
         if r > 1:
             # list the region in preorder from the attachment node a1 of
@@ -532,32 +534,24 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
                     c, below = up[c], size[c]
                     best = min(best, (max(r - size[c], below), c))
             c = best[1]
-            lo, hi = pos[c], pos[c] + size[c]
-            i = lo + 1
-            while i < hi:
-                ch = region[i]
-                j = i + size[ch]
-                bnd = [(x, a) for x, a in boundary if i <= pos[a] < j]
-                parts.append((min(region[i:j]), j - i, ch, bnd))
-                i = j
-            if r > size[c]:
-                bnd = [(x, a) for x, a in boundary if not lo <= pos[a] < hi]
-                low = min(region[:lo] + region[hi:])
-                parts.append((low, r - size[c], up[c], bnd))
-            parts.sort()
         split[c] = True
-        bag = set(nb[c])
-        for x, _ in boundary:
-            bag |= set(nb[x])
-        bag = sorted(bag)
         node = len(out_bags)
-        out_bags.append(bag)
-        siblings.append(node)
-        children = []
-        stack.append((node, bag, children))
-        for _, part_size, entry, bnd in reversed(parts):
-            bnd.append((c, entry))
-            stack.append((entry, part_size, bnd, children))
+        out_bags.append(sorted(nb[c].union(*(nb[x] for x, _ in boundary))))
+        if above >= 0:
+            out_edges.append((above, node))
+        if r == 1:
+            continue
+        lo, hi = pos[c], pos[c] + size[c]
+        i = lo + 1
+        while i < hi:
+            ch = region[i]
+            j = i + size[ch]
+            bnd = [(x, a) for x, a in boundary if i <= pos[a] < j]
+            stack.append((ch, j - i, bnd + [(c, ch)], node))
+            i = j
+        if r > size[c]:
+            bnd = [(x, a) for x, a in boundary if not lo <= pos[a] < hi]
+            stack.append((up[c], r - size[c], bnd + [(c, up[c])], node))
     return TreeDecomposition(out_bags, out_edges, root=0)
 
 
@@ -568,7 +562,8 @@ def occupancy_tables(td: TreeDecomposition):
     is the first node in breadth-first order whose bag holds v, which in a
     valid decomposition is the highest node of v's occupancy subtree.  So v
     occupies a node in the subtree of a node t outside its bag exactly when
-    climbing parent pointers from top[v] reaches t.
+    climbing parent pointers from top[v] reaches t.  One pass over the
+    nodes in breadth-first order sets each top[v] once, at its first bag.
     """
     if td.root is None:
         raise ValueError("decomposition is not rooted")
@@ -576,6 +571,8 @@ def occupancy_tables(td: TreeDecomposition):
         raise ValueError(f"root {td.root} is not a node")
     parent, order = tree_bfs(td.node_adj(), td.root)
     top = {}
-    for i in reversed(order):
-        top.update(dict.fromkeys(td.bags[i], i))
+    for i in order:
+        for v in td.bags[i]:
+            if v not in top:
+                top[v] = i
     return top, parent

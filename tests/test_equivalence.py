@@ -21,7 +21,9 @@ component listed and grouped), a union-find join of the combined
 partition's tree components, and step 4's full per-block path (extract, balance, partition) for every
 block.  Bags, tree edges (in order), roots, block forests, auxiliary
 graphs and separator nodes must match, so a drift in a tie-break, in edge
-order or in a pruning test fails.
+order or in a pruning test fails.  A balanced tree, whose node numbers
+and child order step 4 never reads, must match as a rooted, bag-labelled
+tree.
 """
 
 import itertools
@@ -335,15 +337,8 @@ def ref_balance_td(td):
             entry = min(v for v in badj[c] if v in comp)
             bnd.append((c, entry))
             children.append(build(comp, bnd))
-        if len(children) <= 2:
-            for ch in children:
-                out_edges.append((node, ch))
-        else:
-            inter = emit(bag)
-            out_edges.append((node, children[0]))
-            out_edges.append((node, inter))
-            out_edges.append((inter, children[1]))
-            out_edges.append((inter, children[2]))
+        for ch in children:
+            out_edges.append((node, ch))
         return node
 
     build(set(range(len(nb))), [])
@@ -856,6 +851,24 @@ def same_td(a, b):
     return (a.bags, a.tree_edges, a.root) == (b.bags, b.tree_edges, b.root)
 
 
+def rooted_code(td):
+    """The canonical encoding of td as a rooted, bag-labelled tree:
+    (bag, sorted encodings of the children) at the root."""
+    parent, order = tree_bfs(td.node_adj(), td.root)
+    below = [[] for _ in range(td.num_nodes)]
+    for v in reversed(order):
+        code = (tuple(td.bags[v]), tuple(sorted(below[v])))
+        if parent[v] == -1:
+            return code
+        below[parent[v]].append(code)
+
+
+def same_rooted_tree(a, b):
+    """a and b are the same rooted, bag-labelled tree, whatever their node
+    numbers and the order of their children and tree edges."""
+    return a.num_nodes == b.num_nodes and rooted_code(a) == rooted_code(b)
+
+
 def check_blocks(g, td, extract=60, balance=8):
     """On up to `extract` evenly spaced blocks of g: indexed extraction
     equals the full scan; on up to `balance` of them, so does the balanced
@@ -871,7 +884,7 @@ def check_blocks(g, td, extract=60, balance=8):
         want = ref_extract_sub_td(td, blk, new_id)
         assert same_td(got, want), blk
         if count < balance:
-            assert same_td(balance_td(sub, got), ref_balance_td(want)), blk
+            assert same_rooted_tree(balance_td(sub, got), ref_balance_td(want)), blk
 
 
 # ---------------------------------------------------------------------------
@@ -916,7 +929,7 @@ def test_lower_bound_matches_scan_on_hub_graphs():
 def test_balance_and_extraction_match_scan_on_random_graphs():
     for idx, g in enumerate(random_corpus()):
         td = heuristic_td(g, "min-fill" if idx % 2 else "min-degree", idx % 4)
-        assert same_td(balance_td(g, td), ref_balance_td(td)), idx
+        assert same_rooted_tree(balance_td(g, td), ref_balance_td(td)), idx
         check_blocks(g, td)
 
 
@@ -928,7 +941,7 @@ def test_structured_families_match_scan(name):
         td = heuristic_td(g, strategy, 3)
         assert same_td(td, ref_heuristic_td(g, strategy, 3)), strategy
     td = heuristic_td(g)
-    assert same_td(balance_td(g, td), ref_balance_td(td))
+    assert same_rooted_tree(balance_td(g, td), ref_balance_td(td))
     check_blocks(g, td)
 
 
@@ -1133,6 +1146,37 @@ def test_job_loop_matches_recursive_construction():
             got = partition_isolated(g, td, v)
             assert same_td(got, ref_partition_isolated(g, td, v)), (idx, v)
     assert branching > 50, branching
+
+
+def renumbered(td, rng):
+    """td with its nodes renumbered at random, the root moving with them,
+    and its tree edges shuffled and each flipped or not at random."""
+    new = list(range(td.num_nodes))
+    rng.shuffle(new)
+    bags = [None] * td.num_nodes
+    for i, bag in enumerate(td.bags):
+        bags[new[i]] = bag
+    edges = [(new[i], new[j]) if rng.random() < 0.5 else (new[j], new[i]) for i, j in td.tree_edges]
+    rng.shuffle(edges)
+    return TreeDecomposition(bags, edges, root=new[td.root])
+
+
+def test_partitions_read_no_node_numbering():
+    """Step 4 reads a balanced tree only as a rooted tree of bags: any
+    renumbering of its nodes, and any order and direction of its tree
+    edges, give the same partitions."""
+    rng = random.Random(19)
+    graphs = random_corpus() + [gen_grid(20), gen_wall(14)]
+    for idx, g in enumerate(graphs):
+        btd = balance_td(g, heuristic_td(g, "min-fill" if idx % 2 else "min-degree", idx % 4))
+        rooted = partition_rooted(g, btd, {0})
+        isolated = {v: partition_isolated(g, btd, v) for v in rng.sample(range(g.n), min(g.n, 2))}
+        for _ in range(2):
+            other = renumbered(btd, rng)
+            assert same_rooted_tree(other, btd), idx
+            assert partition_rooted(g, other, {0}) == rooted, idx
+            for v, want in isolated.items():
+                assert partition_isolated(g, other, v) == want, (idx, v)
 
 
 def test_combine_blocks_matches_union_find(monkeypatch):

@@ -421,11 +421,12 @@ def test_exact_mode_rejects_on_the_bound_before_its_capacity():
         (gen_wall(14), PipelineParams(k=3)),
         (gen_multiple_tree(random_tree(18, 1), 12), PipelineParams(k=7)),
         (gen_grid(12), PipelineParams(k=4, step1="import", import_td=heuristic_td(gen_grid(12)))),
+        (gen_grid(3), PipelineParams(k=2, step1="exact")),
     ],
-    ids=["grid", "wall", "multitree", "import"],
+    ids=["grid", "wall", "multitree", "import", "exact"],
 )
 def test_run_leaves_no_cyclic_garbage(g, params):
-    """A heuristic or imported run builds no reference cycle, so it frees
+    """A run in any step-1 mode builds no reference cycle, so it frees
     everything it made without the cyclic collector."""
     gc.collect()
     gc.disable()
