@@ -1,8 +1,9 @@
 """Tree-partition construction from a tree decomposition under a degree
-bound: balanced-separator walk, one loop over a stack of boundary jobs
-with an optional rooted or isolated-vertex contract (no recursion, so long
-thin blocks need no deep call stack), combination of per-block partitions
-across cutvertices, and expansion of quotient vertices.
+bound: separator bags at weighted centroids of the decomposition tree,
+one loop over a stack of boundary jobs with an optional rooted or
+isolated-vertex contract (no recursion, so long thin blocks need no deep
+call stack), combination of per-block partitions across cutvertices, and
+expansion of quotient vertices.
 
 The job loop is correctness-first: every output passes the tree-partition
 verifier unconditionally; realized widths are tracked empirically against
@@ -11,7 +12,9 @@ the reference bound rather than enforced.
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .decomp import TreeDecomposition, TreePartition
@@ -45,82 +48,63 @@ class PartitionConstants:
 CONSTANTS = PartitionConstants()
 
 
-def _heavy_vertex(g: Graph, universe, bag, wset):
-    """A vertex of the component of g[universe - bag] holding more than
-    half of wset, or None when bag is a balanced separator of wset in
-    g[universe].
+def _centroid(top, parent, depth, wset) -> int:
+    """Node whose bag is a balanced separator of the nonempty set wset:
+    the weighted centroid of the rooted tree, each vertex of wset counted
+    once at its top node.  (top, parent, depth) is `occupancy_tables(td)`.
 
-    Searches start only at wset vertices, and stop as soon as one
-    component is heavy, or as soon as the wset vertices not yet reached
-    are too few to make any further component heavy."""
-    half = len(wset) / 2.0
-    outside = [v for v in wset if v in universe and v not in bag]
-    left = len(outside)  # wset vertices outside bag not yet reached
-    seen = set()
-    for s in outside:
-        if left <= half:
-            return None
-        if s in seen:
-            continue
-        seen.add(s)
-        stack = [s]
-        hits = 1
-        while stack and hits <= half:
-            u = stack.pop()
-            for v in g.adj[u]:
-                if v not in seen and v in universe and v not in bag:
-                    seen.add(v)
-                    stack.append(v)
-                    hits += v in wset
-        if hits > half:
-            return s
-        left -= hits
-    return None
+    Climbing from the deepest counted node upward, each node adds its
+    count to its parent's, until all climbs meet at one node, which then
+    counts all of wset; a heap keyed on depth pops a node only after all
+    its counted descendants.  Each node that counts more than half of
+    wset is the heavy child of its parent, and the walk descends from the
+    meeting node through heavy children to a node with none.  The cost is
+    the size of the subtree spanned by the counted nodes, times log of it.
 
-
-def _separator_walk(g: Graph, td: TreeDecomposition, tables, universe, wset):
-    """Node whose restricted bag is a balanced separator of wset in
-    g[universe], found by descending into the heavy component's subtree.
-
-    tables is `occupancy_tables(td)`, built once per partition.
-
-    The heavy component H of a node t is connected and avoids t's bag, so
-    the nodes whose bags meet H form a connected subtree of T - t.  It is
-    below t: at the root every part of T - t is below it, and at a child t
-    the heavy component of its parent lies in t's subtree and shares a
-    wset vertex with H (each holds more than half of wset), which pins H
-    to a child subtree of t.  So climbing parent pointers from top[x], for
-    any x in H, reaches the child to step into, and that child's subtree
-    holds more than half of wset, which makes it the unique child with the
-    most wset vertices.  Only an invalid decomposition can make the climb
-    pass t and end at -1.  The component search (`_heavy_vertex`)
-    therefore returns just one vertex of H, and never lists the other
-    components.
+    The restricted bag of the node t reached is a balanced separator of
+    wset in g[U] for every vertex set U:
+    - a vertex outside bag(t) has all its nodes on one side of t (in one
+      child subtree, or in the part of the tree above t), and two
+      adjacent vertices share a node, so each component of g[U] - bag(t)
+      lies within one side;
+    - a side's count is at least the vertices of wset that side holds
+      outside bag(t), since their top nodes are on it;
+    - at t every side counts at most half of wset: each child subtree by
+      the stop, and the part above t because t's own subtree counts more
+      than half (t is the meeting node, or a heavy child).
     """
-    top, parent = tables
-    node = td.root
+    count = Counter(top[x] for x in wset)
+    heap = [(-depth[t], t) for t in count]
+    heapq.heapify(heap)
+    heavy = {}
     while True:
-        x = _heavy_vertex(g, universe, set(td.bags[node]) & universe, wset)
-        if x is None:
-            return node
-        child = top[x]
-        while parent[child] != node:
-            child = parent[child]
-            if child == -1:
-                raise AssertionError("no balanced separator bag found")
-        node = child
+        t = heapq.heappop(heap)[1]
+        if not heap:
+            break
+        p = parent[t]
+        if p not in count:
+            count[p] = 0
+            heapq.heappush(heap, (-depth[p], p))
+        count[p] += count[t]
+        if 2 * count[t] > len(wset):
+            heavy[p] = t
+    while t in heavy:
+        t = heavy[t]
+    return t
 
 
 def balanced_separator_bag(g: Graph, td: TreeDecomposition, wset) -> int:
-    """Node of td whose bag is a balanced separator of wset in g.
-
-    td must be rooted; the walk starts at the root and visits at most
-    depth+1 nodes, moving into the child subtree that holds the component
-    with more than half of wset whenever the current bag is not balanced.
+    """Node of the rooted decomposition td whose bag is a balanced
+    separator of wset in g: no component of g minus the bag holds more
+    than half of wset.  It is the weighted centroid of wset's top nodes
+    (`_centroid`), or the root for an empty wset.
     """
+    wset = set(wset)
+    if any(not (0 <= v < g.n) for v in wset):
+        raise ValueError("wset outside the vertex range")
     if not wset:
         return td.root if td.root is not None else 0
-    return _separator_walk(g, td, occupancy_tables(td), set(range(g.n)), set(wset))
+    return _centroid(*occupancy_tables(td), wset)
 
 
 def _group_components(comps, boundaries, cap: float):
@@ -158,8 +142,10 @@ def _partition(g: Graph, td: TreeDecomposition, bags, jobs):
     whose parent is None).
 
     A job's bag is its whole universe when that is small, else s_set plus
-    the restricted balanced-separator bag for s_set, from a walk that reads
-    the one `occupancy_tables(td)` built here.  The components of
+    the restricted bag of s_set's weighted centroid (`_centroid`, which
+    reads the one `occupancy_tables(td)` built here), or of the root when
+    s_set is empty.  td is read as it is: any rooted decomposition of g,
+    whose width sets the leaf test and the grouping cap.  The components of
     the rest, grouped by boundary size, become child jobs whose s_sets are
     their neighbourhoods of the bag; when the whole boundary fits one
     group, the rest is the one child job and is never split.  A node's bag
@@ -188,7 +174,7 @@ def _partition(g: Graph, td: TreeDecomposition, bags, jobs):
         if len(universe) <= len(s_set) + width + 1:
             bags.append(sorted(universe))
             continue
-        sep_node = _separator_walk(g, td, tables, universe, s_set)
+        sep_node = _centroid(*tables, s_set) if s_set else td.root
         bag = s_set | (set(td.bags[sep_node]) & universe)
         if not bag:
             bag = {min(universe)}

@@ -3,8 +3,9 @@
 Steps: (1) tree decomposition plus a treewidth lower bound for certified
 rejection; (2) auxiliary graph of highly-connected pairs; (3) quotient by
 its components, split into blocks; (4) per-block partitions under a degree
-threshold, read from the quotient's reduced decomposition and combined
-across cutvertices; (5) expansion back to the input graph.
+threshold, built on the quotient's reduced decomposition as it is (no
+rebalancing) and combined across cutvertices; (5) expansion back to the
+input graph.
 
 Every accepted output passes the tree-partition verifier; every rejection
 carries a certificate that recomputes to a genuine obstruction.
@@ -18,9 +19,9 @@ from dataclasses import dataclass, field
 
 from .decomp import TreeDecomposition, TreePartition, Violation, verify_td
 from .graph import Graph, biconnected_components, connected_components, subgraph
-# candidate_pairs and heuristic_td stay importable: perfbench/layers.py times them here
+# candidate_pairs, balance_td and heuristic_td stay importable: perfbench/layers.py times them here
 from .separators import b_reduction, build_gb, candidate_pairs  # noqa: F401
-from .treewidth import _td_from_elimination, balance_td, eliminate, exact_elimination
+from .treewidth import _td_from_elimination, balance_td, eliminate, exact_elimination  # noqa: F401
 from .treewidth import heuristic_td, occupancy_tables, reduce_td, treewidth_lower_bound  # noqa: F401
 from .partitioner import (
     combine_blocks,
@@ -248,8 +249,10 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
     each of its blocks only that block's edges.  A block whose size and
     in-block degrees already fix its partition takes it from
     `partition_by_size`.  Every other block is built as a graph from its
-    edge list (H itself when it holds all of H) and has its decomposition
-    rebalanced before the partitioner runs on it.  The first such block
+    edge list (H itself when it holds all of H), and the partitioner runs
+    on its share of the reduced decomposition as it is: each separator
+    bag is a weighted centroid, which every decomposition holds, so no
+    rebalancing comes first.  The first such block
     builds step 1's tree, and from it H's reduced decomposition
     (`_quotient_td`), once, and drops the top bags; a block that is all of
     H reads it in place, while any other block extracts its share through
@@ -332,11 +335,10 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
                 if tdh_index is None:
                     tdh_index = _td_index(tdh)
                 sub_td = _extract_sub_td(tdh, new_id, tdh_index, cut)
-            btd = balance_td(sub, sub_td)
             if cut is not None:
-                tp_local = partition_isolated(sub, btd, new_id[cut])
+                tp_local = partition_isolated(sub, sub_td, new_id[cut])
             else:
-                tp_local = partition_rooted(sub, btd, {0})
+                tp_local = partition_rooted(sub, sub_td, {0})
             tp_block = TreePartition(
                 [sorted(blk[x] for x in bag) for bag in tp_local.bags],
                 list(tp_local.tree_edges),

@@ -423,9 +423,14 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
     it appends the new node's bag and the tree edge (above, node), -1 above
     the root, and pushes one job per part of the region minus the split
     node, with the edge to that node appended to the part's boundary.
-    Only the rooted tree of bags is meant: step 4 reads the root, the bags
-    and the parent pointers (`occupancy_tables`), so node numbers and the
-    order of children and of tree edges carry no meaning.
+    Only the rooted tree of bags is meant: the partitioner reads the root,
+    the bags and the parent pointers (`occupancy_tables`), so node numbers
+    and the order of children and of tree edges carry no meaning.
+
+    Step 4 no longer calls it: centroid bags need no logarithmic depth,
+    and the reduced decomposition keeps width w, not 3w + 2.  It stays
+    public (acceptance criterion 07) and importable from `pipeline`, where
+    the benchmark's traced runs wrap it.
 
     Cost: O(r) per region of r binarized nodes, so O(N log N) for N
     nodes.  A region is a component of the binarized tree minus the split
@@ -556,23 +561,28 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
 
 
 def occupancy_tables(td: TreeDecomposition):
-    """Occupancy tables of a rooted decomposition, as (top, parent).
+    """Occupancy tables of a rooted decomposition, as (top, parent, depth).
 
-    parent[t] is t's parent node, -1 at the root (`tree_bfs`), and top[v]
-    is the first node in breadth-first order whose bag holds v, which in a
-    valid decomposition is the highest node of v's occupancy subtree.  So v
-    occupies a node in the subtree of a node t outside its bag exactly when
-    climbing parent pointers from top[v] reaches t.  One pass over the
-    nodes in breadth-first order sets each top[v] once, at its first bag.
+    parent[t] is t's parent node, -1 at the root (`tree_bfs`), depth[t]
+    is t's distance from the root, and top[v] is the first node in
+    breadth-first order whose bag holds v, which in a valid decomposition
+    is the highest node of v's occupancy subtree.  So v occupies a node in
+    the subtree of a node t outside its bag exactly when climbing parent
+    pointers from top[v] reaches t.  One pass over the nodes in
+    breadth-first order sets each depth and each top[v] once, at its first
+    bag.
     """
     if td.root is None:
         raise ValueError("decomposition is not rooted")
     if not 0 <= td.root < td.num_nodes:
         raise ValueError(f"root {td.root} is not a node")
     parent, order = tree_bfs(td.node_adj(), td.root)
+    depth = [0] * td.num_nodes
     top = {}
     for i in order:
+        if i != td.root:
+            depth[i] = depth[parent[i]] + 1
         for v in td.bags[i]:
             if v not in top:
                 top[v] = i
-    return top, parent
+    return top, parent, depth

@@ -2,7 +2,7 @@
 contraction of `reduce_td`, the indexed block extraction, the subtree-size
 split choice of `balance_td`, the block forest, step 2's listing of
 pairs from each vertex's own bag, the flow-saving tests of `build_gb`,
-the heavy-component separator walk, the partitioner's job loop, the
+the weighted-centroid climb of the partitioner, its job loop, the
 component join of `combine_blocks` and step 4's size rule must return exactly what the
 straightforward versions return.
 
@@ -14,16 +14,16 @@ on explicit neighbour sets, one scan of every bag and tree edge per block
 (keeping the nodes that meet the block minus its parent cutvertex), one
 component search per split candidate, a block-forest search that expands
 a cutvertex from every block holding it, one pair listing per bag, one
-whole-graph flow per pair the degree bound keeps, a separator walk that
-counts wset vertices per child subtree and falls back to scanning every
-node, the recursive boundary construction (one call per bag, every
-component listed and grouped), a union-find join of the combined
-partition's tree components, and step 4's full per-block path (extract, balance, partition) for every
-block.  Bags, tree edges (in order), roots, block forests, auxiliary
-graphs and separator nodes must match, so a drift in a tie-break, in edge
-order or in a pruning test fails.  A balanced tree, whose node numbers
-and child order step 4 never reads, must match as a rooted, bag-labelled
-tree.
+whole-graph flow per pair the degree bound keeps, a centroid that sums
+the contract set's counts over every subtree of the whole tree and
+descends from the root, the recursive boundary construction (one call per
+bag, every component listed and grouped), a union-find join of the
+combined partition's tree components, and step 4's full per-block path
+(extract, partition) for every block.  Bags, tree edges (in order),
+roots, block forests, auxiliary graphs and separator nodes must match, so
+a drift in a tie-break, in edge order or in a pruning test fails.  A balanced tree, whose node numbers
+and child order the partitions never read, must match as a rooted,
+bag-labelled tree.
 """
 
 import itertools
@@ -444,45 +444,51 @@ def ref_build_gb(g, b, pairs):
     return Graph(g.n, sorted(edges))
 
 
-def ref_separator_walk(g, td, tables, universe, wset):
-    """The counting walk: step into the child whose subtree holds the most
-    wset vertices, and scan every node if the walk runs out of children.
-    A vertex is in a child's subtree when climbing parent pointers from
-    its top node reaches the child.  Returns (node, whether the scan
-    ran)."""
-    top, parent = tables
-
-    def balanced(node):
-        bag = set(td.bags[node]) & universe
-        half = len(wset) / 2.0
-        return all(
-            len(wset.intersection(comp)) <= half
-            for comp in connected_components(g, universe - bag)
-        )
-
-    def under(x, c):
-        while x not in (c, -1):
-            x = parent[x]
-        return x == c
-
+def ref_tables(td):
+    """(top, children, order) of the rooted decomposition td: order is a
+    breadth-first order of its nodes from the root, top[v] the first node
+    in it whose bag holds v, and children[t] t's children."""
     adj = td.node_adj()
-    node = td.root
-    for _ in range(td.num_nodes):
-        if balanced(node):
-            return node, False
-        children = [c for c in adj[node] if c != parent[node]]
-        if not children:
-            break
-        best = None
-        for c in children:
-            count = sum(1 for v in wset if under(top[v], c))
-            if best is None or (-count, c) < best:
-                best = (-count, c)
-        node = best[1]
-    for node in range(td.num_nodes):
-        if balanced(node):
-            return node, True
-    raise AssertionError("no balanced separator bag found")
+    seen = {td.root}
+    order = [td.root]
+    children = [[] for _ in adj]
+    for t in order:
+        for c in adj[t]:
+            if c not in seen:
+                seen.add(c)
+                children[t].append(c)
+                order.append(c)
+    top = {}
+    for t in order:
+        for v in td.bags[t]:
+            top.setdefault(v, t)
+    return top, children, order
+
+
+def ref_centroid(tables, wset):
+    """The full pass: count each vertex of wset at its top node, sum the
+    counts over every subtree of the whole tree, then descend from the
+    root into the child counting more than half of wset while there is
+    one."""
+    top, children, order = tables
+    count = [0] * len(children)
+    for v in wset:
+        count[top[v]] += 1
+    for t in reversed(order):
+        count[t] += sum(count[c] for c in children[t])
+    node = order[0]
+    while True:
+        heavy = [c for c in children[node] if 2 * count[c] > len(wset)]
+        if not heavy:
+            return node
+        node = heavy[0]
+
+
+def heavy_components(g, universe, bag, wset):
+    """The components of g[universe - bag] holding more than half of wset,
+    by one search per component."""
+    comps = connected_components(g, set(universe) - set(bag))
+    return [c for c in comps if 2 * len(wset.intersection(c)) > len(wset)]
 
 
 class RefBuilder:
@@ -501,7 +507,7 @@ def ref_partition_into(g, td, tables, width, builder, universe, s_set) -> int:
     contains s_set."""
     if len(universe) <= len(s_set) + width + 1:
         return builder.emit(universe)
-    sep_node = partitioner._separator_walk(g, td, tables, universe, s_set)
+    sep_node = ref_centroid(tables, s_set) if s_set else td.root
     bag = s_set | (set(td.bags[sep_node]) & universe)
     if not bag:
         bag = {min(universe)}
@@ -526,7 +532,7 @@ def ref_partition_rooted(g, td, s_set):
     if g.n == 0:
         return TreePartition([], [], root=None)
     td = ref_rooted_td(td)
-    tables = occupancy_tables(td)
+    tables = ref_tables(td)
     builder = RefBuilder()
     roots = []
     for comp in connected_components(g):
@@ -545,7 +551,7 @@ def ref_partition_isolated(g, td, v):
     if g.n <= CONSTANTS.window_low(width) + 1:
         rest = sorted(u for u in range(g.n) if u != v)
         return TreePartition([[v], rest], [(0, 1)], root=0)
-    tables = occupancy_tables(td)
+    tables = ref_tables(td)
     builder = RefBuilder()
     root = builder.emit({v})
     nv = set(g.adj[v])
@@ -1079,11 +1085,11 @@ def block_partitions(g):
         sub, old = g.induced(blk)
         new_id = {v: i for i, v in enumerate(old)}
         cut = bf.parent_cut[bidx]
-        btd = balance_td(sub, _extract_sub_td(td, new_id, index, cut))
+        sub_td = _extract_sub_td(td, new_id, index, cut)
         if cut is not None:
-            local = partition_isolated(sub, btd, new_id[cut])
+            local = partition_isolated(sub, sub_td, new_id[cut])
         else:
-            local = partition_rooted(sub, btd, {0})
+            local = partition_rooted(sub, sub_td, {0})
         per_block[bidx] = TreePartition(
             [sorted(old[x] for x in bag) for bag in local.bags],
             list(local.tree_edges),
@@ -1092,50 +1098,90 @@ def block_partitions(g):
     return bf, per_block
 
 
-def test_separator_walk_matches_counting_walk(monkeypatch):
-    """Every walk, from direct calls with random wsets on unbalanced and
-    balanced decompositions and from the partition recursion, picks the
-    counting walk's node, and the counting walk never needs its scan."""
-    walks = []
-    real = partitioner._separator_walk
-
-    def checked(g, td, tables, universe, wset):
-        got = real(g, td, tables, universe, wset)
-        want, scanned = ref_separator_walk(g, td, tables, universe, wset)
-        walks.append((got == want, scanned))
-        return got
-
-    monkeypatch.setattr(partitioner, "_separator_walk", checked)
-    rng = random.Random(11)
+def centroid_cases(rng):
+    """(graph, decomposition): the random corpus, grid 20 and wall 20,
+    each with its heuristic decomposition, that decomposition reduced
+    (as step 4 reads it), balanced, and renumbered at random."""
     graphs = random_corpus() + [gen_grid(20), gen_wall(20)]
     for idx, g in enumerate(graphs):
         td = heuristic_td(g, "min-fill" if idx % 2 else "min-degree", idx % 4)
-        for t in (td, balance_td(g, td)):
-            for _ in range(2):
-                balanced_separator_bag(g, t, rng.sample(range(g.n), rng.randint(1, g.n)))
-            partition_rooted(g, t, {0})
-    assert len(walks) > 1000
-    assert all(same for same, _ in walks)
-    assert not any(scanned for _, scanned in walks)
+        for t in (td, reduce_td(td), balance_td(g, td), renumbered(td, rng)):
+            yield g, t
+
+
+def random_contract(rng, n):
+    """A random nonempty vertex set: small like a job's boundary half the
+    time, else of any size."""
+    return set(rng.sample(range(n), rng.randint(1, n if rng.random() < 0.5 else min(n, 8))))
+
+
+def test_separator_walk_matches_counting_walk(monkeypatch):
+    """Every centroid, from direct calls with random contract sets and
+    from both partitions' job loops, on heuristic, reduced, balanced and
+    renumbered decompositions, is the node the full pass picks."""
+    walks = []
+    tabled = []  # the full pass's tables of the decomposition last tabled
+    real_tables = partitioner.occupancy_tables
+    real = partitioner._centroid
+
+    def tables(td):
+        tabled[:] = [ref_tables(td)]
+        return real_tables(td)
+
+    def checked(top, parent, depth, wset):
+        got = real(top, parent, depth, wset)
+        walks.append(got == ref_centroid(tabled[0], wset))
+        return got
+
+    monkeypatch.setattr(partitioner, "occupancy_tables", tables)
+    monkeypatch.setattr(partitioner, "_centroid", checked)
+    rng = random.Random(11)
+    for g, t in centroid_cases(rng):
+        for _ in range(2):
+            balanced_separator_bag(g, t, random_contract(rng, g.n))
+        partition_rooted(g, t, {0})
+        partition_isolated(g, t, rng.randrange(g.n))
+    assert len(walks) > 1000 and all(walks), (len(walks), walks.count(False))
+
+
+def test_centroid_bag_is_a_balanced_separator():
+    """On the same decompositions, with random contract sets and random
+    universes holding them: the centroid is the full pass's node, and no
+    component of g[U] minus its restricted bag holds more than half of
+    the contract set, by a search of every component."""
+    rng = random.Random(23)
+    checked = 0
+    for g, t in centroid_cases(rng):
+        tables = occupancy_tables(t)
+        ref = ref_tables(t)
+        for _ in range(4):
+            wset = random_contract(rng, g.n)
+            universe = wset | set(rng.sample(range(g.n), rng.randint(0, g.n)))
+            node = partitioner._centroid(*tables, wset)
+            assert node == ref_centroid(ref, wset), (g.n, sorted(wset))
+            assert not heavy_components(g, universe, t.bags[node], wset), (g.n, sorted(wset))
+            checked += 1
+    assert checked > 1000, checked
 
 
 def test_job_loop_matches_recursive_construction():
     """Both partitions, with rooted contracts {0} and random ones and with
-    random isolated vertices, on unbalanced and balanced decompositions,
-    and on balanced ones of cycles up to 3,000 vertices (the recursion is
-    about n/6 calls deep there): bags, tree edges in order and root match
-    the recursion's.  Nodes with several children and deep subtrees make
-    the child order and the edge order count."""
+    random isolated vertices, on heuristic, reduced and balanced
+    decompositions, and on the heuristic decompositions of cycles up to
+    3,000 vertices (the recursion is about n/6 calls deep there): bags,
+    tree edges in order and root match the recursion's.  Nodes with
+    several children and deep subtrees make the child order and the edge
+    order count."""
     rng = random.Random(5)
     graphs = random_corpus() + [gen_grid(m) for m in (10, 20, 30)]
     graphs += [gen_wall(m) for m in (10, 20, 30)]
     cases = []
     for idx, g in enumerate(graphs):
         td = heuristic_td(g, "min-fill" if idx % 2 else "min-degree", idx % 4)
-        cases += [(g, td), (g, balance_td(g, td))]
+        cases += [(g, td), (g, reduce_td(td)), (g, balance_td(g, td))]
     for n in (100, 1000, 3000):
         g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
-        cases.append((g, balance_td(g, heuristic_td(g))))
+        cases.append((g, heuristic_td(g)))
     branching = 0
     for idx, (g, td) in enumerate(cases):
         for s_set in ({0}, rng.sample(range(g.n), rng.randint(0, min(g.n, 8)))):
@@ -1162,21 +1208,23 @@ def renumbered(td, rng):
 
 
 def test_partitions_read_no_node_numbering():
-    """Step 4 reads a balanced tree only as a rooted tree of bags: any
-    renumbering of its nodes, and any order and direction of its tree
+    """The partitions read a decomposition only as a rooted tree of bags:
+    on reduced decompositions (as step 4 reads them) and balanced ones,
+    any renumbering of the nodes, and any order and direction of the tree
     edges, give the same partitions."""
     rng = random.Random(19)
     graphs = random_corpus() + [gen_grid(20), gen_wall(14)]
     for idx, g in enumerate(graphs):
-        btd = balance_td(g, heuristic_td(g, "min-fill" if idx % 2 else "min-degree", idx % 4))
-        rooted = partition_rooted(g, btd, {0})
-        isolated = {v: partition_isolated(g, btd, v) for v in rng.sample(range(g.n), min(g.n, 2))}
-        for _ in range(2):
-            other = renumbered(btd, rng)
-            assert same_rooted_tree(other, btd), idx
-            assert partition_rooted(g, other, {0}) == rooted, idx
-            for v, want in isolated.items():
-                assert partition_isolated(g, other, v) == want, (idx, v)
+        td = heuristic_td(g, "min-fill" if idx % 2 else "min-degree", idx % 4)
+        for t in (reduce_td(td), balance_td(g, td)):
+            rooted = partition_rooted(g, t, {0})
+            isolated = {v: partition_isolated(g, t, v) for v in rng.sample(range(g.n), min(g.n, 2))}
+            for _ in range(2):
+                other = renumbered(t, rng)
+                assert same_rooted_tree(other, t), idx
+                assert partition_rooted(g, other, {0}) == rooted, idx
+                for v, want in isolated.items():
+                    assert partition_isolated(g, other, v) == want, (idx, v)
 
 
 def test_combine_blocks_matches_union_find(monkeypatch):
@@ -1255,7 +1303,8 @@ def test_size_rule_matches_full_block_path(monkeypatch):
 def test_size_rule_matches_partitioner_in_both_roles():
     """Every block of the chains, tree multiples and random graphs, as a
     root block and below each of its vertices: where the rule decides, it
-    returns what the partitioner builds from the balanced decomposition."""
+    returns what the partitioner builds from the extracted decomposition
+    (step 4's) and from its balanced tree."""
     decided = 0
     graphs = [block_chain(seed) for seed in range(40, 70)]
     graphs += [gen_multiple_tree(random_tree(12, m), m) for m in range(1, 13)]
@@ -1266,7 +1315,7 @@ def test_size_rule_matches_partitioner_in_both_roles():
         for blk in biconnected_components(g).blocks:
             sub, old = g.induced(blk)
             new_id = {v: i for i, v in enumerate(old)}
-            btd = balance_td(sub, _extract_sub_td(td, new_id, index))
+            sub_td = _extract_sub_td(td, new_id, index)
             low = min_in_degree(sub, range(sub.n))
             for cut in [None] + list(range(sub.n)):
                 if cut is None:
@@ -1275,16 +1324,17 @@ def test_size_rule_matches_partitioner_in_both_roles():
                     got = partition_by_size(blk, low, old[cut], sub.degree(cut))
                 if got is None:
                     continue
-                if cut is None:
-                    local = partition_rooted(sub, btd, {0})
-                else:
-                    local = partition_isolated(sub, btd, cut)
-                want = TreePartition(
-                    [sorted(old[x] for x in bag) for bag in local.bags],
-                    list(local.tree_edges),
-                    local.root,
-                )
-                assert same_td(got, want), (idx, blk, cut)
+                for t in (sub_td, balance_td(sub, sub_td)):
+                    if cut is None:
+                        local = partition_rooted(sub, t, {0})
+                    else:
+                        local = partition_isolated(sub, t, cut)
+                    want = TreePartition(
+                        [sorted(old[x] for x in bag) for bag in local.bags],
+                        list(local.tree_edges),
+                        local.root,
+                    )
+                    assert same_td(got, want), (idx, blk, cut)
                 decided += 1
     assert decided > 2500, decided
 

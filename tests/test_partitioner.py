@@ -2,8 +2,10 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 from treepart.decomp import Violation, verify_tp
-from treepart.families import random_graph
+from treepart.families import gen_grid, random_graph
 from treepart.graph import Graph, biconnected_components
 from treepart.treewidth import heuristic_td
 from treepart.partitioner import (
@@ -49,6 +51,14 @@ def test_balanced_separator_bag():
                     stack.append(w)
         assert len(comp) <= len(wset) / 2
         left -= comp
+
+
+def test_balanced_separator_bag_rejects_vertices_out_of_range():
+    g = gen_grid(5)
+    td = heuristic_td(g)
+    for wset in ([0, 99], [-1], [g.n]):
+        with pytest.raises(ValueError):
+            balanced_separator_bag(g, td, wset)
 
 
 def test_partition_rooted_path():

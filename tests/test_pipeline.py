@@ -219,7 +219,7 @@ def test_import_index_is_built_once(monkeypatch):
 
 
 def test_size_rule_skips_block_decompositions(monkeypatch):
-    calls = {"balance_td": 0, "_extract_sub_td": 0}
+    calls = {"partition_rooted": 0, "partition_isolated": 0, "_extract_sub_td": 0}
     for name in calls:
         real = getattr(pipeline, name)
 
@@ -232,13 +232,13 @@ def test_size_rule_skips_block_decompositions(monkeypatch):
     star = gen_complete_bipartite(1, 10_000)
     out = run(star, PipelineParams(k=1))
     assert out.accepted and verify_tp(star, out.tp) == out.width
-    assert calls == {"balance_td": 0, "_extract_sub_td": 0}
+    assert calls == {"partition_rooted": 0, "partition_isolated": 0, "_extract_sub_td": 0}
     # a K_{2,12} block below a cutvertex c is decided by its size and c's
     # degree (13 - 1 <= 12 + 2 + 1); the root block, with no cut, is not
     g = gen_multiple_tree(random_tree(8, 1), 12)
     out = run(g, PipelineParams(k=7))
     assert out.accepted and verify_tp(g, out.tp) == out.width
-    assert calls == {"balance_td": 1, "_extract_sub_td": 1}
+    assert calls == {"partition_rooted": 1, "partition_isolated": 0, "_extract_sub_td": 1}
 
 
 def test_step4_builds_one_reduced_decomposition_on_first_need(monkeypatch):
@@ -285,16 +285,16 @@ def test_step4_builds_one_reduced_decomposition_on_first_need(monkeypatch):
 
 def test_one_block_input_is_never_copied(monkeypatch):
     """A connected input with one block and no merged pair is its own
-    component, quotient and block: the graph `balance_td` gets is the
-    input itself."""
+    component, quotient and block: the graph `partition_rooted` gets is
+    the input itself."""
     seen = []
-    real = pipeline.balance_td
+    real = pipeline.partition_rooted
 
-    def balance(g, td):
+    def rooted(g, td, s_set):
         seen.append(g)
-        return real(g, td)
+        return real(g, td, s_set)
 
-    monkeypatch.setattr(pipeline, "balance_td", balance)
+    monkeypatch.setattr(pipeline, "partition_rooted", rooted)
     for g, k in ((gen_grid(6), 4), (gen_grid(9), 5), (cycle(9), 2)):
         seen.clear()
         out = run(g, PipelineParams(k=k))
@@ -302,23 +302,28 @@ def test_one_block_input_is_never_copied(monkeypatch):
         assert len(seen) == 1 and seen[0] is g
 
 
-def test_windmill_blades_hand_balance_td_a_fixed_share():
+def test_windmill_blades_hand_the_partitioner_a_fixed_share():
     """Windmills of K_{2,12} blades on one hub (vertex 0): the blades
     below the hub are decided by the size rule, and the root blade hands
-    `balance_td` at most the decomposition's nodes, once; so step 4's
-    input grows linearly in the blade count."""
+    `partition_rooted` at most the decomposition's nodes, once, and
+    `partition_isolated` nothing; so step 4's input grows linearly in the
+    blade count."""
     nodes_in = []
-    real = pipeline.balance_td
+    real = pipeline.partition_rooted
 
-    def counting(g, td):
+    def counting(g, td, s_set):
         nodes_in.append(len(td.bags))
-        return real(g, td)
+        return real(g, td, s_set)
+
+    def isolated(g, td, v):
+        raise AssertionError("a blade below the hub reached the partitioner")
 
     for blades in (25, 50, 100):
         g = gen_multiple_tree(gen_complete_bipartite(1, blades), 12)
         nodes_in.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pipeline, "balance_td", counting)
+            mp.setattr(pipeline, "partition_rooted", counting)
+            mp.setattr(pipeline, "partition_isolated", isolated)
             out = run(g, PipelineParams(k=7))
         assert out.accepted and verify_tp(g, out.tp) == out.width
         assert len(nodes_in) == 1

@@ -134,16 +134,22 @@ def test_balance_td_bounds_random():
 
 def test_occupancy_tables_semantics():
     """On heuristic, balanced and random-order decompositions rooted at
-    random nodes: parent is the tree rooted there, top[v] holds v, and
-    every node holding v has top[v] as itself or an ancestor."""
+    random nodes: parent is the tree rooted there, depth counts the
+    parent steps to the root, top[v] holds v, and every node holding v has
+    top[v] as itself or an ancestor."""
     rng = random.Random(3)
     for seed in range(30):
         g = random_graph(25, 0.15, seed)
         td = heuristic_td(g, "min-fill" if seed % 2 else "min-degree", seed)
         for t in (td, balance_td(g, td), random_order_td(g, seed)):
             t = TreeDecomposition(t.bags, t.tree_edges, root=rng.randrange(t.num_nodes))
-            top, parent = occupancy_tables(t)
+            top, parent, depth = occupancy_tables(t)
             assert parent[t.root] == -1
+            for x in range(t.num_nodes):
+                steps, y = 0, x
+                while parent[y] != -1:
+                    steps, y = steps + 1, parent[y]
+                assert depth[x] == steps, (seed, x)
             assert sorted(map(sorted, t.tree_edges)) == sorted(
                 sorted((x, p)) for x, p in enumerate(parent) if p != -1
             )
