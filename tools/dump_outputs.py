@@ -25,7 +25,11 @@ walls of side 10, 20 and 30; windmills of 10 and 40 `K_{2,12}` blades on
 one hub at k in {3, 7}.  Then every other step-1 mode: exact on
 `random_graph(12, 0.3, s)` for s < 40 at k in {2, 3}, and min-fill,
 min-degree with seed 3 and an import of `heuristic_td(g, "min-fill", 1)`
-on the grids and walls at k in {3, 4, 8, 16}.  The `treepart` on
+on the grids and walls at k in {3, 4, 8, 16}.  Last, the flow corpus:
+random 2-trees and random outerplanar graphs (`_two_tree`, `_outerplanar`)
+of 250, 500 and 1,000 vertices at k = 3, seeds 0-3, whose step 2 runs
+the max-flows that the smaller graphs above mostly settle without one.
+The `treepart` on
 PYTHONPATH is the one dumped, so pointing PYTHONPATH at another checkout's
 `src` dumps that version against the same corpus.  The dump exits 1 when
 any accept fails `verify_tp`.
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -42,6 +47,42 @@ from pathlib import Path
 sys.path.append(str(Path(__file__).resolve().parent.parent))
 
 from perfbench import corpus  # noqa: E402
+
+
+def _two_tree(n: int, seed: int):
+    """Random 2-tree: K3, then each new vertex joins both ends of a random
+    edge of a random earlier triangle."""
+    import treepart as tp
+
+    rnd = random.Random(seed)
+    edges = [(0, 1), (0, 2), (1, 2)]
+    triangles = [(0, 1, 2)]
+    for v in range(3, n):
+        a, b = rnd.sample(rnd.choice(triangles), 2)
+        edges += [(a, v), (b, v)]
+        triangles.append((a, b, v))
+    return tp.Graph(n, edges)
+
+
+def _outerplanar(n: int, seed: int):
+    """Random outerplanar graph: the n-cycle plus the chords of a random
+    triangulation of its polygon, each kept with probability 1/2."""
+    import treepart as tp
+
+    rnd = random.Random(seed)
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    sides = [(0, n - 1)]  # polygon sides still to triangulate, as (i, j), i < j
+    while sides:
+        i, j = sides.pop()
+        if j - i < 2:
+            continue
+        apex = rnd.randrange(i + 1, j)
+        for a, b in ((i, apex), (apex, j)):
+            if b - a >= 2:
+                if rnd.random() < 0.5:
+                    edges.append((a, b))
+                sides.append((a, b))
+    return tp.Graph(n, edges)
 
 
 def _corpus():
@@ -86,6 +127,10 @@ def _corpus():
                     ("import min-fill seed 1", P(k, step1="import", import_td=imported)),
                 ):
                     yield f"{name} {mode}", f"{name}/{side} {mode}", g, params
+    for name, gen in (("2-tree", _two_tree), ("outerplanar", _outerplanar)):
+        for n in (250, 500, 1000):
+            for seed in range(4):
+                yield name, f"{name}({n},{seed})", gen(n, seed), P(3)
 
 
 def _certificate(cert):
