@@ -24,21 +24,19 @@ from .treewidth import occupancy_tables
 
 @dataclass(frozen=True)
 class PartitionConstants:
-    """Window constants of the separator-based construction.
+    """Constants of the separator-based construction.
 
-    alpha and gamma are exact to double precision (~16 digits); windows are
-    real-valued products of them, compared with exact integer sizes via
-    plain float comparison (sizes well below 2**50 are exact in doubles).
+    gamma is exact to double precision (~16 digits).  `window_low` (the
+    job loop's grouping cap and `partition_isolated`'s small-graph cutoff)
+    and the reference width `bound` are real-valued products of it,
+    compared with exact integer sizes via plain float comparison (sizes
+    well below 2**50 are exact in doubles).
     """
 
-    alpha: float = 1.0 + 1.0 / math.sqrt(2.0)
     gamma: float = 1.0 + math.sqrt(2.0)
 
     def window_low(self, w: int) -> float:
         return (self.gamma + 1.0) * (w + 1)
-
-    def window_high(self, w: int, delta: int) -> float:
-        return 3.0 * (self.gamma + 1.0) * (w + 1) * delta
 
     def bound(self, w: int, delta: int) -> float:
         """Reference width bound gamma*(w+1)*(3*gamma*delta - 1)."""
@@ -139,7 +137,8 @@ def _group_components(comps, boundaries, cap: float):
 def _partition(g: Graph, td: TreeDecomposition, bags, jobs):
     """Run the jobs (universe, s_set, parent) of a partition of g whose
     first bags are `bags`; returns (bags, tree edges, node of each job
-    whose parent is None).
+    whose parent is None).  Each job owns its universe set, which the loop
+    consumes: the rest is the universe less the bag, taken in place.
 
     A job's bag is its whole universe when that is small, else s_set plus
     the restricted bag of s_set's weighted centroid (`_centroid`, which
@@ -179,7 +178,8 @@ def _partition(g: Graph, td: TreeDecomposition, bags, jobs):
         if not bag:
             bag = {min(universe)}
         bags.append(sorted(bag))
-        rest = universe - bag
+        universe -= bag
+        rest = universe
         touched = set().union(*(g.adj[v] for v in bag))
         boundary = rest & touched
         if len(boundary) <= cap:

@@ -4,7 +4,8 @@ digraph, the auxiliary graph of highly-connected pairs, and its quotient.
 mu(s, t) is measured in G-st: the direct edge, if present, is removed
 before computing the minimum separator, for adjacent and non-adjacent
 pairs alike.  By Menger's theorem it is the largest number of internally
-disjoint s-t paths in G-st.
+disjoint s-t paths in G-st, and those paths are all the flow holds: each
+vertex's two neighbours on its path (see `mu`).
 
 `build_gb` settles most pairs without a flow, by three exact tests that
 run before it (see its docstring): a degree bound, a common-neighbour
@@ -23,12 +24,19 @@ from .graph import Graph, biconnected_components, connected_components, quotient
 def mu(g: Graph, s: int, t: int, cap: int | None = None) -> int:
     """min(mu(s, t), cap): size of a minimum s-t separator in G-st.
 
-    Unit-capacity max-flow between s_out and t_in on the split digraph
-    (v_in -> v_out per vertex, both directions per edge), with breadth-first
-    augmenting paths scanned in vertex id order.  The flow stops as soon as
-    `cap` augmenting paths have been found.  Each augmenting path costs one
-    breadth-first search, O(n + m), and a call runs at most min(mu, cap) + 1
-    of them.
+    Unit-capacity max-flow from s_out to t_in on the split digraph (node
+    2v = v_in, 2v+1 = v_out; arcs v_in -> v_out, and u_out -> w_in for
+    each edge uw other than st, both ways), with breadth-first augmenting
+    paths scanned in vertex id order.  The flow is a set of internally
+    disjoint s-t paths, held as pred[v] and succ[v], v's neighbours on its
+    path, or -1 when v is on none.  Residual arcs: v_in -> v_out when v is
+    free, else only v_in -> pred[v]_out; v_out -> w_in unless pred[w] == v
+    (succ[v] == t for w = t); v_out -> v_in when v is on a path.
+    Augmenting sets succ[u], pred[w] = w, u for each arc u_out -> w_in it
+    takes and frees v (pred[v] = succ[v] = -1) for each v_out -> v_in; an
+    arc w_in -> u_out needs no write, as the arcs on either side of it
+    overwrite pred[w] and succ[u].  It stops after `cap` augmenting paths;
+    each costs one search, O(n + m), and at most min(mu, cap) + 1 run.
     """
     if s == t:
         raise ValueError("s == t")
@@ -37,78 +45,54 @@ def mu(g: Graph, s: int, t: int, cap: int | None = None) -> int:
         cap = n
     if cap <= 0:
         return 0
-
-    # Node encoding: 2v = v_in, 2v+1 = v_out.  Arcs are implicit:
-    #   v_in -> v_out            (vertex capacity)
-    #   u_out -> v_in for uv in E, uv != st
-    # Residuals are tracked per vertex (split arc) and per directed edge.
-    vertex_used = bytearray(n)  # split arc saturated
-    edge_flow = {}  # (u, v) -> 1 when u_out -> v_in carries flow
-
+    adj = g.adj
+    pred = [-1] * n
+    succ = [-1] * n
     src = 2 * s + 1
     sink = 2 * t
     flow = 0
     parent = [-1] * (2 * n)
-    seen = [0] * (2 * n)  # seen[x] == stamp: x reached by the current search
+    seen = [0] * (2 * n)  # seen[x] == stamp: x reached by this search, no resets
     while flow < cap:
-        # BFS from s_out to t_in in the residual network; each search has
-        # its own stamp, so nothing is reset between augmentations
         stamp = flow + 1
         seen[src] = stamp
         queue = [src]
-        qi = 0
-        found = False
-        while qi < len(queue) and not found:
-            x = queue[qi]
-            qi += 1
-            v, is_out = x >> 1, x & 1
-            if is_out:
-                # forward edge arcs v_out -> w_in, split residual v_out -> v_in
-                for w in g.adj[v]:
-                    if (v == s and w == t) or (v == t and w == s):
-                        continue
-                    if edge_flow.get((v, w)):
-                        continue
-                    y = 2 * w
-                    if y == sink:
-                        parent[y] = x
-                        found = True
-                        break
-                    if seen[y] != stamp:
-                        seen[y] = stamp
-                        parent[y] = x
-                        queue.append(y)
-                if not found and vertex_used[v] and seen[2 * v] != stamp:
+        for x in queue:
+            v = x >> 1
+            if not x & 1:  # v_in: one arc out
+                y = 2 * v + 1 if pred[v] < 0 else 2 * pred[v] + 1
+                if seen[y] != stamp:
+                    seen[y] = stamp
+                    parent[y] = x
+                    queue.append(y)
+                continue
+            for w in adj[v]:
+                if w == t:
+                    if v != s and succ[v] != t:
+                        break  # t_in reached
+                elif pred[w] != v and seen[2 * w] != stamp:
+                    seen[2 * w] = stamp
+                    parent[2 * w] = x
+                    queue.append(2 * w)
+            else:
+                if pred[v] >= 0 and seen[2 * v] != stamp:
                     seen[2 * v] = stamp
                     parent[2 * v] = x
                     queue.append(2 * v)
-            else:
-                # split arc v_in -> v_out, edge residuals v_in -> w_out
-                if not vertex_used[v] and seen[2 * v + 1] != stamp:
-                    seen[2 * v + 1] = stamp
-                    parent[2 * v + 1] = x
-                    queue.append(2 * v + 1)
-                for w in g.adj[v]:
-                    if edge_flow.get((w, v)):
-                        y = 2 * w + 1
-                        if seen[y] != stamp:
-                            seen[y] = stamp
-                            parent[y] = x
-                            queue.append(y)
-        if not found:
+                continue
+            parent[sink] = x
             break
-        # augment along the parent chain
+        else:
+            break  # t_in unreachable: the flow is maximum
         y = sink
         while y != src:
             x = parent[y]
-            xv, x_out = x >> 1, x & 1
-            yv, y_out = y >> 1, y & 1
-            if xv == yv:
-                vertex_used[xv] = 1 if y_out else 0
-            elif x_out and not y_out:
-                edge_flow[(xv, yv)] = 1
-            else:
-                edge_flow.pop((yv, xv), None)
+            if x & 1 and not y & 1:
+                u, w = x >> 1, y >> 1
+                if u == w:
+                    pred[u] = succ[u] = -1
+                else:
+                    succ[u], pred[w] = w, u
             y = x
         flow += 1
     return flow

@@ -1,9 +1,11 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
+from treepart import partitioner
 from treepart.decomp import Violation, verify_tp
 from treepart.families import gen_grid, random_graph
 from treepart.graph import Graph, biconnected_components
@@ -26,8 +28,7 @@ def path(n):
 
 def test_constants():
     assert math.isclose(CONSTANTS.gamma, 1 + math.sqrt(2))
-    assert math.isclose(CONSTANTS.alpha, 1 + 1 / math.sqrt(2))
-    assert CONSTANTS.window_low(1) < CONSTANTS.window_high(1, 3)
+    assert math.isclose(CONSTANTS.window_low(1), 2 * (2 + math.sqrt(2)))
     assert CONSTANTS.bound(1, 3) > 0
 
 
@@ -90,6 +91,43 @@ def test_partition_isolated_contract():
             tp = partition_isolated(g, td, v)
             assert not isinstance(verify_tp(g, tp), Violation), (seed, v)
             assert tp.bags[tp.root] == [v]
+
+
+def test_live_jobs_own_their_universes():
+    # the job loop takes a job's rest out of its universe in place, so two
+    # jobs waiting on the stack must never hold one set object; a line
+    # tracer inspects the stack of `_partition` before each of its lines
+    code = partitioner._partition.__code__
+    shared = []
+    most = 0
+
+    def on_line(frame, event, arg):
+        nonlocal most
+        if event == "line":
+            universes = [id(job[0]) for job in frame.f_locals.get("stack", ()) if len(job) == 3]
+            most = max(most, len(universes))
+            if len(set(universes)) < len(universes):
+                shared.append(frame.f_lineno)
+        return on_line
+
+    def on_call(frame, event, arg):
+        return on_line if frame.f_code is code else None
+
+    sys.settrace(on_call)
+    try:
+        for seed in range(10):
+            g = random_graph(40, 0.08, seed)
+            td = heuristic_td(g)
+            v = seed % 3 or None
+            if v is None:
+                tp = partition_rooted(g, td, {0})
+            else:
+                tp = partition_isolated(g, td, v)
+            assert not shared, (g, v, shared)
+            assert not isinstance(verify_tp(g, tp), Violation)
+    finally:
+        sys.settrace(None)
+    assert most >= 3  # some job split into several child jobs
 
 
 def test_combine_blocks_bowtie():

@@ -66,8 +66,38 @@ def test_mu_matches_networkx_above_brute_force_range():
 
 def test_mu_cap_early_stop():
     g = complete(8)
-    assert mu(g, 0, 1, cap=3) >= 3  # capped answer is a lower bound report
+    assert mu(g, 0, 1, cap=3) == 3
     assert mu(g, 0, 1) == 6
+    for seed in range(30):
+        g = random_graph(8, 0.4, seed)
+        for s, t in itertools.combinations(range(g.n), 2):
+            exact = brute_mu(g, s, t)
+            for cap in range(5):
+                assert mu(g, s, t, cap) == min(exact, cap), (seed, s, t, cap)
+
+
+def paths_graph(n, *paths):
+    return Graph(n, [e for p in paths for e in zip(p, p[1:])])
+
+
+# s = 0, t = 4.  The one shortest path 0-1-2-3-4 is found first; the second
+# augmenting path enters 3 from 7, runs back to 2_out, crosses 2's split
+# arc backward (freeing 2), and leaves 1 through 8-9-10.
+GRAPH_A = paths_graph(11, (0, 1, 2, 3, 4), (0, 5, 6, 7, 3), (1, 8, 9, 10, 4))
+# Graph A plus a long detour through 2: the third augmenting path enters 2
+# again, after the second one has freed it.
+GRAPH_B = paths_graph(
+    21, (0, 1, 2, 3, 4), (0, 5, 6, 7, 3), (1, 8, 9, 10, 4),
+    (0, 11, 12, 13, 14, 15, 2), (2, 16, 17, 18, 19, 20, 4),
+)
+
+
+def test_mu_undoes_a_path_through_a_split_arc():
+    assert mu(GRAPH_A, 0, 4) == 2 == brute_mu(GRAPH_A, 0, 4)
+
+
+def test_mu_reenters_a_freed_vertex():
+    assert mu(GRAPH_B, 0, 4) == 3
 
 
 def test_candidate_pairs_cover_cobagged():
