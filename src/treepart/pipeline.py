@@ -13,6 +13,7 @@ carries a certificate that recomputes to a genuine obstruction.
 
 from __future__ import annotations
 
+import gc as collector
 import operator
 import time
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from .decomp import TreeDecomposition, TreePartition, Violation, verify_td
 from .graph import Graph, biconnected_components, connected_components, subgraph
 # candidate_pairs, balance_td and heuristic_td stay importable: perfbench/layers.py times them here
 from .separators import b_reduction, build_gb, candidate_pairs  # noqa: F401
-from .treewidth import _td_from_elimination, balance_td, eliminate, exact_elimination  # noqa: F401
+from .treewidth import _td_from_elimination, balance_td, clique_tree, eliminate, exact_elimination  # noqa: F401
 from .treewidth import heuristic_td, occupancy_tables, reduce_td, treewidth_lower_bound  # noqa: F401
 from .partitioner import (
     combine_blocks,
@@ -167,9 +168,9 @@ def _extract_sub_td(td: TreeDecomposition, new_id, index, cut=None) -> TreeDecom
 
 def _quotient_td(td: TreeDecomposition, red, gc: Graph) -> TreeDecomposition:
     """Step 4's decomposition of the quotient H = red.h of the component
-    gc: the step-1 decomposition td when H is gc, else td's bags mapped
-    through red.part_of on td's tree; in both cases reduced (`reduce_td`),
-    which keeps the width and roots it at 0."""
+    gc from a step-1 decomposition td: td itself when H is gc, else td's
+    bags mapped through red.part_of on td's tree; in both cases reduced
+    (`reduce_td`), which keeps the width and roots it at 0."""
     if red.h is not gc:
         bags = [sorted({red.part_of[v] for v in bag}) for bag in td.bags]
         td = TreeDecomposition(bags, td.tree_edges, root=0)
@@ -177,21 +178,30 @@ def _quotient_td(td: TreeDecomposition, red, gc: Graph) -> TreeDecomposition:
 
 
 def _step1(gc: Graph, params: PipelineParams, old_ids, lb: int, import_index):
-    """Step 1's decomposition of gc as (width, own, tree): own[v] is v's
-    top bag, the one nearest the root (with or without v), and tree()
-    builds the decomposition.  For an elimination order own[v] is v's
-    neighbour set when eliminated, so no bag is sorted unless step 4 asks."""
+    """Step 1's decomposition of gc as (width, own, reduced): own[v] is v's
+    top bag, the one nearest the root (with or without v), and reduced(red)
+    builds step 4's reduced decomposition of the quotient red.h.  For an
+    elimination order own[v] is v's neighbour set when eliminated, so no
+    bag is sorted unless step 4 asks, and when red.h is gc the clique tree
+    is read off the order (`clique_tree`), with no bag for the other
+    vertices; otherwise `_quotient_td` maps and reduces the decomposition."""
     if params.step1 == "import":
         new_id = {v: i for i, v in enumerate(old_ids)}
         td = _extract_sub_td(params.import_td, new_id, import_index)
         top = occupancy_tables(td)[0]
-        return td.width(), [td.bags[top[v]] for v in range(gc.n)], lambda: td
+        return td.width(), [td.bags[top[v]] for v in range(gc.n)], lambda red: _quotient_td(td, red, gc)
     if params.step1 == "exact":
         found = next(filter(None, (exact_elimination(gc, w) for w in range(max(lb, 0), gc.n))))
     else:
         found = eliminate(gc, params.step1[5:], params.seed)
     order, own = found
-    return max(map(len, own)), own, lambda: _td_from_elimination(gc.n, order, own)
+
+    def reduced(red):
+        if red.h is gc:
+            return clique_tree(gc.n, order, own)
+        return _quotient_td(_td_from_elimination(gc.n, order, own), red, gc)
+
+    return max(map(len, own)), own, reduced
 
 
 def _step2_pairs(g: Graph, own, b: int) -> list:
@@ -240,39 +250,47 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
     in exact mode, whose search starts at it and must reject before its
     capacity error.  Otherwise the decomposition comes first, and lb = w
     when delta >= w.  It is kept as its width and top bags (`_step1`), from
-    which step 2 lists its pairs (`_step2_pairs`); step 3 reuses step 2's
-    components of G^b.
+    which step 2 lists its pairs (`_step2_pairs`).
 
-    Step 4 partitions each block on its own.  One pass over H's edges
-    gives each block its edge list (`BlockForest.block_edges`), from which
-    the in-block degrees are counted, so a cutvertex of high degree costs
+    Step 3 reuses step 2's components of G^b.  One pass over H's edges
+    gives each block its edge list (`BlockForest.block_edges`).  When G^b
+    has no edge, H is gc, and the block forest and edge lists that step
+    2's block test built for gc, if it ran, are H's.
+
+    Step 4 partitions each block on its own.  The in-block degrees are
+    counted from the edge lists, so a cutvertex of high degree costs
     each of its blocks only that block's edges.  A block whose size and
     in-block degrees already fix its partition takes it from
     `partition_by_size`.  Every other block is built as a graph from its
     edge list (H itself when it holds all of H), and the partitioner runs
     on its share of the reduced decomposition as it is: each separator
     bag is a weighted centroid, which every decomposition holds, so no
-    rebalancing comes first.  The first such block
-    builds step 1's tree, and from it H's reduced decomposition
-    (`_quotient_td`), once, and drops the top bags; a block that is all of
-    H reads it in place, while any other block extracts its share through
-    `_td_index`, built on first use.  Below a cutvertex the extraction
-    keeps only the nodes meeting the block minus the cutvertex, so a
-    cutvertex shared by many blocks costs each block only its own share of
-    the decomposition.  Inputs whose blocks the size rule decides, and
-    rejects, build no decomposition at all."""
+    rebalancing comes first.  The first such block builds H's reduced
+    decomposition, once, and drops the top bags: read off the elimination
+    order as a clique tree when H is gc and step 1 eliminated
+    (`clique_tree`), else step 1's tree mapped onto H and reduced
+    (`_quotient_td`).  A block that is all of H reads it in place, while
+    any other block extracts its share through `_td_index`, built on first
+    use.  Below a cutvertex the extraction keeps only the nodes meeting
+    the block minus the cutvertex, so a cutvertex shared by many blocks
+    costs each block only its own share of the decomposition.  Inputs
+    whose blocks the size rule decides, and rejects, build no
+    decomposition at all.
+
+    Step 5 expands each quotient vertex into its part; when H is gc, step
+    4's partition, whose bags are sorted, is already the answer."""
     k = params.k
 
     t0 = time.perf_counter()
     delta = min(map(len, gc.adj))
     w = None
     if not (params.step1 == "exact" or delta > 2 * k - 1):
-        w, own, tree = _step1(gc, params, old_ids, 0, import_index)
+        w, own, reduced = _step1(gc, params, old_ids, 0, import_index)
     lb = w if w is not None and delta >= w else treewidth_lower_bound(gc)
     if lb > 2 * k - 1:
         return "reject", TreewidthLB(lb, 2 * k - 1)
     if w is None:
-        w, own, tree = _step1(gc, params, old_ids, lb, import_index)
+        w, own, reduced = _step1(gc, params, old_ids, lb, import_index)
     _fold(stats["step1"], max, w=w, lb=lb)
     t0 = _lap(stats["step1"], t0)
 
@@ -281,7 +299,8 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
         if params.b_override < b:
             raise ValueError(f"b_override {params.b_override} below required {b}")
         b = params.b_override
-    gb = build_gb(gc, b, _step2_pairs(gc, own, b))
+    blocks = []  # gc's block forest and block edges, when step 2 builds them
+    gb = build_gb(gc, b, _step2_pairs(gc, own, b), blocks)
     gb_comps = connected_components(gb)
     _fold(stats["step2"], max, b=b)
     _fold(stats["step2"], operator.add, gb_edges=gb.m)
@@ -295,14 +314,17 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
 
     red = b_reduction(gc, gb, gb_comps)
     h = red.h
-    bf = biconnected_components(h)
+    if h is gc and blocks:
+        bf, block_edges = blocks[0]
+    else:
+        bf = biconnected_components(h)
+        block_edges = bf.block_edges(h)
     _fold(stats["step3"], operator.add, h_n=h.n, blocks=len(bf.blocks))
     t0 = _lap(stats["step3"], t0)
 
     thr = degree_threshold(k, max(b, 2))
     _fold(stats["step4"], max, delta_h=h.max_degree())
     stats["step4"]["threshold"] = thr
-    block_edges = bf.block_edges(h)
     degree = [0] * h.n  # in-block degrees of the block being scanned
     degrees = []  # per block: minimum in-block degree, parent cutvertex's in-block degree
     for blk, blk_edges, cut in zip(bf.blocks, block_edges, bf.parent_cut):
@@ -326,8 +348,8 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
         tp_block = partition_by_size(blk, low, cut, d_cut)
         if tp_block is None:
             if tdh is None:
-                tdh = _quotient_td(tree(), red, gc)
-                own = tree = None  # the neighbour sets are not needed again
+                tdh = reduced(red)
+                own = reduced = None  # the neighbour sets are not needed again
             sub, new_id = subgraph(h, blk, block_edges[bidx])
             if sub is h:  # extracting all of H returns tdh itself
                 sub_td = tdh
@@ -348,7 +370,7 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
     tp_h = combine_blocks(h, bf, per_block)
     t0 = _lap(stats["step4"], t0)
 
-    tp = expand(tp_h, red)
+    tp = tp_h if h is gc else expand(tp_h, red)  # step 4's bags are sorted
     _lap(stats["step5"], t0)
     return "accept", tp
 
@@ -359,7 +381,26 @@ def run(g: Graph, params: PipelineParams) -> PipelineOutcome:
 
     With step1="import", params.import_td must be a tree decomposition of g:
     a failed `verify_td` clause raises ValueError naming it.
+
+    The cyclic garbage collector is paused for the run, and the caller's
+    setting is restored however the run ends.  The pause is process-wide:
+    other threads get no automatic collection until the run returns.  It
+    is safe because a run builds no reference cycle, so reference
+    counting alone frees everything it drops, and the collections its
+    allocations would trigger would find none of its objects to free.
+    Runs overlapping in threads leave the collector enabled if it was
+    when the first of them began.
     """
+    enabled = collector.isenabled()
+    collector.disable()
+    try:
+        return _run(g, params)
+    finally:
+        if enabled:
+            collector.enable()
+
+
+def _run(g: Graph, params: PipelineParams) -> PipelineOutcome:
     if params.step1 == "import":
         res = verify_td(g, params.import_td)
         if isinstance(res, Violation):
@@ -389,8 +430,10 @@ def run(g: Graph, params: PipelineParams) -> PipelineOutcome:
             trace = [TraceRecord(s, stats[s]) for s in stats]
             return PipelineOutcome(accepted=False, certificate=payload, trace=trace)
         offset = len(bags)
-        for bag in payload.bags:
-            bags.append(sorted(old_ids[v] for v in bag))
+        if gc is g:  # a connected input: old_ids is the identity
+            bags += payload.bags
+        else:
+            bags += (sorted(old_ids[v] for v in bag) for bag in payload.bags)
         for i, j in payload.tree_edges:
             edges.append((offset + i, offset + j))
         roots.append(offset + (payload.root if payload.root is not None else 0))

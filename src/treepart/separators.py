@@ -116,8 +116,12 @@ def candidate_pairs(td, vertices=None) -> list:
     return sorted(pairs)
 
 
-def build_gb(g: Graph, b: int, pairs) -> Graph:
+def build_gb(g: Graph, b: int, pairs, blocks=None) -> Graph:
     """Auxiliary graph joining the given pairs uv with mu(u, v) >= b.
+
+    blocks, when given, is a list to which the block forest of g and its
+    `block_edges` are appended as one pair when test 3 below builds them,
+    so a caller that needs g's blocks too builds them once.
 
     Each pair goes through three exact tests, cheapest first; a flow runs
     only when none of them settles it:
@@ -146,7 +150,7 @@ def build_gb(g: Graph, b: int, pairs) -> Graph:
         raise ValueError("b must be >= 1")
     nbrs = [None] * g.n  # vertex -> neighbour set, built on first use
     forest = None  # b >= 2: the block forest and its block_edges, built on first use
-    blocks = {}  # block id -> (subgraph, vertex -> subgraph id)
+    subs = {}  # block id -> (subgraph, vertex -> subgraph id)
     edges = []
     for u, v in pairs:
         nu = nbrs[u] = nbrs[u] or set(g.adj[u])  # an empty set is rebuilt, in O(1)
@@ -165,12 +169,14 @@ def build_gb(g: Graph, b: int, pairs) -> Graph:
         if forest is None:
             forest = biconnected_components(g)
             block_edges = forest.block_edges(g)
+            if blocks is not None:
+                blocks.append((forest, block_edges))
         i = forest.block_of(u, v)
         if i is None:
             continue
-        if i not in blocks:
-            blocks[i] = subgraph(g, forest.blocks[i], block_edges[i])
-        sub, new_id = blocks[i]
+        if i not in subs:
+            subs[i] = subgraph(g, forest.blocks[i], block_edges[i])
+        sub, new_id = subs[i]
         su, sv = new_id[u], new_id[v]
         if min(sub.degree(su), sub.degree(sv)) - adjacent < b:
             continue

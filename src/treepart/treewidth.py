@@ -30,14 +30,73 @@ def _td_from_elimination(n: int, order, nbrs) -> TreeDecomposition:
     """
     if not order:
         return TreeDecomposition([[]], [], root=0)
+    bags = [sorted([v, *nbrs[v]]) for v in order]
+    edges = list(enumerate(_elimination_parents(n, order, nbrs)))
+    return TreeDecomposition(bags, edges, root=len(order) - 1)
+
+
+def _elimination_parents(n: int, order, nbrs) -> list:
+    """The parent of each node but the root in `_td_from_elimination`'s
+    tree: the position in order of the first-eliminated member of
+    nbrs[order[i]], or i + 1 when that set is empty."""
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
-    bags = [sorted([v, *nbrs[v]]) for v in order]
+    return [min(map(pos.__getitem__, nbrs[v])) if nbrs[v] else i + 1 for i, v in enumerate(order[:-1])]
+
+
+def clique_tree(n: int, order, nbrs) -> TreeDecomposition:
+    """`reduce_td(_td_from_elimination(n, order, nbrs))`, read off the
+    elimination without building the bags it drops: the maximal cliques
+    of the chordal completion on a clique tree (Blair and Peyton, "An
+    introduction to chordal graphs and clique trees", 1993).  nbrs must
+    come from an elimination, as in `eliminate`.
+
+    Rule: a node p is contracted into its lowest-id child c with |bag c|
+    = |bag p| + 1, when it has one.  Proof that `reduce_td` does the same:
+    - Each child c of p has bag(c) - order[c] inside bag(p): order[c]'s
+      later neighbours form a clique in the fill graph, and order[p] is
+      the first of them eliminated (a child joined to p = c + 1 across
+      components has bag {order[c]}).
+    - No bag holds a vertex eliminated before its own, so order[c] is not
+      in bag(p).  So no two bags are equal, no parent's bag contains a
+      child's, and a child's bag contains its parent's exactly when it is
+      one larger.
+    - `reduce_td` contracts p into its lowest-id current neighbour whose
+      bag contains bag(p).  With no equal bags, its proof shows that such
+      a neighbour is an original neighbour of p whose own bag contains
+      bag(p), not one met through a node contracted earlier.  So it is a
+      child one larger, which is visited after p and so is still itself.
+    Children have lower ids than their parents, so an ascending pass
+    resolves each node to the kept node its chain of contractions ends
+    in.  Only the kept bags are sorted.  The kept nodes keep their order,
+    the tree edges come out sorted, and the root is 0.  Linear in the
+    bags, plus the sorting.
+    """
+    if not order:
+        return TreeDecomposition([[]], [], root=0)
+    size = [len(nbrs[v]) for v in order]
+    parent = _elimination_parents(n, order, nbrs)
+    into = [-1] * len(order)  # node -> the child it is contracted into
+    for i, p in enumerate(parent):
+        if into[p] < 0 and size[i] == size[p] + 1:
+            into[p] = i
+    rep = list(range(len(order)))  # node -> the kept node it ends in
+    for i, c in enumerate(into):
+        if c >= 0:  # c < i, so rep[c] is final
+            rep[i] = rep[c]
+    keep = [i for i in range(len(order)) if into[i] < 0]
+    new_id = [0] * len(order)
+    for t, i in enumerate(keep):
+        new_id[i] = t
     edges = []
-    for i, v in enumerate(order[:-1]):
-        edges.append((i, min(map(pos.__getitem__, nbrs[v])) if nbrs[v] else i + 1))
-    return TreeDecomposition(bags, edges, root=len(order) - 1)
+    for i, p in enumerate(parent):
+        if into[p] != i:
+            a, b = new_id[rep[i]], new_id[rep[p]]
+            edges.append((a, b) if a < b else (b, a))
+    edges.sort()
+    bags = [sorted([order[i], *nbrs[order[i]]]) for i in keep]
+    return TreeDecomposition(bags, edges, root=0)
 
 
 def _pick(heap, cur, low) -> int:
@@ -179,8 +238,8 @@ def treewidth_lower_bound(g: Graph) -> int:
     The alive vertex of least (degree, id) comes from the lower-bound-key
     heap of `heuristic_td`, with entries (key, id, id); after a
     contraction only the degrees of the contracted vertex's neighbours
-    change, and only those are lowered.  Cost: O(sum of d^2 + d log n)
-    over the picked minimum degrees d.
+    change, and one is pushed only when it drops below its lowest key.
+    Cost: O(sum of d^2 + d log n) over the picked minimum degrees d.
     """
     n = g.n
     if n == 0:
@@ -198,15 +257,20 @@ def treewidth_lower_bound(g: Graph) -> int:
         mmd = max(mmd, d)
         if d == 0:
             continue
-        u = min(nv, key=lambda w: (len(nbr[w] & nv), w))
+        # two neighbours share the same count of common ones: 1 if adjacent, else 0
+        u = min(nv) if d <= 2 else min([(len(nbr[w] & nv), w) for w in nv])[1]
+        nu = nbr[u]
+        nu |= nv
+        nu.discard(u)
+        nu.discard(v)
         for w in nv:
-            nbr[w].discard(v)
+            nw = nbr[w]
             if w != u:
-                nbr[w].add(u)
-                nbr[u].add(w)
-        nbr[u].discard(u)
-        for w in nv:
-            _lower(heap, cur, low, w, len(nbr[w]), w, d)
+                nw.discard(v)
+                nw.add(u)
+            c = cur[w] = len(nw)
+            if c < low[w]:  # else `_lower` would only set cur[w]
+                _lower(heap, cur, low, w, c, w, d)
         nv.clear()
     return mmd
 
@@ -307,7 +371,8 @@ def reduce_td(td: TreeDecomposition) -> TreeDecomposition:
     bag lies inside another.  For the decomposition of an elimination
     order the bags left are the maximal cliques of the chordal completion
     and the tree is a clique tree (Blair and Peyton, "An introduction to
-    chordal graphs and clique trees", 1993).
+    chordal graphs and clique trees", 1993), which `clique_tree` reads off
+    the order directly.
 
     Rule: nodes are visited by increasing (bag size, id), and each is
     contracted into its lowest-id current neighbour whose bag contains its

@@ -67,10 +67,13 @@ from treepart.pipeline import (
     _td_index,
     run,
 )
-from treepart.separators import build_gb, candidate_pairs, mu
+from treepart.separators import b_reduction, build_gb, candidate_pairs, mu
 from treepart.treewidth import (
+    _td_from_elimination,
     balance_td,
+    clique_tree,
     eliminate,
+    exact_elimination,
     heuristic_td,
     occupancy_tables,
     reduce_td,
@@ -1042,8 +1045,9 @@ def test_step2_pairs_are_the_co_bagged_pairs_less_adjacent_tight_ones(strategy):
     imported = 0
     for idx, (g, b) in enumerate(pair_cases()):
         td = heuristic_td(g, strategy, 1)
-        w, own, tree = _step1(g, params, range(g.n), 0, None)
-        assert w == td.width() and same_td(tree(), td), idx
+        w, own, reduced = _step1(g, params, range(g.n), 0, None)
+        own_quotient = b_reduction(g, Graph(g.n))
+        assert w == td.width() and same_td(reduced(own_quotient), reduce_td(td)), idx
         deg = [g.degree(v) for v in range(g.n)]
         high = {v for v in range(g.n) if deg[v] >= b}
 
@@ -1363,13 +1367,15 @@ def test_block_extraction_keeps_the_nodes_meeting_block_minus_cut(monkeypatch):
     """On the pipeline's own quotients and their reduced decompositions
     (`_quotient_td`, built from the step-1 decomposition `heuristic_td` of
     the captured component, which step 4 must be handed when it builds one,
-    and the captured quotient), every block's extraction equals the full
+    and the captured quotient; `clique_tree` of that decomposition's
+    elimination when the quotient is the component), every block's extraction equals the full
     scan for the nodes meeting the block minus its parent cutvertex (for a
     root block, the nodes meeting the block), has a tree for its tree, and
     is a decomposition of the block."""
     seen = {}  # the last component's graph, decomposition and quotient
     real_reduction = pipeline.b_reduction
     real_quotient_td = pipeline._quotient_td
+    real_clique_tree = pipeline.clique_tree
     real_combine = pipeline.combine_blocks
     counts = {"root": 0, "below_cut": 0, "below_cut_3+": 0, "merged": 0, "built": 0}
 
@@ -1382,6 +1388,12 @@ def test_block_extraction_keeps_the_nodes_meeting_block_minus_cut(monkeypatch):
         assert same_td(td, seen["td"]) and red is seen["red"] and gc is seen["g"]
         counts["built"] += 1
         return real_quotient_td(td, red, gc)
+
+    def clique_tree(n, order, nbrs):  # the build when H is the component
+        assert seen["red"].h is seen["g"]
+        assert same_td(_td_from_elimination(n, order, nbrs), seen["td"])
+        counts["built"] += 1
+        return real_clique_tree(n, order, nbrs)
 
     def combine(h, bf, per_block):
         td = _quotient_td(seen["td"], seen["red"], seen["g"])  # step 4's decomposition
@@ -1403,6 +1415,7 @@ def test_block_extraction_keeps_the_nodes_meeting_block_minus_cut(monkeypatch):
 
     monkeypatch.setattr(pipeline, "b_reduction", reduction)
     monkeypatch.setattr(pipeline, "_quotient_td", quotient_td)
+    monkeypatch.setattr(pipeline, "clique_tree", clique_tree)
     monkeypatch.setattr(pipeline, "combine_blocks", combine)
     for g, k in extraction_cases():
         before = counts["below_cut"]
@@ -1424,6 +1437,29 @@ def test_reduce_td_matches_contraction_by_contraction():
     for name in ("grid20", "wall20"):
         td = heuristic_td(STRUCTURED[name]())
         assert same_td(reduce_td(td), ref_reduce_td(td)), name
+
+
+def test_clique_tree_is_the_reduced_elimination_decomposition():
+    """`clique_tree` returns exactly `reduce_td` of the elimination's
+    decomposition: bags, sorted tree edges and root, for min-degree and
+    min-fill on connected and disconnected random graphs, grids, walls,
+    stars and paths, for the exact search, and for no vertices."""
+    connected = {True: 0, False: 0}
+    cases = [(g, strategy, idx % 4) for idx, g in enumerate(random_corpus())
+             for strategy in ("min-degree", "min-fill")]
+    cases += [(make(), "min-degree", 0) for make in STRUCTURED.values()]
+    for idx, (g, strategy, seed) in enumerate(cases):
+        order, nbrs = eliminate(g, strategy, seed)
+        want = reduce_td(_td_from_elimination(g.n, order, nbrs))
+        assert same_td(clique_tree(g.n, order, nbrs), want), (idx, strategy)
+        connected[len(connected_components(g)) == 1] += 1
+    assert min(connected.values()) > 100, connected
+    for s in range(40):
+        g = random_graph(12, 0.3, s)
+        order, nbrs = next(filter(None, (exact_elimination(g, w) for w in range(g.n))))
+        want = reduce_td(_td_from_elimination(g.n, order, nbrs))
+        assert same_td(clique_tree(g.n, order, nbrs), want), s
+    assert same_td(clique_tree(0, [], []), reduce_td(_td_from_elimination(0, [], [])))
 
 
 def test_candidate_pairs_match_per_bag_listing():

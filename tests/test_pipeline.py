@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from treepart import pipeline, treewidth
+from treepart import graph, pipeline, separators, treewidth
 from treepart.decomp import TreeDecomposition, Violation, verify_td, verify_tp
 from treepart.exact import exact_tpw
 from treepart.families import (
@@ -243,12 +243,12 @@ def test_size_rule_skips_block_decompositions(monkeypatch):
 
 def test_step4_builds_one_reduced_decomposition_on_first_need(monkeypatch):
     """Step 1 keeps its elimination order, and the first block the size
-    rule leaves builds the decomposition's tree from it and reduces it,
-    once; a block that is all of H reads it in place.  Blocks the size
-    rule decides, and rejects (every `flow_reject` instance), build
-    nothing.  Step 2 hands `build_gb` no pair its degree bound rejects, so
+    rule leaves reads H's clique tree off it (`clique_tree`, H being the
+    component), once, with no full tree of bags built and reduced; a block
+    that is all of H reads it in place.  Blocks the size rule decides, and
+    rejects (every `flow_reject` instance), build nothing.  Step 2 hands `build_gb` no pair its degree bound rejects, so
     a fan's adjacent pairs of degree-b vertices never reach it."""
-    calls = {"_td_from_elimination": 0, "reduce_td": 0, "_td_index": 0, "_extract_sub_td": 0}
+    calls = dict.fromkeys(("clique_tree", "_td_from_elimination", "reduce_td", "_td_index", "_extract_sub_td"), 0)
     listed = []
     for name in calls:
         real = getattr(pipeline, name)
@@ -261,7 +261,9 @@ def test_step4_builds_one_reduced_decomposition_on_first_need(monkeypatch):
         if name == "_td_from_elimination":  # also behind heuristic_td
             monkeypatch.setattr(treewidth, name, counting)
     real_gb = pipeline.build_gb
-    monkeypatch.setattr(pipeline, "build_gb", lambda g, b, pairs: listed.append(len(pairs)) or real_gb(g, b, pairs))
+    monkeypatch.setattr(
+        pipeline, "build_gb", lambda g, b, pairs, *rest: listed.append(len(pairs)) or real_gb(g, b, pairs, *rest)
+    )
 
     def counted(g, k):
         calls.update(dict.fromkeys(calls, 0))
@@ -269,18 +271,42 @@ def test_step4_builds_one_reduced_decomposition_on_first_need(monkeypatch):
         return run(g, PipelineParams(k=k)).accepted, dict(calls)
 
     # grid 40 is one block and its own quotient
-    assert counted(gen_grid(40), 16) == (
-        True, {"_td_from_elimination": 1, "reduce_td": 1, "_td_index": 0, "_extract_sub_td": 0}
-    )
-    accepted, wall = counted(gen_wall(40), 16)
-    assert accepted and wall["_td_from_elimination"] == wall["reduce_td"] == 1
     none = dict.fromkeys(calls, 0)
+    assert counted(gen_grid(40), 16) == (True, dict(none, clique_tree=1))
+    accepted, wall = counted(gen_wall(40), 16)
+    assert accepted and wall["clique_tree"] == 1
+    assert wall["_td_from_elimination"] == wall["reduce_td"] == 0
     assert counted(Graph(2000, [(i, i + 1) for i in range(1999)]), 2) == (True, none)
     assert counted(gen_complete_bipartite(1, 3000), 1) == (True, none)
     assert counted(gen_fan(7), 2) == (False, none)
     for inst in corpus.build("flow_reject", 1):
         assert counted(inst.graph, inst.k) == (False, none), inst.label
     assert counted(gen_fan(1000), 2) == (False, none) and listed == [0]
+
+
+def test_step3_takes_step2_blocks_when_nothing_merges(monkeypatch):
+    """When G^b has no edge, H is the component, and step 3 takes the
+    blocks that step 2's block test built for it (a tree) or searches them
+    once itself (a grid, whose pairs never reach that test); a merged
+    quotient gets its own search after step 2's."""
+    searched = []
+    real = graph.biconnected_components
+
+    def counting(h):
+        searched.append(h.n)
+        return real(h)
+
+    monkeypatch.setattr(pipeline, "biconnected_components", counting)
+    monkeypatch.setattr(separators, "biconnected_components", counting)
+    for g, k, want in (
+        (random_tree(300, 1), 1, [300]),
+        (gen_grid(10), 4, [100]),
+        (random_graph(30, 0.12, 23), 3, [30, 29]),
+    ):
+        searched.clear()
+        out = run(g, PipelineParams(k=k))
+        assert out.accepted and verify_tp(g, out.tp) == out.width
+        assert searched == want, g
 
 
 def test_one_block_input_is_never_copied(monkeypatch):
@@ -419,20 +445,33 @@ def test_exact_mode_rejects_on_the_bound_before_its_capacity():
     assert out.certificate == TreewidthLB(4, 3)
 
 
+def disjoint_union(*graphs):
+    edges, offset = [], 0
+    for h in graphs:
+        edges += [(offset + u, offset + v) for u, v in h.edges()]
+        offset += h.n
+    return Graph(offset, edges)
+
+
 @pytest.mark.parametrize(
-    "g, params",
+    "g, params, certificate",
     [
-        (gen_grid(20), PipelineParams(k=4)),
-        (gen_wall(14), PipelineParams(k=3)),
-        (gen_multiple_tree(random_tree(18, 1), 12), PipelineParams(k=7)),
-        (gen_grid(12), PipelineParams(k=4, step1="import", import_td=heuristic_td(gen_grid(12)))),
-        (gen_grid(3), PipelineParams(k=2, step1="exact")),
+        (gen_grid(20), PipelineParams(k=4), None),
+        (gen_wall(14), PipelineParams(k=3), None),
+        (gen_multiple_tree(random_tree(18, 1), 12), PipelineParams(k=7), None),
+        (gen_grid(12), PipelineParams(k=4, step1="import", import_td=heuristic_td(gen_grid(12))), None),
+        (gen_grid(3), PipelineParams(k=2, step1="exact"), None),
+        (disjoint_union(gen_grid(6), cycle(9), gen_grid(5)), PipelineParams(k=4), None),
+        (gen_grid(5), PipelineParams(k=2), TreewidthLB),
+        (gen_complete_bipartite(3, 20), PipelineParams(k=2), LargeComponent),
+        (gen_fan(7), PipelineParams(k=2), BlockDegree),
     ],
-    ids=["grid", "wall", "multitree", "import", "exact"],
+    ids=["grid", "wall", "multitree", "import", "exact", "disconnected", "lb", "component", "degree"],
 )
-def test_run_leaves_no_cyclic_garbage(g, params):
-    """A run in any step-1 mode builds no reference cycle, so it frees
-    everything it made without the cyclic collector."""
+def test_run_leaves_no_cyclic_garbage(g, params, certificate):
+    """A run in any step-1 mode, accepting or rejecting with any
+    certificate, builds no reference cycle, so it frees everything it made
+    without the cyclic collector."""
     gc.collect()
     gc.disable()
     try:
@@ -440,4 +479,26 @@ def test_run_leaves_no_cyclic_garbage(g, params):
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert out.accepted
+    assert out.accepted is (certificate is None)
+    assert certificate is None or isinstance(out.certificate, certificate)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_pauses_the_collector_and_restores_it(monkeypatch, enabled):
+    """The collector is off while a run works and left as the caller had
+    it, also after a run that raises part-way (a b_override below the
+    required b)."""
+    during = []
+    real = pipeline._run_component
+    monkeypatch.setattr(pipeline, "_run_component", lambda *args: during.append(gc.isenabled()) or real(*args))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run(gen_grid(6), PipelineParams(k=4)).accepted
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="b_override 2 below required"):
+            run(gen_grid(6), PipelineParams(k=4, b_override=2))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]

@@ -32,12 +32,16 @@ the max-flows that the smaller graphs above mostly settle without one.
 The `treepart` on
 PYTHONPATH is the one dumped, so pointing PYTHONPATH at another checkout's
 `src` dumps that version against the same corpus.  The dump exits 1 when
-any accept fails `verify_tp`.
+any accept fails `verify_tp`, or when any run leaves a reference cycle:
+each run starts after a full collection, and `run` pauses the cyclic
+collector, so everything the run allocated is still in generation 0 when
+it returns, and collecting that generation finds every cycle it left.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -147,9 +151,14 @@ def _certificate(cert):
 
 
 def _record(family, label, g, params):
+    """The run's record, and the number of objects it left in reference
+    cycles."""
     import treepart as tp
 
+    gc.collect()
+    gc.freeze()  # the next full collection skips what survived this one
     out = tp.run(g, params)
+    cyclic = gc.collect(0)
     rec = {
         "family": family,
         "label": label,
@@ -171,17 +180,25 @@ def _record(family, label, g, params):
             "edges": out.tp.tree_edges,
             "root": out.tp.root,
         }
-    return rec
+    return rec, cyclic
 
 
 def dump(path: str) -> int:
-    """Write the dump; 1 when any accept fails `verify_tp`, else 0."""
-    records = [_record(*case) for case in _corpus()]
+    """Write the dump; 1 when any accept fails `verify_tp` or any run
+    leaves a reference cycle, else 0."""
+    records, cyclic = [], []
+    for case in _corpus():
+        rec, garbage = _record(*case)
+        records.append(rec)
+        if garbage:
+            cyclic.append(f'{rec["label"]} k={rec["k"]}: {garbage} objects')
     Path(path).write_text(json.dumps(records, indent=None, separators=(",", ":")) + "\n")
     bad = [r for r in records if r["accepted"] and r["verify_tp"] != r["width"]]
     print(f"{len(records)} records, {sum(r['accepted'] for r in records)} accepts, "
-          f"{len(bad)} accepts failing verify_tp -> {path}")
-    return 1 if bad else 0
+          f"{len(bad)} accepts failing verify_tp, {len(cyclic)} runs leaving cyclic garbage -> {path}")
+    for line in cyclic:
+        print(f"cyclic garbage: {line}")
+    return 1 if bad or cyclic else 0
 
 
 def compare(path_a: str, path_b: str) -> int:
