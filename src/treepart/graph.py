@@ -18,6 +18,8 @@ class Graph:
     __slots__ = ("n", "adj", "_edge_count")
 
     def __init__(self, n: int, edges=()):
+        if n < 0:
+            raise ValueError(f"negative vertex count {n}")
         adj = [[] for _ in range(n)]
         seen = set()
         for u, v in edges:
@@ -82,6 +84,8 @@ class Graph:
         all of 0..n-1 the subgraph is this graph itself.
         """
         old_ids = sorted(vertices)
+        if len(old_ids) == self.n:
+            return self, old_ids
         keep = set(old_ids)
         edges = ((u, v) for u in old_ids for v in self.adj[u] if u < v and v in keep)
         return subgraph(self, old_ids, edges)[0], old_ids
@@ -90,10 +94,11 @@ class Graph:
 def subgraph(g: Graph, vertices, edges):
     """(subgraph, new_id) of g on the sorted vertex list `vertices`, given
     the edges of g among them, with vertices[i] renamed new_id[vertices[i]]
-    = i.  On all of g's vertices it is g itself, and `edges` goes unread."""
-    new_id = {v: i for i, v in enumerate(vertices)}
+    = i.  On all of g's vertices it is g itself, `edges` goes unread and
+    new_id is range(g.n)."""
     if len(vertices) == g.n:
-        return g, new_id
+        return g, range(g.n)
+    new_id = {v: i for i, v in enumerate(vertices)}
     return Graph(len(vertices), [(new_id[u], new_id[v]) for u, v in edges]), new_id
 
 
@@ -161,24 +166,41 @@ class BlockForest:
         """Each block's edges of g, in `g.edges()` order, by one O(n + m)
         pass: an edge belongs to the block its endpoints share."""
         out = [[] for _ in self.blocks]
-        for u, v in g.edges():
-            out[self.block_of(u, v)].append((u, v))
+        home, cut = self.home, self.parent_cut
+        for u, nu in enumerate(g.adj):
+            hu = home[u]
+            for v in nu:
+                if u < v:  # `block_of`, where a shared block exists
+                    hv = home[v]
+                    out[hu if hu == hv or cut[hv] != u else hv].append((u, v))
         return out
 
 
 def connected_components(g: Graph, vertices=None):
     """Connected components of g, or of the subgraph induced by `vertices`,
-    as sorted vertex lists ordered by minimum vertex."""
-    if vertices is None:
-        vertices = range(g.n)
-    left = set(vertices)
+    as sorted vertex lists ordered by minimum vertex.
+
+    One search per component, from its least vertex in a scan of the
+    vertices in order, so the components come out in order; an isolated
+    vertex costs O(1), and an edgeless g no search.  A hub's unreached
+    neighbours are taken by one set intersection instead of a loop."""
+    if vertices is None and not g.m:
+        return [[v] for v in range(g.n)]
+    adj = g.adj
+    left = set(range(g.n) if vertices is None else vertices)  # not yet reached
     comps = []
-    while left:
-        comp = [left.pop()]
+    for s in range(g.n) if vertices is None else sorted(left):
+        if s not in left:
+            continue
+        comp = [s]
+        comps.append(comp)
+        if not adj[s]:  # isolated: no search reaches s, so it stays in left
+            continue
+        left.discard(s)
         for u in comp:  # comp grows while the search runs
             if not left:  # every vertex is reached
                 break
-            nu = g.adj[u]
+            nu = adj[u]
             if len(nu) > 16:  # a hub: one C-level pass instead of a loop
                 comp += left.intersection(nu)
                 left.difference_update(nu)
@@ -188,8 +210,8 @@ def connected_components(g: Graph, vertices=None):
                     left.discard(v)
                     comp.append(v)
         comp.sort()
-        comps.append(comp)
-    comps.sort()
+        if not left:
+            break
     return comps
 
 
@@ -230,6 +252,12 @@ def biconnected_components(g: Graph) -> BlockForest:
     least by content is the root block and home[r].  A vertex lies in two
     or more blocks exactly when some block hangs from it, so the cutvertices
     are the distinct parent cuts.
+
+    The search keeps the vertex it is at and an iterator over its arcs
+    left, and a stack of (vertex, arcs left) frames for the vertices above.
+    The arc from u back to its parent p may lower low[u] to disc[p], which
+    changes neither test: low[u] >= disc[p] holds as before, and low[p] <=
+    disc[p] already.
     """
     n = g.n
     disc = [0] * n
@@ -240,49 +268,48 @@ def biconnected_components(g: Graph) -> BlockForest:
     parent_cut = []  # block -> its top, until the root block is picked
     home = [None] * n
 
+    adj = g.adj
     for root in range(n):
         if disc[root]:
             continue
-        # iterative DFS: stack of [vertex, parent, next adjacency index]
-        stack = [[root, -1, 0]]
         disc[root] = low[root] = timer
         timer += 1
+        u, arcs = root, iter(adj[root])
+        stack = []  # (vertex, its arcs left) above u
         at_root = []  # blocks closed at root
-        while stack:
-            u, parent, i = stack[-1]
-            if i < len(g.adj[u]):
-                stack[-1][2] = i + 1
-                v = g.adj[u][i]
-                if v == parent:
-                    continue  # simple graph: the unique edge back up
+        while True:
+            for v in arcs:
                 if not disc[v]:
                     disc[v] = low[v] = timer
                     timer += 1
                     entered.append(v)
-                    stack.append([v, u, 0])
-                elif disc[v] < low[u]:
+                    stack.append((u, arcs))
+                    u, arcs = v, iter(adj[v])
+                    break
+                if disc[v] < low[u]:
                     low[u] = disc[v]
             else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[u] < low[p]:
-                        low[p] = low[u]
-                    if low[u] >= disc[p]:
-                        # p closes p and the vertices entered since u
-                        b = len(blocks)
-                        block = [p]
-                        while True:
-                            x = entered.pop()
-                            home[x] = b
-                            block.append(x)
-                            if x == u:
-                                break
-                        block.sort()
-                        blocks.append(block)
-                        parent_cut.append(p)
-                        if p == root:
-                            at_root.append(b)
+                if not stack:
+                    break
+                c = u
+                u, arcs = stack.pop()
+                if low[c] < low[u]:
+                    low[u] = low[c]
+                if low[c] >= disc[u]:
+                    # u closes u and the vertices entered since c
+                    b = len(blocks)
+                    block = [u]
+                    while True:
+                        x = entered.pop()
+                        home[x] = b
+                        block.append(x)
+                        if x == c:
+                            break
+                    block.sort()
+                    blocks.append(block)
+                    parent_cut.append(u)
+                    if u == root:
+                        at_root.append(b)
         if at_root:
             rb = min(at_root, key=blocks.__getitem__)
             parent_cut[rb] = None

@@ -304,13 +304,12 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
     gb_comps = connected_components(gb)
     _fold(stats["step2"], max, b=b)
     _fold(stats["step2"], operator.add, gb_edges=gb.m)
-    _fold(stats["step2"], max, max_component=max((len(c) for c in gb_comps), default=0))
+    largest = max(map(len, gb_comps), default=0)
+    _fold(stats["step2"], max, max_component=largest)
     t0 = _lap(stats["step2"], t0)
-    for comp in gb_comps:
-        if len(comp) > k:
-            return "reject", LargeComponent(
-                frozenset(old_ids[v] for v in comp), b
-            )
+    if largest > k:
+        comp = next(c for c in gb_comps if len(c) > k)
+        return "reject", LargeComponent(frozenset(old_ids[v] for v in comp), b)
 
     red = b_reduction(gc, gb, gb_comps)
     h = red.h

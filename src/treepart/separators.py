@@ -139,8 +139,9 @@ def build_gb(g: Graph, b: int, pairs, blocks=None) -> Graph:
        block's edges.  Two vertices share at most one block (`block_of`),
        and every simple u-v path stays inside it.  With no shared block a
        cutvertex separates u and v, so mu <= 1 < b: skip.  Otherwise apply
-       the degree bound with degrees inside the block, and run the flow on
-       the block's subgraph, built once per block from its edges.  With
+       the degree bound with degrees inside the block, first with the
+       block's size less one (a bridge never passes), then on the block's
+       subgraph, built once per block from its edges, where the flow runs.  With
        b = 1 a pair split by a cutvertex can still reach mu = 1, so the
        flow runs on all of G.
 
@@ -172,7 +173,7 @@ def build_gb(g: Graph, b: int, pairs, blocks=None) -> Graph:
             if blocks is not None:
                 blocks.append((forest, block_edges))
         i = forest.block_of(u, v)
-        if i is None:
+        if i is None or len(forest.blocks[i]) - 1 - adjacent < b:  # no block, or too small
             continue
         if i not in subs:
             subs[i] = subgraph(g, forest.blocks[i], block_edges[i])
@@ -196,10 +197,14 @@ class BReduction:
 
 def b_reduction(g: Graph, gb: Graph, parts=None) -> BReduction:
     """The quotient of g by gb's components; parts, when given, must be
-    `connected_components(gb)`, which is then not searched again."""
+    `connected_components(gb)`, which is then not searched again.  An
+    edgeless gb has the singletons in vertex order as its components, so
+    the quotient is g itself, with no pass over the parts."""
     if gb.n != g.n:
         raise ValueError("auxiliary graph must share the vertex set")
     if parts is None:
         parts = connected_components(gb)
+    if not gb.m:
+        return BReduction(g, list(range(g.n)), parts)
     h, part_of = quotient(g, parts)
     return BReduction(h, part_of, parts)

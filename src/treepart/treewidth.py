@@ -99,28 +99,12 @@ def clique_tree(n: int, order, nbrs) -> TreeDecomposition:
     return TreeDecomposition(bags, edges, root=0)
 
 
-def _pick(heap, cur, low) -> int:
-    """Pop the live vertex of least (score, tie, id) from a heap of
-    (key, tie, x) entries whose keys are lower bounds (see `heuristic_td`):
-    an entry at x's score picks x, x's lowest entry below its score goes
-    back at the score, and any other entry is dropped."""
-    while True:
-        key, tie, x = heapq.heappop(heap)
-        if key == cur[x]:
-            return x
-        if key == low[x] and key < cur[x]:
-            low[x] = cur[x]
-            heapq.heappush(heap, (low[x], tie, x))
-
-
-def _lower(heap, cur, low, x, c, tie, s) -> None:
-    """Set x's score to c after a pick at score s, pushing an entry only
-    when c drops below x's lowest key: at c // 2 while that stays above
-    s + 2, else at c."""
-    cur[x] = c
-    if c < low[x]:
-        low[x] = c // 2 if c > 2 * s + 4 else c
-        heapq.heappush(heap, (low[x], tie, x))
+def _lower(heap, low, x, c, s, r, sh) -> None:
+    """Push an entry for x, of rank r, whose score c has just dropped below
+    its lowest key after a pick at score s: at c // 2 while that stays
+    above s + 2, else at c."""
+    low[x] = c // 2 if c > 2 * s + 4 else c
+    heapq.heappush(heap, low[x] << sh | r)
 
 
 def _fill(nbr, v) -> int:
@@ -144,17 +128,19 @@ def eliminate(g: Graph, strategy: str = "min-degree", seed: int = 0):
     per-vertex random number, so the result is deterministic for a fixed
     seed.
 
-    The next vertex comes off a heap whose keys are lower bounds.  Each
-    vertex x keeps cur[x], its score (-1 once eliminated), and low[x], the
-    key of its lowest entry; every alive x has an entry (key, tie, x) with
-    key <= cur[x].  A popped entry is at most every entry, so at most
-    (cur[y], tie, y) for every alive y: when its key is cur[x], x is the
-    least (score, salt, id) over alive vertices, the pick a full scan per
-    step makes.  Otherwise x's lowest entry goes back at cur[x] and any
-    other entry is dropped (`_pick`).  A new score pushes an entry only
-    when it drops below low[x], at half its value while that stays above
-    the score just picked (`_lower`), so a hub whose degree falls by one
-    per step pays O(log deg) pushes instead of one per step.
+    The next vertex comes off a heap whose keys are lower bounds.  An entry
+    is one int, key << sh | rank, for x's rank in (salt, id) order and sh
+    the bit length of n, so entries compare as (key, rank) pairs and decode
+    with a shift and a mask.  Each vertex x keeps cur[x], its score (-1
+    once eliminated), and low[x], the key of its lowest entry; every alive
+    x has an entry with key <= cur[x].  A popped entry is at most every
+    entry, so at most (cur[y], rank[y]) for every alive y: when its key is
+    cur[x], x is the least (score, salt, id) over alive vertices, the pick
+    a full scan per step makes.  Otherwise x's lowest entry goes back at
+    cur[x] and any other entry is dropped.  A new score pushes an entry
+    only when it drops below low[x], at half its value while that stays
+    above the score just picked (`_lower`), so a hub whose degree falls by
+    one per step pays O(log deg) pushes instead of one per step.
 
     Eliminating v makes N(v) a clique.  A simplicial v, whose N(v) is one
     already, adds no fill edge (Bodlaender and Koster, "Treewidth
@@ -164,13 +150,15 @@ def eliminate(g: Graph, strategy: str = "min-degree", seed: int = 0):
     for its deg(u) - |N(v)| neighbours w outside the clique N(v) + v, so its
     fill drops by that much.  Under min-degree, v counts as simplicial with
     at most one neighbour, two adjacent ones, or N(v) inside nbr[t] for the
-    stamp t of its least neighbour: the merge below stamps N(t) with t and
+    stamp t of any one neighbour: the merge below stamps N(t) with t and
     makes it a clique, which nbr[t] keeps once t is gone, since edges
     between alive vertices are never removed; an initial stamp u (alive)
-    fails, as nbr[u] never holds u.  So a "yes" is exact; a missed
-    simplicial v takes the merge, which adds nothing.  Otherwise N(v) is
-    merged into each neighbour's set and the scores of N(v) are recomputed,
-    for min-fill from scratch (`_fill`) with those of the neighbours of each
+    fails, as nbr[u] never holds u.  So a "yes" is exact, and a missed
+    simplicial v takes the merge, which leaves the same sets and scores.
+    Otherwise N(v) is merged into each neighbour's set.  Under min-degree
+    a neighbour's new score is its set's size right after its own merge,
+    which no other neighbour's merge touches.  Under min-fill the scores
+    of N(v) are recounted (`_fill`) with those of the neighbours of each
     vertex that gained a fill edge.  Cost: O(log n) per push, O(deg v) per
     simplicial v, and per other v O(sum of deg) or, for min-fill, O(sum of
     d^2 per rescored vertex), in the fill graph: near-linear on sparse
@@ -181,41 +169,73 @@ def eliminate(g: Graph, strategy: str = "min-degree", seed: int = 0):
     n = g.n
     rnd = random.Random(seed)
     salt = [rnd.random() for _ in range(n)]
+    byrank = sorted(range(n), key=salt.__getitem__)  # stable: ties by id
+    rank = [0] * n
+    for r, v in enumerate(byrank):
+        rank[v] = r
+    sh = n.bit_length()
     nbr = [set(a) for a in g.adj]
     min_fill = strategy == "min-fill"
     cur = [_fill(nbr, v) for v in range(n)] if min_fill else [len(nv) for nv in nbr]
     low = list(cur)
-    heap = [(cur[v], salt[v], v) for v in range(n)]
+    heap = [c << sh | r for c, r in zip(cur, rank)]
     heapq.heapify(heap)
     stamp = list(range(n))
     order = []
+    mask = (1 << sh) - 1
+    pop, push = heapq.heappop, heapq.heappush
     for _ in range(n):
-        v = _pick(heap, cur, low)
+        while True:
+            e = pop(heap)
+            key = e >> sh
+            v = byrank[e & mask]
+            if key == cur[v]:
+                break
+            if key == low[v] and key < cur[v]:
+                low[v] = cur[v]
+                push(heap, cur[v] << sh | e & mask)
         s, cur[v] = cur[v], -1
         order.append(v)
         nv = nbr[v]
-        simplicial = s == 0 if min_fill else (
-            s < 2 or s == 2 and min(nv) in nbr[max(nv)] or nv <= nbr[stamp[min(nv)]])
+        if min_fill:
+            simplicial = s == 0
+        elif s == 2:
+            x, y = nv
+            simplicial = x in nbr[y]
+        else:
+            simplicial = s < 2 or nv <= nbr[stamp[next(iter(nv))]]
         if simplicial:
             d = len(nv) - 1
             for u in nv:
                 nu = nbr[u]
                 nu.discard(v)
                 c = cur[u] = cur[u] - len(nu) + d if min_fill else len(nu)
-                if c < low[u]:  # else `_lower` would only set cur[u]
-                    _lower(heap, cur, low, u, c, salt[u], s)
-            continue
-        rescore = set() if min_fill else nv  # under min-fill two of N(v) gain and cover it
-        for u in nv:
-            before = len(nbr[u])
-            nbr[u] |= nv
-            nbr[u].discard(u)
-            nbr[u].discard(v)
-            stamp[u] = v
-            if min_fill and len(nbr[u]) >= before:  # u gained a fill edge
-                rescore |= nbr[u]
-        for u in rescore:
-            _lower(heap, cur, low, u, _fill(nbr, u) if min_fill else len(nbr[u]), salt[u], s)
+                if c < low[u]:
+                    _lower(heap, low, u, c, s, rank[u], sh)
+        elif not min_fill:
+            for u in nv:
+                nu = nbr[u]
+                nu |= nv
+                nu.discard(u)
+                nu.discard(v)
+                stamp[u] = v
+                c = cur[u] = len(nu)
+                if c < low[u]:
+                    _lower(heap, low, u, c, s, rank[u], sh)
+        else:
+            rescore = set()  # two of N(v) gain and cover it
+            for u in nv:
+                nu = nbr[u]
+                before = len(nu)
+                nu |= nv
+                nu.discard(u)
+                nu.discard(v)
+                if len(nu) >= before:  # u gained a fill edge
+                    rescore |= nu
+            for u in rescore:
+                c = cur[u] = _fill(nbr, u)
+                if c < low[u]:
+                    _lower(heap, low, u, c, s, rank[u], sh)
     return order, nbr
 
 
@@ -236,24 +256,36 @@ def treewidth_lower_bound(g: Graph) -> int:
     minimum-degree vertex.
 
     The alive vertex of least (degree, id) comes from the lower-bound-key
-    heap of `heuristic_td`, with entries (key, id, id); after a
-    contraction only the degrees of the contracted vertex's neighbours
-    change, and one is pushed only when it drops below its lowest key.
-    Cost: O(sum of d^2 + d log n) over the picked minimum degrees d.
+    heap of `eliminate`, with the id as the rank, so an entry is
+    key << sh | id; after a contraction only the degrees of the contracted
+    vertex's neighbours change, and one is pushed only when it drops below
+    its lowest key.  Cost: O(sum of d^2 + d log n) over the picked minimum
+    degrees d.
     """
     n = g.n
     if n == 0:
         return 0
-    nbr = [set(g.adj[v]) for v in range(n)]
+    nbr = [set(a) for a in g.adj]
     cur = [len(nv) for nv in nbr]
     low = list(cur)
-    heap = [(d, v, v) for v, d in enumerate(cur)]
+    sh = n.bit_length()
+    heap = [d << sh | v for v, d in enumerate(cur)]
     heapq.heapify(heap)
+    mask = (1 << sh) - 1
+    pop, push = heapq.heappop, heapq.heappush
     mmd = 0
     for _ in range(n - 1):
-        v = _pick(heap, cur, low)
+        while True:  # the pick of `eliminate`, with the id as the rank
+            e = pop(heap)
+            d = e >> sh
+            v = e & mask
+            if d == cur[v]:
+                break
+            if d == low[v] and d < cur[v]:
+                low[v] = cur[v]
+                push(heap, cur[v] << sh | v)
         nv = nbr[v]
-        d, cur[v] = cur[v], -1
+        cur[v] = -1
         mmd = max(mmd, d)
         if d == 0:
             continue
@@ -269,8 +301,8 @@ def treewidth_lower_bound(g: Graph) -> int:
                 nw.discard(v)
                 nw.add(u)
             c = cur[w] = len(nw)
-            if c < low[w]:  # else `_lower` would only set cur[w]
-                _lower(heap, cur, low, w, c, w, d)
+            if c < low[w]:
+                _lower(heap, low, w, c, d, w, sh)
         nv.clear()
     return mmd
 

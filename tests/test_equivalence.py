@@ -26,8 +26,13 @@ and child order the partitions never read, must match as a rooted,
 bag-labelled tree.
 """
 
+import functools
+import heapq
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -438,6 +443,163 @@ def ref_biconnected_components(g):
     return BlockForest(blocks, sorted(cutset), parent_cut, home)
 
 
+# The tuple-heap elimination and lower bound, and the list-frame block
+# search, that the int-keyed heap and the iterator frames replaced: the
+# same algorithms, entries (key, tie, x) and frames [u, parent, next arc].
+
+
+def _tuple_pick(heap, cur, low):
+    while True:
+        key, tie, x = heapq.heappop(heap)
+        if key == cur[x]:
+            return x
+        if key == low[x] and key < cur[x]:
+            low[x] = cur[x]
+            heapq.heappush(heap, (low[x], tie, x))
+
+
+def _tuple_lower(heap, cur, low, x, c, tie, s):
+    cur[x] = c
+    if c < low[x]:
+        low[x] = c // 2 if c > 2 * s + 4 else c
+        heapq.heappush(heap, (low[x], tie, x))
+
+
+def _fill(nbr, v):
+    nv = nbr[v]
+    return (len(nv) * (len(nv) - 1) - sum(len(nbr[u] & nv) for u in nv)) // 2
+
+
+def tuple_heap_eliminate(g, strategy="min-degree", seed=0):
+    n = g.n
+    rnd = random.Random(seed)
+    salt = [rnd.random() for _ in range(n)]
+    nbr = [set(a) for a in g.adj]
+    min_fill = strategy == "min-fill"
+    cur = [_fill(nbr, v) for v in range(n)] if min_fill else [len(nv) for nv in nbr]
+    low = list(cur)
+    heap = [(cur[v], salt[v], v) for v in range(n)]
+    heapq.heapify(heap)
+    stamp = list(range(n))
+    order = []
+    for _ in range(n):
+        v = _tuple_pick(heap, cur, low)
+        s, cur[v] = cur[v], -1
+        order.append(v)
+        nv = nbr[v]
+        simplicial = s == 0 if min_fill else (
+            s < 2 or s == 2 and min(nv) in nbr[max(nv)] or nv <= nbr[stamp[min(nv)]])
+        if simplicial:
+            d = len(nv) - 1
+            for u in nv:
+                nu = nbr[u]
+                nu.discard(v)
+                c = cur[u] - len(nu) + d if min_fill else len(nu)
+                _tuple_lower(heap, cur, low, u, c, salt[u], s)
+            continue
+        rescore = set() if min_fill else nv
+        for u in nv:
+            before = len(nbr[u])
+            nbr[u] |= nv
+            nbr[u].discard(u)
+            nbr[u].discard(v)
+            stamp[u] = v
+            if min_fill and len(nbr[u]) >= before:
+                rescore |= nbr[u]
+        for u in rescore:
+            _tuple_lower(heap, cur, low, u, _fill(nbr, u) if min_fill else len(nbr[u]), salt[u], s)
+    return order, nbr
+
+
+def tuple_heap_lower_bound(g):
+    n = g.n
+    if n == 0:
+        return 0
+    nbr = [set(g.adj[v]) for v in range(n)]
+    cur = [len(nv) for nv in nbr]
+    low = list(cur)
+    heap = [(d, v, v) for v, d in enumerate(cur)]
+    heapq.heapify(heap)
+    mmd = 0
+    for _ in range(n - 1):
+        v = _tuple_pick(heap, cur, low)
+        nv = nbr[v]
+        d, cur[v] = cur[v], -1
+        mmd = max(mmd, d)
+        if d == 0:
+            continue
+        u = min(nv) if d <= 2 else min([(len(nbr[w] & nv), w) for w in nv])[1]
+        nu = nbr[u]
+        nu |= nv
+        nu.discard(u)
+        nu.discard(v)
+        for w in nv:
+            nw = nbr[w]
+            if w != u:
+                nw.discard(v)
+                nw.add(u)
+            _tuple_lower(heap, cur, low, w, len(nw), w, d)
+        nv.clear()
+    return mmd
+
+
+def list_frame_biconnected_components(g):
+    n = g.n
+    disc = [0] * n
+    low = [0] * n
+    timer = 1
+    entered = []
+    blocks = []
+    parent_cut = []
+    home = [None] * n
+    for root in range(n):
+        if disc[root]:
+            continue
+        stack = [[root, -1, 0]]
+        disc[root] = low[root] = timer
+        timer += 1
+        at_root = []
+        while stack:
+            u, parent, i = stack[-1]
+            if i < len(g.adj[u]):
+                stack[-1][2] = i + 1
+                v = g.adj[u][i]
+                if v == parent:
+                    continue
+                if not disc[v]:
+                    disc[v] = low[v] = timer
+                    timer += 1
+                    entered.append(v)
+                    stack.append([v, u, 0])
+                elif disc[v] < low[u]:
+                    low[u] = disc[v]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[u] < low[p]:
+                        low[p] = low[u]
+                    if low[u] >= disc[p]:
+                        b = len(blocks)
+                        block = [p]
+                        while True:
+                            x = entered.pop()
+                            home[x] = b
+                            block.append(x)
+                            if x == u:
+                                break
+                        block.sort()
+                        blocks.append(block)
+                        parent_cut.append(p)
+                        if p == root:
+                            at_root.append(b)
+        if at_root:
+            rb = min(at_root, key=blocks.__getitem__)
+            parent_cut[rb] = None
+            home[root] = rb
+    cutvertices = sorted({c for c in parent_cut if c is not None})
+    return BlockForest(blocks, cutvertices, parent_cut, home)
+
 def ref_build_gb(g, b, pairs):
     edges = []
     for u, v in pairs:
@@ -641,6 +803,23 @@ def random_corpus():
         out.append(random_graph(n, p, 1000 + i))
     return out
 
+
+
+@functools.cache
+def bench_graphs():
+    """The graphs of both benchmark workloads, seed 7, from perfbench."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    corpus = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return tuple(inst.graph for w in ("accept", "flow_reject") for inst in corpus.build(w, 7))
+
+
+def heap_corpus():
+    """The benchmark graphs, then 300 seeded G(n, p) graphs: the random
+    corpus and 100 larger sparse ones."""
+    extra = [random_graph(40 + i % 41, (0.03, 0.06, 0.12, 0.25)[i % 4], 6000 + i) for i in range(100)]
+    return list(bench_graphs()) + random_corpus() + extra
 
 def random_bag_trees():
     """Trees of bags over few vertices, in shuffled node order, where each
@@ -954,6 +1133,23 @@ def test_structured_families_match_scan(name):
     check_blocks(g, td)
 
 
+
+
+@pytest.mark.parametrize("strategy", ["min-degree", "min-fill"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_int_heap_eliminate_matches_tuple_heap(strategy, seed):
+    for idx, g in enumerate(heap_corpus()):
+        assert eliminate(g, strategy, seed) == tuple_heap_eliminate(g, strategy, seed), idx
+
+
+def test_int_heap_lower_bound_matches_tuple_heap():
+    for idx, g in enumerate(heap_corpus()):
+        assert treewidth_lower_bound(g) == tuple_heap_lower_bound(g), idx
+
+
+def test_iterator_frames_match_list_frames():
+    for idx, g in enumerate(heap_corpus()):
+        assert biconnected_components(g) == list_frame_biconnected_components(g), idx
 
 def test_block_forest_matches_scan():
     graphs = [star(leaves) for leaves in (0, 1, 2, 60, 500)]

@@ -28,6 +28,12 @@ def test_construction_rejects_bad_edges():
         Graph(2, [(1, 1)])
 
 
+def test_construction_rejects_a_negative_vertex_count():
+    with pytest.raises(ValueError, match="negative"):
+        Graph(-1)
+    assert Graph(0).n == 0
+
+
 def test_degree_and_has_edge():
     g = Graph(4, [(0, 1), (0, 2), (0, 3)])
     assert g.degree(0) == 3

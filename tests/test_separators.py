@@ -5,10 +5,12 @@ import pytest
 
 from treepart.decomp import TreeDecomposition
 from treepart.exact import brute_disjoint_paths, brute_mu
-from treepart.families import random_graph
+from treepart.families import random_graph, random_tree
 from treepart.graph import Graph
+from treepart import separators
+from treepart.pipeline import _step2_pairs
 from treepart.separators import b_reduction, build_gb, candidate_pairs, mu
-from treepart.treewidth import heuristic_td
+from treepart.treewidth import eliminate, heuristic_td
 
 
 def complete(n):
@@ -133,3 +135,27 @@ def test_b_reduction_quotient_weights():
     assert [len(p) for p in red.parts] == [2, 2]
     assert sorted(map(sorted, red.parts)) == [[0, 2], [1, 3]]
     assert red.h.edges() == [(0, 1)]
+
+
+def test_b_reduction_by_an_edgeless_graph_is_the_identity():
+    g = cycle(5)
+    red = b_reduction(g, Graph(5))
+    assert red.h is g
+    assert red.part_of == [0, 1, 2, 3, 4]
+    assert red.parts == [[0], [1], [2], [3], [4]]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_build_gb_builds_no_subgraph_for_a_bridge(monkeypatch, seed):
+    # in a tree every block is a bridge, so the block test settles each
+    # pair by the block's size before any subgraph is built
+    g = random_tree(1060, seed)
+    pairs = _step2_pairs(g, eliminate(g)[1], 2)
+    built = []
+    real = separators.subgraph
+    monkeypatch.setattr(separators, "subgraph", lambda *args: built.append(args) or real(*args))
+    blocks = []
+    assert build_gb(g, 2, pairs, blocks) == Graph(g.n)
+    assert blocks, "no pair reached the block test"
+    assert built == []
+

@@ -82,6 +82,19 @@ def test_hubs_cost_few_heap_pushes(monkeypatch):
         assert len(pushes) < g.n, fn.__name__
 
 
+@pytest.mark.parametrize("leaves", [1000, 4000])
+def test_min_degree_hub_pushes_grow_with_log_leaves(monkeypatch, leaves):
+    # after the first leaf each hub loses one degree per leaf, from
+    # leaves + 9 down to 9, and is pushed only when its degree halves or
+    # nears the picked score of 10: about log2(leaves) + 15 pushes per hub
+    g = gen_complete_bipartite(10, leaves)
+    pushes = []
+    real = heapq.heappush
+    monkeypatch.setattr(heapq, "heappush", lambda heap, item: pushes.append(item) or real(heap, item))
+    treewidth.eliminate(g, "min-degree")
+    assert len(pushes) <= 10 * (math.log2(leaves) + 15)
+
+
 def test_hub_leaves_skip_rescoring(monkeypatch):
     # the first leaf of K_{10,4800} makes the hubs a clique, and every
     # later leaf is simplicial: min-fill lowers the hubs' fill counts
