@@ -177,9 +177,8 @@ def verify_tp(g: Graph, tp: TreePartition):
             if node_of[v] != -1:
                 return Violation("vertex-in-two-bags", v)
             node_of[v] = i
-    for v in range(g.n):
-        if node_of[v] == -1:
-            return Violation("vertex-coverage", v)
+    if -1 in node_of:
+        return Violation("vertex-coverage", node_of.index(-1))
     tree_edge_set = {(min(i, j), max(i, j)) for i, j in tp.tree_edges}
     for u, v in g.edges():
         iu, iv = node_of[u], node_of[v]
@@ -220,12 +219,7 @@ def tcd_cuts(g: Graph, tcd: TreeCutDecomposition):
     cut = {}
     for t in order[1:]:
         sub = below[t]
-        c = 0
-        for v in sub:
-            for w in g.adj[v]:
-                if w not in sub:
-                    c += 1
-        cut[t] = c
+        cut[t] = sum(w not in sub for v in sub for w in g.adj[v])
     return cut, parent, order, below
 
 
@@ -263,9 +257,8 @@ def verify_tcd(g: Graph, tcd: TreeCutDecomposition):
             if node_of[v] != -1:
                 return Violation("vertex-in-two-bags", v)
             node_of[v] = i
-    for v in range(g.n):
-        if node_of[v] == -1:
-            return Violation("near-partition-coverage", v)
+    if -1 in node_of:
+        return Violation("near-partition-coverage", node_of.index(-1))
 
     cuts = tcd_cuts(g, tcd)
     cut, parent = cuts[0], cuts[1]

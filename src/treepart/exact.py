@@ -100,10 +100,7 @@ def exact_tpw(g: Graph, kmax: int, cap: int = 12):
         raise CapacityError(f"n={g.n} exceeds cap {cap}")
     if g.n == 0:
         return 0
-    adj_mask = [0] * g.n
-    for u in range(g.n):
-        for v in g.adj[u]:
-            adj_mask[u] |= 1 << v
+    adj_mask = [sum(1 << v for v in nu) for nu in g.adj]
     comps = [sum(1 << v for v in c) for c in connected_components(g)]
     for k in range(1, kmax + 1):
         memo = {}

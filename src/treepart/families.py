@@ -19,14 +19,8 @@ def gen_grid(m: int) -> Graph:
     """m-by-m grid; vertex (i, j) has id i*m + j."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    edges = []
-    for i in range(m):
-        for j in range(m):
-            if j + 1 < m:
-                edges.append((i * m + j, i * m + j + 1))
-            if i + 1 < m:
-                edges.append((i * m + j, (i + 1) * m + j))
-    return Graph(m * m, edges)
+    edges = [(v, v + 1) for v in range(m * m) if (v + 1) % m]
+    return Graph(m * m, edges + [(v, v + m) for v in range(m * m - m)])
 
 
 def gen_wall(m: int) -> Graph:
@@ -34,14 +28,8 @@ def gen_wall(m: int) -> Graph:
     i + j even.  Row-major ids as in gen_grid."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    edges = []
-    for i in range(m):
-        for j in range(m):
-            if j + 1 < m:
-                edges.append((i * m + j, i * m + j + 1))
-            if i + 1 < m and (i + j) % 2 == 1:
-                edges.append((i * m + j, (i + 1) * m + j))
-    return Graph(m * m, edges)
+    edges = [(v, v + 1) for v in range(m * m) if (v + 1) % m]
+    return Graph(m * m, edges + [(v, v + m) for v in range(m * m - m) if (v // m + v % m) % 2])
 
 
 def gen_fan(m: int) -> Graph:

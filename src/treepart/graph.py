@@ -54,12 +54,7 @@ class Graph:
 
     def edges(self):
         """Edges as sorted (u, v) pairs with u < v, in lexicographic order."""
-        out = []
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    out.append((u, v))
-        return out
+        return [(u, v) for u, nu in enumerate(self.adj) for v in nu if u < v]
 
     def has_edge(self, u: int, v: int) -> bool:
         a = self.adj[u]
@@ -94,8 +89,7 @@ class Graph:
 def subgraph(g: Graph, vertices, edges):
     """(subgraph, new_id) of g on the sorted vertex list `vertices`, given
     the edges of g among them, with vertices[i] renamed new_id[vertices[i]]
-    = i.  On all of g's vertices it is g itself, `edges` goes unread and
-    new_id is range(g.n)."""
+    = i.  On all of g's vertices it is (g, range(g.n)): `edges` goes unread."""
     if len(vertices) == g.n:
         return g, range(g.n)
     new_id = {v: i for i, v in enumerate(vertices)}
@@ -178,12 +172,9 @@ class BlockForest:
 
 def connected_components(g: Graph, vertices=None):
     """Connected components of g, or of the subgraph induced by `vertices`,
-    as sorted vertex lists ordered by minimum vertex.
-
-    One search per component, from its least vertex in a scan of the
-    vertices in order, so the components come out in order; an isolated
-    vertex costs O(1), and an edgeless g no search.  A hub's unreached
-    neighbours are taken by one set intersection instead of a loop."""
+    as sorted vertex lists ordered by minimum vertex: one search from each
+    least vertex, in a scan in vertex order.  An isolated vertex costs
+    O(1), an edgeless g no search, and a hub one set intersection."""
     if vertices is None and not g.m:
         return [[v] for v in range(g.n)]
     adj = g.adj
@@ -251,13 +242,10 @@ def biconnected_components(g: Graph) -> BlockForest:
     blocks holding a component's first vertex r are those closed at r; the
     least by content is the root block and home[r].  A vertex lies in two
     or more blocks exactly when some block hangs from it, so the cutvertices
-    are the distinct parent cuts.
-
-    The search keeps the vertex it is at and an iterator over its arcs
-    left, and a stack of (vertex, arcs left) frames for the vertices above.
-    The arc from u back to its parent p may lower low[u] to disc[p], which
-    changes neither test: low[u] >= disc[p] holds as before, and low[p] <=
-    disc[p] already.
+    are the distinct parent cuts.  The search keeps a stack of (vertex,
+    iterator over its arcs left) frames.  The arc from u back to its parent
+    p may lower low[u] to disc[p], which changes neither test: low[u] >=
+    disc[p] holds as before, and low[p] <= disc[p] already.
     """
     n = g.n
     disc = [0] * n
@@ -339,16 +327,10 @@ def subdivide(g: Graph, counts: dict):
     nxt = g.n
     for u, v in g.edges():
         c = norm.get((u, v), 0)
-        if c == 0:
-            paths[(u, v)] = []
-            edges.append((u, v))
-            continue
-        path = list(range(nxt, nxt + c))
+        path = paths[(u, v)] = list(range(nxt, nxt + c))
         nxt += c
-        paths[(u, v)] = path
-        chain = [u] + path + [v]
-        for a, b in zip(chain, chain[1:]):
-            edges.append((a, b))
+        chain = [u, *path, v]
+        edges += zip(chain, chain[1:])
     return Graph(nxt, edges), SubdivisionMap(paths)
 
 

@@ -329,10 +329,5 @@ def combine_blocks(h: Graph, bf: BlockForest, per_block) -> TreePartition:
 def expand(tp_h: TreePartition, red) -> TreePartition:
     """Replace each quotient vertex in a partition of red.h by the member
     vertices of its part."""
-    bags = []
-    for bag in tp_h.bags:
-        out = []
-        for hv in bag:
-            out.extend(red.parts[hv])
-        bags.append(sorted(out))
+    bags = [sorted(v for hv in bag for v in red.parts[hv]) for bag in tp_h.bags]
     return TreePartition(bags, list(tp_h.tree_edges), root=tp_h.root)

@@ -139,11 +139,10 @@ def build_gb(g: Graph, b: int, pairs, blocks=None) -> Graph:
        block's edges.  Two vertices share at most one block (`block_of`),
        and every simple u-v path stays inside it.  With no shared block a
        cutvertex separates u and v, so mu <= 1 < b: skip.  Otherwise apply
-       the degree bound with degrees inside the block, first with the
-       block's size less one (a bridge never passes), then on the block's
-       subgraph, built once per block from its edges, where the flow runs.  With
-       b = 1 a pair split by a cutvertex can still reach mu = 1, so the
-       flow runs on all of G.
+       the degree bound inside the block, first with the block's size less
+       one (no bridge passes), then on the block's subgraph, built once per
+       block from its edges, where the flow runs.  With b = 1 a pair split
+       by a cutvertex can still reach mu = 1, so the flow runs on all of G.
 
     Output does not depend on pair order.
     """
@@ -197,9 +196,8 @@ class BReduction:
 
 def b_reduction(g: Graph, gb: Graph, parts=None) -> BReduction:
     """The quotient of g by gb's components; parts, when given, must be
-    `connected_components(gb)`, which is then not searched again.  An
-    edgeless gb has the singletons in vertex order as its components, so
-    the quotient is g itself, with no pass over the parts."""
+    `connected_components(gb)`, which is then not searched again.  By an
+    edgeless gb, whose parts are the singletons, it is g, with no pass."""
     if gb.n != g.n:
         raise ValueError("auxiliary graph must share the vertex set")
     if parts is None:

@@ -124,45 +124,39 @@ def eliminate(g: Graph, strategy: str = "min-degree", seed: int = 0):
     `heuristic_td` is v plus nbrs[v]), which no later step changes.
 
     strategy is "min-degree" or "min-fill".  Each step eliminates the alive
-    vertex with the least (score, salt, id), where salt is a seeded
-    per-vertex random number, so the result is deterministic for a fixed
-    seed.
+    vertex with the least (score, salt, id), salt a seeded per-vertex
+    random number, so the result is deterministic for a fixed seed.
 
-    The next vertex comes off a heap whose keys are lower bounds.  An entry
-    is one int, key << sh | rank, for x's rank in (salt, id) order and sh
-    the bit length of n, so entries compare as (key, rank) pairs and decode
-    with a shift and a mask.  Each vertex x keeps cur[x], its score (-1
-    once eliminated), and low[x], the key of its lowest entry; every alive
-    x has an entry with key <= cur[x].  A popped entry is at most every
-    entry, so at most (cur[y], rank[y]) for every alive y: when its key is
-    cur[x], x is the least (score, salt, id) over alive vertices, the pick
-    a full scan per step makes.  Otherwise x's lowest entry goes back at
-    cur[x] and any other entry is dropped.  A new score pushes an entry
-    only when it drops below low[x], at half its value while that stays
-    above the score just picked (`_lower`), so a hub whose degree falls by
-    one per step pays O(log deg) pushes instead of one per step.
+    The pick comes off a heap of one-int entries key << sh | rank, for x's
+    rank in (salt, id) order and sh the bit length of n, so entries compare
+    as (key, rank) and decode with a shift and a mask.  Keys are lower
+    bounds: x keeps its score cur[x] (-1 once eliminated) and the key
+    low[x] of its lowest entry, and every alive x has an entry with key <=
+    cur[x].  A popped entry is then at most (cur[y], rank[y]) for every
+    alive y, so when its key is cur[x], x is the pick a full scan makes;
+    otherwise x's lowest entry goes back at cur[x] and any other entry is
+    dropped.  A score pushes an entry only when it drops below low[x], at
+    half its value while that stays above the score just picked
+    (`_lower`), so a hub losing one degree per step pays O(log deg) pushes.
 
     Eliminating v makes N(v) a clique.  A simplicial v, whose N(v) is one
     already, adds no fill edge (Bodlaender and Koster, "Treewidth
     computations I. Upper bounds", 2010): its neighbours just lose v, in
-    O(deg v), and no other score changes.  Under min-fill, v is simplicial
-    exactly when its score is 0, and a neighbour u loses the pairs {v, w}
-    for its deg(u) - |N(v)| neighbours w outside the clique N(v) + v, so its
-    fill drops by that much.  Under min-degree, v counts as simplicial with
-    at most one neighbour, two adjacent ones, or N(v) inside nbr[t] for the
-    stamp t of any one neighbour: the merge below stamps N(t) with t and
-    makes it a clique, which nbr[t] keeps once t is gone, since edges
-    between alive vertices are never removed; an initial stamp u (alive)
-    fails, as nbr[u] never holds u.  So a "yes" is exact, and a missed
+    O(deg v).  Under min-fill, v is simplicial exactly when its score is 0,
+    and a neighbour u's fill drops by deg(u) - |N(v)|, the pairs {v, w} for
+    its neighbours w outside the clique N(v) + v.  Under min-degree, v
+    counts as simplicial with at most one neighbour, two adjacent ones, or
+    N(v) inside nbr[t] for the stamp t of any one neighbour: the merge
+    below stamps N(t) with t and makes it a clique, which nbr[t] keeps once
+    t is gone, as edges between alive vertices are never removed, while an
+    initial stamp u (alive) fails, as nbr[u] never holds u.  A missed
     simplicial v takes the merge, which leaves the same sets and scores.
-    Otherwise N(v) is merged into each neighbour's set.  Under min-degree
-    a neighbour's new score is its set's size right after its own merge,
-    which no other neighbour's merge touches.  Under min-fill the scores
-    of N(v) are recounted (`_fill`) with those of the neighbours of each
-    vertex that gained a fill edge.  Cost: O(log n) per push, O(deg v) per
-    simplicial v, and per other v O(sum of deg) or, for min-fill, O(sum of
-    d^2 per rescored vertex), in the fill graph: near-linear on sparse
-    graphs of bounded width and on hubs with simplicial leaves.
+    Otherwise N(v) is merged into each neighbour's set: under min-degree a
+    neighbour's score is its set's size right after its own merge, and
+    under min-fill the scores of N(v) and of the neighbours of each vertex
+    that gained a fill edge are recounted (`_fill`).  Cost: O(log n) per
+    push, O(deg v) per simplicial v, and per other v O(sum of deg) or, for
+    min-fill, O(sum of d^2 per rescored vertex), in the fill graph.
     """
     if strategy not in ("min-degree", "min-fill"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -197,13 +191,11 @@ def eliminate(g: Graph, strategy: str = "min-degree", seed: int = 0):
         s, cur[v] = cur[v], -1
         order.append(v)
         nv = nbr[v]
-        if min_fill:
-            simplicial = s == 0
-        elif s == 2:
+        if min_fill or s != 2:  # any neighbour's stamp gives an exact "yes"
+            simplicial = s == 0 if min_fill else s < 2 or nv <= nbr[stamp[next(iter(nv))]]
+        else:
             x, y = nv
             simplicial = x in nbr[y]
-        else:
-            simplicial = s < 2 or nv <= nbr[stamp[next(iter(nv))]]
         if simplicial:
             d = len(nv) - 1
             for u in nv:
@@ -212,30 +204,26 @@ def eliminate(g: Graph, strategy: str = "min-degree", seed: int = 0):
                 c = cur[u] = cur[u] - len(nu) + d if min_fill else len(nu)
                 if c < low[u]:
                     _lower(heap, low, u, c, s, rank[u], sh)
-        elif not min_fill:
-            for u in nv:
-                nu = nbr[u]
-                nu |= nv
-                nu.discard(u)
-                nu.discard(v)
-                stamp[u] = v
-                c = cur[u] = len(nu)
-                if c < low[u]:
-                    _lower(heap, low, u, c, s, rank[u], sh)
-        else:
-            rescore = set()  # two of N(v) gain and cover it
-            for u in nv:
-                nu = nbr[u]
-                before = len(nu)
-                nu |= nv
-                nu.discard(u)
-                nu.discard(v)
+            continue
+        rescore = set()  # under min-fill two of N(v) gain and cover it
+        for u in nv:
+            nu = nbr[u]
+            before = len(nu)
+            nu |= nv
+            nu.discard(u)
+            nu.discard(v)
+            stamp[u] = v
+            if min_fill:
                 if len(nu) >= before:  # u gained a fill edge
                     rescore |= nu
-            for u in rescore:
-                c = cur[u] = _fill(nbr, u)
-                if c < low[u]:
-                    _lower(heap, low, u, c, s, rank[u], sh)
+                continue
+            c = cur[u] = len(nu)  # final: no other merge touches nbr[u]
+            if c < low[u]:
+                _lower(heap, low, u, c, s, rank[u], sh)
+        for u in rescore:
+            c = cur[u] = _fill(nbr, u)
+            if c < low[u]:
+                _lower(heap, low, u, c, s, rank[u], sh)
     return order, nbr
 
 
@@ -255,12 +243,11 @@ def treewidth_lower_bound(g: Graph) -> int:
     one vertex are picked) has degree at least d there, while it is a
     minimum-degree vertex.
 
-    The alive vertex of least (degree, id) comes from the lower-bound-key
-    heap of `eliminate`, with the id as the rank, so an entry is
-    key << sh | id; after a contraction only the degrees of the contracted
-    vertex's neighbours change, and one is pushed only when it drops below
-    its lowest key.  Cost: O(sum of d^2 + d log n) over the picked minimum
-    degrees d.
+    The alive vertex of least (degree, id) comes from the heap of
+    `eliminate`, with entries key << sh | id; a contraction changes only
+    the degrees of the contracted vertex's neighbours, each pushed only
+    when it drops below its lowest key.  Cost: O(sum of d^2 + d log n) over
+    the picked minimum degrees d.
     """
     n = g.n
     if n == 0:
@@ -329,10 +316,7 @@ def exact_elimination(g: Graph, k: int, cap: int = 15):
         raise CapacityError(f"n={n} exceeds cap {cap}")
     if k < 0:
         return None
-    adj_mask = [0] * n
-    for u in range(n):
-        for v in g.adj[u]:
-            adj_mask[u] |= 1 << v
+    adj_mask = [sum(1 << v for v in nu) for nu in g.adj]
     full = (1 << n) - 1
     memo = {}
     if not _feasible(adj_mask, k, memo, 0):
