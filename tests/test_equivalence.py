@@ -24,6 +24,11 @@ roots, block forests, auxiliary graphs and separator nodes must match, so
 a drift in a tie-break, in edge order or in a pruning test fails.  A balanced tree, whose node numbers
 and child order the partitions never read, must match as a rooted,
 bag-labelled tree.
+
+The tuple-heap elimination and lower bound and the list-frame block
+search, which the int-keyed heap and the iterator frames replaced, are
+kept as references too: on both benchmark corpora and 300 random graphs
+the new code must return exactly what they return.
 """
 
 import functools

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
+from treepart import separators
 from treepart.decomp import TreeDecomposition
 from treepart.exact import brute_disjoint_paths, brute_mu
 from treepart.families import random_graph, random_tree
 from treepart.graph import Graph
-from treepart import separators
 from treepart.pipeline import _step2_pairs
 from treepart.separators import b_reduction, build_gb, candidate_pairs, mu
 from treepart.treewidth import eliminate, heuristic_td
@@ -158,4 +158,3 @@ def test_build_gb_builds_no_subgraph_for_a_bridge(monkeypatch, seed):
     assert build_gb(g, 2, pairs, blocks) == Graph(g.n)
     assert blocks, "no pair reached the block test"
     assert built == []
-
