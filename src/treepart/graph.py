@@ -34,8 +34,9 @@ class Graph:
             seen.add((u, v))
             adj[u].append(v)
             adj[v].append(u)
-        for lst in adj:
-            lst.sort()
+        if seen:  # an edgeless graph's lists are sorted already
+            for lst in adj:
+                lst.sort()
         self.n = n
         self.adj = adj
         self._edge_count = len(seen)

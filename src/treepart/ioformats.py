@@ -141,6 +141,8 @@ def _parse_bagged(text: str, kind: str, allow_empty_bags: bool, want_root: bool)
                 raise ParseError(lineno, f"unexpected root line in a .{kind} file")
             if root is not None:
                 raise ParseError(lineno, "duplicate root line")
+            if len(toks) != 2:
+                raise ParseError(lineno, "expected root line `r <root>`")
             root = _int(toks[1], lineno)
             if not (1 <= root <= nb):
                 raise ParseError(lineno, f"root out of range 1..{nb}")

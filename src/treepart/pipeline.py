@@ -22,8 +22,8 @@ from .decomp import TreeDecomposition, TreePartition, Violation, verify_td
 from .graph import Graph, biconnected_components, connected_components, subgraph
 # candidate_pairs, balance_td and heuristic_td stay importable: perfbench/layers.py times them here
 from .separators import b_reduction, build_gb, candidate_pairs  # noqa: F401
-from .treewidth import _td_from_elimination, balance_td, clique_tree, eliminate, exact_elimination  # noqa: F401
-from .treewidth import heuristic_td, occupancy_tables, reduce_td, treewidth_lower_bound  # noqa: F401
+from .treewidth import balance_td, clique_tree, eliminate, elimination_of, exact_elimination  # noqa: F401
+from .treewidth import heuristic_td, treewidth_lower_bound  # noqa: F401
 from .partitioner import (
     combine_blocks,
     expand,
@@ -166,40 +166,29 @@ def _extract_sub_td(td: TreeDecomposition, new_id, index, cut=None) -> TreeDecom
     return TreeDecomposition(bags, edges, root=0)
 
 
-def _quotient_td(td: TreeDecomposition, red, gc: Graph) -> TreeDecomposition:
-    """Step 4's decomposition of the quotient H = red.h of the component
-    gc from a step-1 decomposition td: td itself when H is gc, else td's
-    bags mapped through red.part_of on td's tree; in both cases reduced
-    (`reduce_td`), which keeps the width and roots it at 0."""
-    if red.h is not gc:
-        bags = [sorted({red.part_of[v] for v in bag}) for bag in td.bags]
-        td = TreeDecomposition(bags, td.tree_edges, root=0)
-    return reduce_td(td)
-
-
 def _step1(gc: Graph, params: PipelineParams, old_ids, lb: int, import_index):
-    """Step 1's decomposition of gc as (width, own, reduced): own[v] is v's
-    top bag, the one nearest the root (with or without v), and reduced(red)
-    builds step 4's reduced decomposition of the quotient red.h.  For an
-    elimination order own[v] is v's neighbour set when eliminated, so no
-    bag is sorted unless step 4 asks, and when red.h is gc the clique tree
-    is read off the order (`clique_tree`), with no bag for the other
-    vertices; otherwise `_quotient_td` maps and reduces the decomposition."""
+    """Step 1's decomposition of gc as (width, own, reduced), kept as a
+    perfect elimination order: own[v] holds v's later neighbours
+    (`eliminate`, `exact_elimination`, or `elimination_of` an import's
+    extracted decomposition), so no bag is sorted unless step 4 asks.
+    reduced(red) builds step 4's decomposition of the quotient red.h as a
+    clique tree (`clique_tree`): the order's when red.h is gc, else the
+    one of that tree's bags mapped through red.part_of.  Both have the
+    bags of a reduced decomposition, the maximal co-bagged sets."""
     if params.step1 == "import":
         new_id = {v: i for i, v in enumerate(old_ids)}
-        td = _extract_sub_td(params.import_td, new_id, import_index)
-        top = occupancy_tables(td)[0]
-        return td.width(), [td.bags[top[v]] for v in range(gc.n)], lambda red: _quotient_td(td, red, gc)
-    if params.step1 == "exact":
-        found = next(filter(None, (exact_elimination(gc, w) for w in range(max(lb, 0), gc.n))))
+        order, own = elimination_of(_extract_sub_td(params.import_td, new_id, import_index), gc.n)
+    elif params.step1 == "exact":
+        order, own = next(filter(None, (exact_elimination(gc, w) for w in range(max(lb, 0), gc.n))))
     else:
-        found = eliminate(gc, params.step1[5:], params.seed)
-    order, own = found
+        order, own = eliminate(gc, params.step1[5:], params.seed)
 
     def reduced(red):
+        td = clique_tree(gc.n, order, own)
         if red.h is gc:
-            return clique_tree(gc.n, order, own)
-        return _quotient_td(_td_from_elimination(gc.n, order, own), red, gc)
+            return td
+        bags = [{red.part_of[v] for v in bag} for bag in td.bags]
+        return clique_tree(red.h.n, *elimination_of(TreeDecomposition(bags, td.tree_edges, root=0), red.h.n))
 
     return max(map(len, own)), own, reduced
 
@@ -208,16 +197,15 @@ def _step2_pairs(g: Graph, own, b: int) -> list:
     """The co-bagged pairs step 2 tests, sorted: those whose endpoints both
     have degree >= b, since mu(u, v) <= min(deg u, deg v) - [uv in E], less
     the adjacent ones with an endpoint of degree exactly b, which that
-    bound rejects.  They are listed from the top bags own of `_step1`: two
-    subtrees of a rooted tree that meet have the top node of their
-    intersection at one of their own tops, so two vertices share a bag
-    exactly when one is in the other's top bag."""
+    bound rejects.  They are listed from the later-neighbour sets own of
+    `_step1`'s perfect elimination order, whose pairs are the co-bagged
+    ones of its decomposition (step 1's tree, or the import's)."""
     deg = list(map(len, g.adj))
     return sorted({
         (h, y) if h < y else (y, h)
         for h in range(g.n) if deg[h] >= b
         for y in own[h]
-        if y != h and deg[y] >= b and not (b in (deg[h], deg[y]) and g.has_edge(h, y))
+        if deg[y] >= b and not (b in (deg[h], deg[y]) and g.has_edge(h, y))
     })
 
 
@@ -249,8 +237,9 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
     first).  It runs first when delta > 2k - 1, where it must reject, and
     in exact mode, whose search starts at it and must reject before its
     capacity error.  Otherwise the decomposition comes first, and lb = w
-    when delta >= w.  It is kept as its width and top bags (`_step1`), from
-    which step 2 lists its pairs (`_step2_pairs`).
+    when delta >= w.  It is kept as its width and a perfect elimination
+    order (`_step1`), from whose later-neighbour sets step 2 lists its
+    pairs (`_step2_pairs`).
 
     Step 3 reuses step 2's components of G^b.  One pass over H's edges
     gives each block its edge list (`BlockForest.block_edges`).  When G^b
@@ -266,16 +255,15 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
     on its share of the reduced decomposition as it is: each separator
     bag is a weighted centroid, which every decomposition holds, so no
     rebalancing comes first.  The first such block builds H's reduced
-    decomposition, once, and drops the top bags: read off the elimination
-    order as a clique tree when H is gc and step 1 eliminated
-    (`clique_tree`), else step 1's tree mapped onto H and reduced
-    (`_quotient_td`).  A block that is all of H reads it in place, while
-    any other block extracts its share through `_td_index`, built on first
-    use.  Below a cutvertex the extraction keeps only the nodes meeting
-    the block minus the cutvertex, so a cutvertex shared by many blocks
-    costs each block only its own share of the decomposition.  Inputs
-    whose blocks the size rule decides, and rejects, build no
-    decomposition at all.
+    decomposition, once, and drops the neighbour sets: the clique tree of
+    step 1's order (`clique_tree`), and when H is not gc, the clique tree
+    of that tree's bags mapped onto H (`elimination_of`).  A block that is
+    all of H reads it in place, while any other block extracts its share
+    through `_td_index`, built on first use.  Below a cutvertex the
+    extraction keeps only the nodes meeting the block minus the
+    cutvertex, so a cutvertex shared by many blocks costs each block only
+    its own share of the decomposition.  Inputs whose blocks the size
+    rule decides, and rejects, build no decomposition at all.
 
     Step 5 expands each quotient vertex into its part; when H is gc, step
     4's partition, whose bags are sorted, is already the answer."""

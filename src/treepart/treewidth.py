@@ -46,27 +46,27 @@ def _elimination_parents(n: int, order, nbrs) -> list:
 
 
 def clique_tree(n: int, order, nbrs) -> TreeDecomposition:
-    """`reduce_td(_td_from_elimination(n, order, nbrs))`, read off the
-    elimination without building the bags it drops: the maximal cliques
-    of the chordal completion on a clique tree (Blair and Peyton, "An
-    introduction to chordal graphs and clique trees", 1993).  nbrs must
-    come from an elimination, as in `eliminate`.
+    """The maximal cliques of a chordal graph on a clique tree (Blair and
+    Peyton, "An introduction to chordal graphs and clique trees", 1993),
+    read off a perfect elimination order given as later-neighbour sets:
+    nbrs[v] is the set of v's neighbours after v in order, a clique.
+    `eliminate` gives one for its fill graph, and `elimination_of` one for
+    the graph of co-bagged pairs of any decomposition.
 
-    Rule: a node p is contracted into its lowest-id child c with |bag c|
-    = |bag p| + 1, when it has one.  Proof that `reduce_td` does the same:
+    It is `_td_from_elimination(n, order, nbrs)` with every tree edge whose
+    bags nest contracted: a node p goes into its lowest-id child c with
+    |bag c| = |bag p| + 1, when it has one.  Proof:
     - Each child c of p has bag(c) - order[c] inside bag(p): order[c]'s
-      later neighbours form a clique in the fill graph, and order[p] is
-      the first of them eliminated (a child joined to p = c + 1 across
-      components has bag {order[c]}).
+      later neighbours form a clique, and order[p] is the first of them
+      (a child joined to p = c + 1 across components has bag {order[c]}).
     - No bag holds a vertex eliminated before its own, so order[c] is not
       in bag(p).  So no two bags are equal, no parent's bag contains a
       child's, and a child's bag contains its parent's exactly when it is
       one larger.
-    - `reduce_td` contracts p into its lowest-id current neighbour whose
-      bag contains bag(p).  With no equal bags, its proof shows that such
-      a neighbour is an original neighbour of p whose own bag contains
-      bag(p), not one met through a node contracted earlier.  So it is a
-      child one larger, which is visited after p and so is still itself.
+    - bag(p) lies inside no other bag exactly when it has no such child
+      (ibid., the monotone adjacency sets), so the kept bags are the
+      maximal cliques, each once, and contracting a nested tree edge keeps
+      a decomposition.
     Children have lower ids than their parents, so an ascending pass
     resolves each node to the kept node its chain of contractions ends
     in.  Only the kept bags are sorted.  The kept nodes keep their order,
@@ -97,6 +97,24 @@ def clique_tree(n: int, order, nbrs) -> TreeDecomposition:
     edges.sort()
     bags = [sorted([order[i], *nbrs[order[i]]]) for i in keep]
     return TreeDecomposition(bags, edges, root=0)
+
+
+def elimination_of(td: TreeDecomposition, n: int):
+    """A perfect elimination order of the graph of td's co-bagged pairs on
+    vertices 0..n-1, as `eliminate`'s (order, nbrs): vertices by
+    decreasing depth of their top node (`occupancy_tables`), then by id,
+    and nbrs[v] the members of v's top bag after v.  Two vertices share a
+    bag exactly when one is in the other's top bag, and no vertex of a
+    top bag has a deeper top, so nbrs[v] is v's later neighbours, inside
+    one bag.  A largest bag not inside its parent's has a member whose top
+    it is, and the first of them has the rest of the bag after it, so max
+    |nbrs[v]| is td's width."""
+    top, _, depth = occupancy_tables(td)
+    order = sorted(range(n), key=lambda v: (-depth[top[v]], v))
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    return order, [[u for u in td.bags[top[v]] if pos[u] > pos[v]] for v in range(n)]
 
 
 def _lower(heap, low, x, c, s, r, sh) -> None:
@@ -379,103 +397,6 @@ def _feasible(adj_mask, k: int, memo, s_mask: int) -> bool:
                 break
             memo[m] = False
             stack.pop()
-
-
-def reduce_td(td: TreeDecomposition) -> TreeDecomposition:
-    """The reduced form of a decomposition: every tree edge where one bag
-    contains the other is contracted, keeping the larger bag, so that no
-    bag lies inside another.  For the decomposition of an elimination
-    order the bags left are the maximal cliques of the chordal completion
-    and the tree is a clique tree (Blair and Peyton, "An introduction to
-    chordal graphs and clique trees", 1993), which `clique_tree` reads off
-    the order directly.
-
-    Rule: nodes are visited by increasing (bag size, id), and each is
-    contracted into its lowest-id current neighbour whose bag contains its
-    own, when it has one.  The surviving nodes keep their input order and
-    their bag lists, the tree edges come out sorted, and the root is 0.
-
-    Proof: contracting an edge ij with bag(i) inside bag(j) keeps every
-    vertex and edge covered and each vertex's nodes connected, so the
-    result is a tree decomposition of the same width.  A node kept at its
-    visit has no neighbour containing its bag, and never gets one: a node
-    y that becomes its neighbour through a contracted neighbour x (into y,
-    or into the node itself) shares with it only vertices of x, which lay
-    between them, so y contains its bag only if x, a neighbour, did.  So
-    no adjacent bags nest in the result, and then no two bags do: a bag
-    inside a non-adjacent bag is also inside the adjacent bag on the tree
-    path between them.
-
-    By the same argument a current neighbour contains a node's bag only
-    through an original edge at the node or at a node of equal bag
-    contracted into it.  So each node keeps a heap of references to the
-    original neighbours containing its bag, and a node contracted into one
-    of equal bag hands its heap over, the smaller heap pushed into the
-    larger.  A reference resolves through a union-find to the node it was
-    contracted into, so no neighbour list is moved.  It is keyed by the id
-    it resolved to when pushed, a lower bound on the id it resolves to
-    now, except when a node x contracts into a node j of larger bag and
-    lower id; so then x's neighbours of equal bag get an entry for j.
-    Popping entries that resolve to the node itself, and re-keying the
-    others, until one resolves to its key gives the lowest-id containing
-    neighbour.
-
-    Cost: O(sum of |bag|) to build the sets and test each tree edge from
-    its smaller bag, plus O(log N) per heap operation for N nodes.  An
-    entry moves only from the smaller of two merged heaps, so at most
-    log2 N times; a nested chain with many pendant bags moves none.
-    """
-    n = td.num_nodes
-    sets = [set(bag) for bag in td.bags]
-    size = [len(s) for s in sets]
-    up = [[] for _ in range(n)]  # heaps of (key, reference) to containing nodes
-    for i, j in td.tree_edges:
-        for a, c in ((i, j), (j, i)):
-            if size[a] <= size[c] and sets[a] <= sets[c]:
-                up[a].append((c, c))
-    for heap in up:
-        heapq.heapify(heap)
-    rep = list(range(n))  # union-find; a node's root is the node it contracted into
-
-    def find(x):
-        while rep[x] != x:
-            rep[x] = x = rep[rep[x]]
-        return x
-
-    for i in sorted(range(n), key=lambda x: (size[x], x)):
-        heap = up[i]
-        while heap:
-            key, ref = heap[0]
-            r = find(ref)
-            if r == i:
-                heapq.heappop(heap)
-            elif r != key:
-                heapq.heapreplace(heap, (r, ref))
-            else:
-                break
-        up[i] = None
-        if not heap:
-            continue
-        j = rep[i] = heap[0][0]
-        if size[j] == size[i]:  # equal bags: j now borders what contains i
-            small, big = sorted((heap, up[j]), key=len)
-            for entry in small:
-                heapq.heappush(big, entry)
-            up[j] = big
-        else:  # i's neighbours of equal bag now border j, maybe below their keys
-            for _, ref in heap:
-                z = find(ref)
-                if z != j and size[z] == size[i]:
-                    heapq.heappush(up[z], (j, j))
-    keep = [i for i in range(n) if rep[i] == i]
-    new_id = {i: t for t, i in enumerate(keep)}
-    edges = []
-    for i, j in td.tree_edges:
-        a, b = new_id[find(i)], new_id[find(j)]
-        if a != b:
-            edges.append((min(a, b), max(a, b)))
-    edges.sort()
-    return TreeDecomposition([td.bags[i] for i in keep], edges, root=0 if keep else None)
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,18 @@ def test_bridge_malformed_decomposition_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bridge_tcd_root_line_needs_one_root_exit_2(tmp_path, capsys):
+    src = write_gr(tmp_path, "g.gr", gen_grid(3))
+    bad = tmp_path / "bad.tcd"
+    out = tmp_path / "out.gr"
+    for line in ("r", "r 1 2"):
+        bad.write_text(f"s tcd 1 9 9\n{line}\nb 1 1 2 3 4 5 6 7 8 9\n")
+        assert main(["bridge", src, "--from-tcd", str(bad), "-o", str(out)]) == 2, line
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: line 2: expected root line `r <root>`"), line
+        assert "RESULT" not in captured.out and not out.exists(), line
+
+
 def test_unparsable_decomposition_files_are_named(tmp_path, capsys):
     src = write_gr(tmp_path, "g.gr", gen_grid(3))
     cases = []

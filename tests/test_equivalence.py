@@ -1,5 +1,5 @@
-"""The heap-driven elimination and lower bound, the heap-driven
-contraction of `reduce_td`, the indexed block extraction, the subtree-size
+"""The heap-driven elimination and lower bound, the clique tree of a
+perfect elimination order, the indexed block extraction, the subtree-size
 split choice of `balance_td`, the block forest, step 2's listing of
 pairs from each vertex's own bag, the flow-saving tests of `build_gb`,
 the weighted-centroid climb of the partitioner, its job loop, the
@@ -71,7 +71,6 @@ from treepart.partitioner import (
 from treepart.pipeline import (
     PipelineParams,
     _extract_sub_td,
-    _quotient_td,
     _step1,
     _step2_pairs,
     _td_index,
@@ -83,10 +82,10 @@ from treepart.treewidth import (
     balance_td,
     clique_tree,
     eliminate,
+    elimination_of,
     exact_elimination,
     heuristic_td,
     occupancy_tables,
-    reduce_td,
     treewidth_lower_bound,
 )
 
@@ -1044,6 +1043,12 @@ def same_td(a, b):
     return (a.bags, a.tree_edges, a.root) == (b.bags, b.tree_edges, b.root)
 
 
+def bag_set(td):
+    """td's bags, each sorted, in sorted order: what two decompositions
+    built on different trees can share."""
+    return sorted(tuple(sorted(bag)) for bag in td.bags)
+
+
 def rooted_code(td):
     """The canonical encoding of td as a rooted, bag-labelled tree:
     (bag, sorted encodings of the children) at the root."""
@@ -1235,7 +1240,8 @@ def test_step2_pairs_are_the_co_bagged_pairs_less_adjacent_tight_ones(strategy):
     """Listed from each vertex's own bag, step 2's pairs are the co-bagged
     pairs of vertices of degree >= b less the adjacent ones with an
     endpoint of degree exactly b, for `_step1`'s elimination and for an
-    imported (balanced) decomposition read through its top bags; G^b is
+    imported (balanced) decomposition read through `elimination_of`, whose
+    reduced decomposition has the reference contraction's bags; G^b is
     the per-pair flow oracle's on all co-bagged pairs, so keeping the
     adjacent tight pairs would not change it.  Listing only (h, y) with
     y > h, or dropping every pair with an endpoint of degree b, would: G^b
@@ -1248,7 +1254,7 @@ def test_step2_pairs_are_the_co_bagged_pairs_less_adjacent_tight_ones(strategy):
         td = heuristic_td(g, strategy, 1)
         w, own, reduced = _step1(g, params, range(g.n), 0, None)
         own_quotient = b_reduction(g, Graph(g.n))
-        assert w == td.width() and same_td(reduced(own_quotient), reduce_td(td)), idx
+        assert w == td.width() and same_td(reduced(own_quotient), ref_reduce_td(td)), idx
         deg = [g.degree(v) for v in range(g.n)]
         high = {v for v in range(g.n) if deg[v] >= b}
 
@@ -1271,8 +1277,9 @@ def test_step2_pairs_are_the_co_bagged_pairs_less_adjacent_tight_ones(strategy):
         if len(connected_components(g)) == 1:
             balanced = balance_td(g, td)
             imports = PipelineParams(k=1, step1="import", import_td=balanced)
-            w, own, _ = _step1(g, imports, range(g.n), 0, _td_index(balanced))
+            w, own, reduced = _step1(g, imports, range(g.n), 0, _td_index(balanced))
             assert w == balanced.width(), idx
+            assert bag_set(reduced(own_quotient)) == bag_set(ref_reduce_td(balanced)), idx
             assert _step2_pairs(g, own, b) == listed(balanced), idx
             imported += 1
     assert differ["y > h only"] >= 100 and differ["no degree-b endpoint"] >= 25, differ
@@ -1310,7 +1317,7 @@ def centroid_cases(rng):
     graphs = random_corpus() + [gen_grid(20), gen_wall(20)]
     for idx, g in enumerate(graphs):
         td = heuristic_td(g, "min-fill" if idx % 2 else "min-degree", idx % 4)
-        for t in (td, reduce_td(td), balance_td(g, td), renumbered(td, rng)):
+        for t in (td, ref_reduce_td(td), balance_td(g, td), renumbered(td, rng)):
             yield g, t
 
 
@@ -1383,7 +1390,7 @@ def test_job_loop_matches_recursive_construction():
     cases = []
     for idx, g in enumerate(graphs):
         td = heuristic_td(g, "min-fill" if idx % 2 else "min-degree", idx % 4)
-        cases += [(g, td), (g, reduce_td(td)), (g, balance_td(g, td))]
+        cases += [(g, td), (g, ref_reduce_td(td)), (g, balance_td(g, td))]
     for n in (100, 1000, 3000):
         g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
         cases.append((g, heuristic_td(g)))
@@ -1421,7 +1428,7 @@ def test_partitions_read_no_node_numbering():
     graphs = random_corpus() + [gen_grid(20), gen_wall(14)]
     for idx, g in enumerate(graphs):
         td = heuristic_td(g, "min-fill" if idx % 2 else "min-degree", idx % 4)
-        for t in (reduce_td(td), balance_td(g, td)):
+        for t in (ref_reduce_td(td), balance_td(g, td)):
             rooted = partition_rooted(g, t, {0})
             isolated = {v: partition_isolated(g, t, v) for v in rng.sample(range(g.n), min(g.n, 2))}
             for _ in range(2):
@@ -1564,40 +1571,49 @@ def extraction_cases():
         yield gen_wall(side), 3
 
 
+def step4_td(g, red):
+    """Step 4's decomposition of the quotient red.h of g, built as `_step1`
+    builds it from `eliminate(g)`: the clique tree of the order, and when
+    red.h is not g, the clique tree of its bags mapped onto red.h."""
+    td = clique_tree(g.n, *eliminate(g))
+    if red.h is g:
+        return td
+    bags = [sorted({red.part_of[v] for v in bag}) for bag in td.bags]
+    return clique_tree(red.h.n, *elimination_of(TreeDecomposition(bags, td.tree_edges, root=0), red.h.n))
+
+
 def test_block_extraction_keeps_the_nodes_meeting_block_minus_cut(monkeypatch):
     """On the pipeline's own quotients and their reduced decompositions
-    (`_quotient_td`, built from the step-1 decomposition `heuristic_td` of
-    the captured component, which step 4 must be handed when it builds one,
-    and the captured quotient; `clique_tree` of that decomposition's
-    elimination when the quotient is the component), every block's extraction equals the full
-    scan for the nodes meeting the block minus its parent cutvertex (for a
-    root block, the nodes meeting the block), has a tree for its tree, and
-    is a decomposition of the block."""
-    seen = {}  # the last component's graph, decomposition and quotient
+    (`step4_td`; the pipeline's `clique_tree` must be handed the captured
+    component's elimination, and for a merged quotient must return
+    `step4_td` of the captured quotient), every block's extraction equals
+    the full scan for the nodes meeting the block minus its parent
+    cutvertex (for a root block, the nodes meeting the block), has a tree
+    for its tree, and is a decomposition of the block."""
+    seen = {}  # the last component's graph, elimination and quotient
     real_reduction = pipeline.b_reduction
-    real_quotient_td = pipeline._quotient_td
     real_clique_tree = pipeline.clique_tree
     real_combine = pipeline.combine_blocks
-    counts = {"root": 0, "below_cut": 0, "below_cut_3+": 0, "merged": 0, "built": 0}
+    counts = {"root": 0, "below_cut": 0, "below_cut_3+": 0, "merged": 0, "built": 0, "built_merged": 0}
 
     def reduction(g, gb, parts=None):
-        seen["g"], seen["td"] = g, heuristic_td(g)
+        seen["g"], seen["elimination"] = g, eliminate(g)
         seen["red"] = real_reduction(g, gb, parts)
         return seen["red"]
 
-    def quotient_td(td, red, gc):
-        assert same_td(td, seen["td"]) and red is seen["red"] and gc is seen["g"]
-        counts["built"] += 1
-        return real_quotient_td(td, red, gc)
-
-    def clique_tree(n, order, nbrs):  # the build when H is the component
-        assert seen["red"].h is seen["g"]
-        assert same_td(_td_from_elimination(n, order, nbrs), seen["td"])
-        counts["built"] += 1
-        return real_clique_tree(n, order, nbrs)
+    def clique_tree(n, order, nbrs):
+        g, red = seen["g"], seen["red"]
+        got = real_clique_tree(n, order, nbrs)
+        if n == g.n:  # the clique tree of step 1's elimination
+            assert (order, nbrs) == seen["elimination"]
+        else:  # a merged quotient's, from that tree's mapped bags
+            assert red.h is not g and same_td(got, step4_td(g, red))
+            counts["built_merged"] += 1
+        counts["built"] += n == red.h.n
+        return got
 
     def combine(h, bf, per_block):
-        td = _quotient_td(seen["td"], seen["red"], seen["g"])  # step 4's decomposition
+        td = step4_td(seen["g"], seen["red"])
         idx = _td_index(td)
         for bidx, blk in enumerate(bf.blocks):
             cut = bf.parent_cut[bidx]
@@ -1615,7 +1631,6 @@ def test_block_extraction_keeps_the_nodes_meeting_block_minus_cut(monkeypatch):
         return real_combine(h, bf, per_block)
 
     monkeypatch.setattr(pipeline, "b_reduction", reduction)
-    monkeypatch.setattr(pipeline, "_quotient_td", quotient_td)
     monkeypatch.setattr(pipeline, "clique_tree", clique_tree)
     monkeypatch.setattr(pipeline, "combine_blocks", combine)
     for g, k in extraction_cases():
@@ -1625,42 +1640,93 @@ def test_block_extraction_keeps_the_nodes_meeting_block_minus_cut(monkeypatch):
         counts["merged"] += merged and counts["below_cut"] > before
     assert counts["root"] > 250 and counts["below_cut"] > 900, counts
     assert counts["below_cut_3+"] > 300 and counts["merged"] >= 10, counts
-    assert counts["built"] > 50, counts
-
-
-def test_reduce_td_matches_contraction_by_contraction():
-    for idx, g in enumerate(random_corpus()):
-        td = heuristic_td(g, "min-fill" if idx % 2 else "min-degree", idx % 4)
-        for t in (td, balance_td(g, td)):
-            assert same_td(reduce_td(t), ref_reduce_td(t)), idx
-    for idx, td in enumerate(random_bag_trees()):
-        assert same_td(reduce_td(td), ref_reduce_td(td)), idx
-    for name in ("grid20", "wall20"):
-        td = heuristic_td(STRUCTURED[name]())
-        assert same_td(reduce_td(td), ref_reduce_td(td)), name
+    assert counts["built"] > 50 and counts["built_merged"] >= 5, counts
 
 
 def test_clique_tree_is_the_reduced_elimination_decomposition():
-    """`clique_tree` returns exactly `reduce_td` of the elimination's
-    decomposition: bags, sorted tree edges and root, for min-degree and
-    min-fill on connected and disconnected random graphs, grids, walls,
-    stars and paths, for the exact search, and for no vertices."""
+    """`clique_tree` returns exactly the reference contraction of the
+    elimination's decomposition: bags, sorted tree edges and root, for
+    min-degree and min-fill on connected and disconnected random graphs,
+    grids, walls, stars and paths, for the exact search, and for no
+    vertices."""
     connected = {True: 0, False: 0}
     cases = [(g, strategy, idx % 4) for idx, g in enumerate(random_corpus())
              for strategy in ("min-degree", "min-fill")]
     cases += [(make(), "min-degree", 0) for make in STRUCTURED.values()]
     for idx, (g, strategy, seed) in enumerate(cases):
         order, nbrs = eliminate(g, strategy, seed)
-        want = reduce_td(_td_from_elimination(g.n, order, nbrs))
+        want = ref_reduce_td(_td_from_elimination(g.n, order, nbrs))
         assert same_td(clique_tree(g.n, order, nbrs), want), (idx, strategy)
         connected[len(connected_components(g)) == 1] += 1
     assert min(connected.values()) > 100, connected
     for s in range(40):
         g = random_graph(12, 0.3, s)
         order, nbrs = next(filter(None, (exact_elimination(g, w) for w in range(g.n))))
-        want = reduce_td(_td_from_elimination(g.n, order, nbrs))
+        want = ref_reduce_td(_td_from_elimination(g.n, order, nbrs))
         assert same_td(clique_tree(g.n, order, nbrs), want), s
-    assert same_td(clique_tree(0, [], []), reduce_td(_td_from_elimination(0, [], [])))
+    assert same_td(clique_tree(0, [], []), ref_reduce_td(_td_from_elimination(0, [], [])))
+
+
+def dense(td):
+    """td with its vertices renumbered 0..n-1 in id order, and n."""
+    new_id = {v: i for i, v in enumerate(sorted({v for bag in td.bags for v in bag}))}
+    bags = [[new_id[v] for v in bag] for bag in td.bags]
+    return TreeDecomposition(bags, td.tree_edges, root=td.root), len(new_id)
+
+
+def elimination_cases():
+    """(decomposition, n), each rooted at its own root and at two random
+    nodes: heuristic (min-degree and min-fill) and balanced decompositions
+    of the random corpus, grid 20 and wall 20; an import's restriction to
+    each component (`_extract_sub_td`); the heuristic decompositions
+    mapped onto the quotient by the components of a random half of the
+    edges, where many bags become equal or nested; and random trees of
+    bags with runs of equal and nested bags and empty bags."""
+    rng = random.Random(29)
+    tds = []
+    for idx, g in enumerate(random_corpus() + [gen_grid(20), gen_wall(20)]):
+        td = heuristic_td(g, "min-fill" if idx % 2 else "min-degree", idx % 4)
+        tds += [(td, g.n), (balance_td(g, td), g.n)]
+        index = _td_index(td)
+        for comp in connected_components(g):
+            new_id = {v: i for i, v in enumerate(comp)}
+            tds.append((_extract_sub_td(td, new_id, index), len(comp)))
+        half = Graph(g.n, [e for e in g.edges() if rng.random() < 0.5])
+        red = b_reduction(g, half)
+        bags = [sorted({red.part_of[v] for v in bag}) for bag in td.bags]
+        tds.append((TreeDecomposition(bags, td.tree_edges, root=0), red.h.n))
+    tds += [dense(td) for td in itertools.islice(random_bag_trees(), 200)]
+    for td, n in tds:
+        if n:
+            for root in (td.root, rng.randrange(td.num_nodes), rng.randrange(td.num_nodes)):
+                yield TreeDecomposition(td.bags, td.tree_edges, root=root), n
+
+
+def test_elimination_of_is_a_perfect_elimination_order_of_the_co_bagged_pairs():
+    """`elimination_of(td, n)` orders 0..n-1 so that each nbrs[v] is the
+    set of v's later neighbours in the graph of td's co-bagged pairs, and
+    a clique there (so the order is a perfect elimination order of it),
+    with max |nbrs[v]| = td.width(); the clique tree of the order has the
+    reference contraction's bags: the maximal bags of td, each once."""
+    cases = 0
+    for idx, (td, n) in enumerate(elimination_cases()):
+        order, nbrs = elimination_of(td, n)
+        assert sorted(order) == list(range(n)), idx
+        pos = [0] * n
+        for i, v in enumerate(order):
+            pos[v] = i
+        pairs = candidate_pairs(td)
+        edges = set(pairs)
+        listed = set()
+        for v in order:
+            assert all(pos[u] > pos[v] for u in nbrs[v]), (idx, v)
+            assert edges.issuperset(itertools.combinations(sorted(nbrs[v]), 2)), (idx, v)
+            listed.update((min(u, v), max(u, v)) for u in nbrs[v])
+        assert sorted(listed) == pairs, idx
+        assert max(map(len, nbrs)) == td.width(), idx
+        assert bag_set(clique_tree(n, order, nbrs)) == bag_set(ref_reduce_td(td)), idx
+        cases += 1
+    assert cases > 4000, cases
 
 
 def test_candidate_pairs_match_per_bag_listing():

@@ -105,6 +105,9 @@ def test_bagged_format_errors():
         parse_tcd("s tcd 1 1 1\nb 1 1\n")
     with pytest.raises(ParseError, match="unexpected root"):
         parse_tp("s tp 1 1 1\nr 1\nb 1 1\n")
+    for line in ("r", "r 1 2"):
+        with pytest.raises(ParseError, match="line 2: expected root line `r <root>`"):
+            parse_tcd(f"s tcd 1 1 1\n{line}\nb 1 1\n")
     with pytest.raises(ParseError, match="missing"):
         parse_td("s td 2 1 2\nb 1 1\n")
     with pytest.raises(ParseError, match="line 1: header size above the cap"):

@@ -244,38 +244,50 @@ def test_size_rule_skips_block_decompositions(monkeypatch):
 def test_step4_builds_one_reduced_decomposition_on_first_need(monkeypatch):
     """Step 1 keeps its elimination order, and the first block the size
     rule leaves reads H's clique tree off it (`clique_tree`, H being the
-    component), once, with no full tree of bags built and reduced; a block
-    that is all of H reads it in place.  Blocks the size rule decides, and
-    rejects (every `flow_reject` instance), build nothing.  Step 2 hands `build_gb` no pair its degree bound rejects, so
-    a fan's adjacent pairs of degree-b vertices never reach it."""
-    calls = dict.fromkeys(("clique_tree", "_td_from_elimination", "reduce_td", "_td_index", "_extract_sub_td"), 0)
+    component), once, with no full tree of bags built; a block that is all
+    of H reads it in place.  A merged quotient takes one more clique tree,
+    of that tree's bags mapped onto H (`elimination_of`), and an import
+    is read as an elimination order in step 1.  Blocks the size rule
+    decides, and rejects (every `flow_reject` instance), build nothing.
+    Step 2 hands `build_gb` no pair its degree bound rejects, so a fan's
+    adjacent pairs of degree-b vertices never reach it."""
+    calls = dict.fromkeys(("clique_tree", "elimination_of", "_td_index", "_extract_sub_td"), 0)
+    calls["_td_from_elimination"] = 0  # behind heuristic_td, which step 1 does not call
     listed = []
     for name in calls:
-        real = getattr(pipeline, name)
+        module = treewidth if name == "_td_from_elimination" else pipeline
+        real = getattr(module, name)
 
         def counting(*args, _real=real, _name=name):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(pipeline, name, counting)
-        if name == "_td_from_elimination":  # also behind heuristic_td
-            monkeypatch.setattr(treewidth, name, counting)
+        monkeypatch.setattr(module, name, counting)
     real_gb = pipeline.build_gb
     monkeypatch.setattr(
         pipeline, "build_gb", lambda g, b, pairs, *rest: listed.append(len(pairs)) or real_gb(g, b, pairs, *rest)
     )
 
-    def counted(g, k):
+    def counted(g, k, **params):
         calls.update(dict.fromkeys(calls, 0))
         listed.clear()
-        return run(g, PipelineParams(k=k)).accepted, dict(calls)
+        return run(g, PipelineParams(k=k, **params)).accepted, dict(calls)
 
     # grid 40 is one block and its own quotient
     none = dict.fromkeys(calls, 0)
     assert counted(gen_grid(40), 16) == (True, dict(none, clique_tree=1))
     accepted, wall = counted(gen_wall(40), 16)
     assert accepted and wall["clique_tree"] == 1
-    assert wall["_td_from_elimination"] == wall["reduce_td"] == 0
+    assert wall["_td_from_elimination"] == wall["elimination_of"] == 0
+    # one pair of this graph merges, and one block of its quotient takes
+    # its share of the quotient's clique tree
+    merged = dict(none, clique_tree=2, elimination_of=1, _td_index=1, _extract_sub_td=1)
+    assert counted(random_graph(8, 0.6, 1189), 3) == (True, merged)
+    # step 1 indexes the import and restricts it to the component, and step
+    # 4 does the same for the wall's big block and the clique tree
+    imported = dict(none, clique_tree=1, elimination_of=1, _td_index=2, _extract_sub_td=2)
+    td = heuristic_td(gen_wall(10), "min-fill", 1)
+    assert counted(gen_wall(10), 4, step1="import", import_td=td) == (True, imported)
     assert counted(Graph(2000, [(i, i + 1) for i in range(1999)]), 2) == (True, none)
     assert counted(gen_complete_bipartite(1, 3000), 1) == (True, none)
     assert counted(gen_fan(7), 2) == (False, none)

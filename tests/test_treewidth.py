@@ -19,10 +19,12 @@ from treepart.graph import Graph, connected_components, quotient
 from treepart.treewidth import (
     _td_from_elimination,
     balance_td,
+    clique_tree,
+    eliminate,
+    elimination_of,
     exact_td,
     heuristic_td,
     occupancy_tables,
-    reduce_td,
     treewidth_lower_bound,
 )
 
@@ -227,61 +229,27 @@ def reduce_cases():
     yield path(3), TreeDecomposition([[0, 1], [1, 2], []], [(0, 1), (1, 2)], root=0)
 
 
-def test_reduce_td_leaves_no_nested_bags():
+def reduced(td, n):
+    """The clique tree of td's co-bagged pairs on vertices 0..n-1."""
+    return clique_tree(n, *elimination_of(td, n))
+
+
+def test_clique_tree_of_any_decomposition_leaves_no_nested_bags():
     for idx, (g, td) in enumerate(reduce_cases()):
-        red = reduce_td(td)
+        red = reduced(td, g.n)
         assert verify_td(g, red) == td.width(), idx
         sets = [set(bag) for bag in red.bags]
         for i, j in red.tree_edges:
             assert not sets[i] <= sets[j] and not sets[j] <= sets[i], (idx, i, j)
         for bag in td.bags:
             assert any(set(bag) <= s for s in sets), (idx, bag)
-        again = reduce_td(red)
-        assert (again.bags, again.tree_edges, again.root) == (red.bags, red.tree_edges, 0), idx
+        assert len({frozenset(s) for s in sets}) == len(sets), idx
+        again = reduced(red, g.n)
+        assert sorted(again.bags) == sorted(red.bags), idx
 
 
-def test_reduce_td_keeps_the_maximal_cliques_of_grid_40():
-    red = reduce_td(heuristic_td(gen_grid(40)))
+def test_clique_tree_keeps_the_maximal_cliques_of_grid_40():
+    g = gen_grid(40)
+    red = clique_tree(g.n, *eliminate(g))
     assert (red.num_nodes, sum(map(len, red.bags))) == (1196, 10300)
-
-
-def nested_chain(length, pendants, equal):
-    """A chain of `length` bags, nested (bag t is {0..t}) or all equal to
-    {0, 1}, each with `pendants` bags hanging off it: bags {t, fresh}
-    under a nested chain, {0, 1, fresh} above an equal one.  Chain nodes
-    come first, so an equal chain contracts along itself before it reaches
-    a pendant."""
-    bags, edges = [], []
-    for t in range(length):
-        bags.append(list(range(t + 1)) if not equal else [0, 1])
-        if t:
-            edges.append((t - 1, t))
-    fresh = length + 1
-    for t in range(length):
-        for _ in range(pendants):
-            edges.append((t, len(bags)))
-            bags.append([0, 1, fresh] if equal else [t, fresh])
-            fresh += 1
-    return TreeDecomposition(bags, edges, root=0)
-
-
-def test_reduce_td_moves_no_neighbour_lists_along_a_chain(monkeypatch):
-    """A chain of contractions through nodes with many pendant bags costs
-    heap operations linear in the nodes: a nested chain moves none, and an
-    equal chain moves each contracted node's own entries, never the ones
-    it inherited (pushing the inherited ones costs about 500,000 here)."""
-    ops = []
-    for name in ("heappush", "heappop", "heapreplace"):
-        real = getattr(heapq, name)
-
-        def counting(*args, _real=real):
-            ops.append(1)
-            return _real(*args)
-
-        monkeypatch.setattr(heapq, name, counting)
-    for equal in (False, True):
-        td = nested_chain(500, 4, equal)
-        ops.clear()
-        red = reduce_td(td)
-        assert red.num_nodes == (1 + 500 * 4 if not equal else 500 * 4), equal
-        assert len(ops) < 2 * td.num_nodes, (equal, len(ops))
+    assert sorted(reduced(heuristic_td(g), g.n).bags) == sorted(red.bags)
