@@ -31,7 +31,7 @@ class Violation:
 
 
 class MalformedDecomposition(ValueError):
-    """Out-of-range bag entries, a tree shape that is no tree, or a bad root."""
+    """Out-of-range or repeated bag entries, a tree shape that is no tree, or a bad root."""
 
 
 @dataclass
@@ -141,7 +141,9 @@ def verify_td(g: Graph, td: TreeDecomposition):
 
     where = [[] for _ in range(g.n)]
     for i, bag in enumerate(td.bags):
-        for v in set(bag):
+        for v in bag:
+            if where[v] and where[v][-1] == i:
+                raise MalformedDecomposition(f"bag {i} repeats vertex {v}")
             where[v].append(i)
     for v in range(g.n):
         if not where[v]:
@@ -194,7 +196,7 @@ def verify_domino(g: Graph, td: TreeDecomposition):
         return base
     counts = [0] * g.n
     for bag in td.bags:
-        for v in set(bag):
+        for v in bag:
             counts[v] += 1
     for v in range(g.n):
         if counts[v] > 2:

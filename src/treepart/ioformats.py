@@ -133,6 +133,7 @@ def _parse_bagged(text: str, kind: str, allow_empty_bags: bool, want_root: bool)
                 raise ParseError(lineno, "negative size in header")
             _check_cap(lineno, nb, n)
             header = (nb, width, n)
+            header_line = lineno
             bags = [None] * nb
             continue
         nb, width, n = header
@@ -163,6 +164,8 @@ def _parse_bagged(text: str, kind: str, allow_empty_bags: bool, want_root: bool)
             if not vs and not allow_empty_bags:
                 raise ParseError(lineno, "empty bag")
             bags[bid - 1] = sorted(v - 1 for v in vs)
+            if len(set(vs)) < len(vs):
+                raise ParseError(lineno, f"bag {bid} repeats a vertex")
             continue
         if len(toks) != 2:
             raise ParseError(lineno, "expected a tree-edge line `<i> <j>`")
@@ -185,6 +188,9 @@ def _parse_bagged(text: str, kind: str, allow_empty_bags: bool, want_root: bool)
                 raise ParseError(last + 1, f"bag {bid + 1} missing")
     if want_root and root is None and nb > 0:
         raise ParseError(last + 1, "missing root line")
+    largest = max(map(len, bags), default=0)
+    if kind != "tcd" and width != largest:  # a .tcd width is not a bag size
+        raise ParseError(header_line, f"header declares bags of {width}, the largest has {largest}")
     return bags, tree_edges, (root - 1 if root is not None else None), width, n
 
 

@@ -3,9 +3,9 @@
 Steps: (1) tree decomposition plus a treewidth lower bound for certified
 rejection; (2) auxiliary graph of highly-connected pairs; (3) quotient by
 its components, split into blocks; (4) per-block partitions under a degree
-threshold, built on the quotient's reduced decomposition as it is (no
-rebalancing) and combined across cutvertices; (5) expansion back to the
-input graph.
+threshold, each built on the clique tree of the quotient's perfect
+elimination order restricted to the block, as it is (no rebalancing), and
+combined across cutvertices; (5) expansion back to the input graph.
 
 Every accepted output passes the tree-partition verifier; every rejection
 carries a certificate that recomputes to a genuine obstruction.
@@ -23,7 +23,7 @@ from .graph import Graph, biconnected_components, connected_components, subgraph
 # candidate_pairs, balance_td and heuristic_td stay importable: perfbench/layers.py times them here
 from .separators import b_reduction, build_gb, candidate_pairs  # noqa: F401
 from .treewidth import balance_td, clique_tree, eliminate, elimination_of, exact_elimination  # noqa: F401
-from .treewidth import heuristic_td, treewidth_lower_bound  # noqa: F401
+from .treewidth import heuristic_td, rank_of, restrict_elimination, treewidth_lower_bound  # noqa: F401
 from .partitioner import (
     combine_blocks,
     expand,
@@ -113,82 +113,27 @@ class PipelineOutcome:
     trace: list = field(default_factory=list)
 
 
-def _td_index(td: TreeDecomposition):
-    """(vertex -> ascending node ids, node -> ascending incident tree-edge
-    ids) of a decomposition, built in one pass over its bags and edges."""
-    where = {}
-    for i, bag in enumerate(td.bags):
-        for v in bag:
-            where.setdefault(v, []).append(i)
-    incident = [[] for _ in td.bags]
-    for e, (i, j) in enumerate(td.tree_edges):
-        incident[i].append(e)
-        incident[j].append(e)
-    return where, incident
-
-
-def _extract_sub_td(td: TreeDecomposition, new_id, index, cut=None) -> TreeDecomposition:
-    """Restriction of a decomposition to a connected vertex subset.
-
-    new_id maps the subset to its new vertex ids; index is `_td_index(td)`.
-    Keeps the nodes whose bags meet the subset, in node order, and the tree
-    edges between them, in `tree_edges` order; for a set inducing a
-    connected subgraph these nodes form a connected subtree, because
-    adjacent vertices share a bag and each vertex's occupancy is connected.
-
-    With cut, the subset is a block B below its parent cutvertex cut, and
-    only the nodes whose bags meet B - {cut} are kept.  The result is
-    still a decomposition of the block:
-    - B - cut is connected (a block of three or more vertices is
-      2-connected, and a bridge leaves one vertex), so the kept nodes form
-      a subtree by the argument above.
-    - Every vertex other than cut keeps its whole occupancy.
-    - cut's occupancy among the kept nodes is the intersection of two
-      subtrees, so it is connected.
-    - Each edge cut-x is covered by a node that holds x, and that node is
-      kept.
-    Each vertex is a member other than the parent cutvertex of exactly one
-    block, so over all blocks at most sum |bag| nodes are kept, however
-    many blocks share a cutvertex.
-
-    Cost: linear in the kept nodes' bags and tree degrees, so
-    O(w * sum |bag|) over all blocks below cutvertices.
-    """
-    where, incident = index
-    nodes = sorted({i for v in new_id if v != cut for i in where.get(v, ())})
-    node_id = {i: j for j, i in enumerate(nodes)}
-    bags = [sorted(new_id[v] for v in td.bags[i] if v in new_id) for i in nodes]
-    edges = []
-    for e in sorted({e for i in nodes for e in incident[i]}):
-        i, j = td.tree_edges[e]
-        if i in node_id and j in node_id:
-            edges.append((node_id[i], node_id[j]))
-    return TreeDecomposition(bags, edges, root=0)
-
-
-def _step1(gc: Graph, params: PipelineParams, old_ids, lb: int, import_index):
+def _step1(gc: Graph, params: PipelineParams, old_ids, lb: int, imported):
     """Step 1's decomposition of gc as (width, own, reduced), kept as a
     perfect elimination order: own[v] holds v's later neighbours
-    (`eliminate`, `exact_elimination`, or `elimination_of` an import's
-    extracted decomposition), so no bag is sorted unless step 4 asks.
-    reduced(red) builds step 4's decomposition of the quotient red.h as a
-    clique tree (`clique_tree`): the order's when red.h is gc, else the
-    one of that tree's bags mapped through red.part_of.  Both have the
-    bags of a reduced decomposition, the maximal co-bagged sets."""
-    if params.step1 == "import":
-        new_id = {v: i for i, v in enumerate(old_ids)}
-        order, own = elimination_of(_extract_sub_td(params.import_td, new_id, import_index), gc.n)
+    (`eliminate`, `exact_elimination`, or the import's order, imported,
+    restricted to old_ids by `restrict_elimination`), so no bag is sorted
+    unless step 4 asks.  reduced(red) returns a perfect elimination order
+    of the quotient red.h: this one when red.h is gc, else that of its
+    clique tree's bags mapped through red.part_of (`elimination_of`)."""
+    if imported is not None:
+        order, own = restrict_elimination(*imported, old_ids)
     elif params.step1 == "exact":
         order, own = next(filter(None, (exact_elimination(gc, w) for w in range(max(lb, 0), gc.n))))
     else:
         order, own = eliminate(gc, params.step1[5:], params.seed)
 
     def reduced(red):
-        td = clique_tree(gc.n, order, own)
         if red.h is gc:
-            return td
+            return order, own
+        td = clique_tree(gc.n, order, own)
         bags = [{red.part_of[v] for v in bag} for bag in td.bags]
-        return clique_tree(red.h.n, *elimination_of(TreeDecomposition(bags, td.tree_edges, root=0), red.h.n))
+        return elimination_of(TreeDecomposition(bags, td.tree_edges, root=0), red.h.n)
 
     return max(map(len, own)), own, reduced
 
@@ -225,11 +170,11 @@ def _lap(record: dict, t0: float) -> float:
     return now
 
 
-def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_index):
+def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, imported):
     """Returns ("accept", local TreePartition) or ("reject", certificate).
 
-    import_index is `_td_index(params.import_td)` with step1="import",
-    built once for all components, and None otherwise.
+    imported is the import's perfect elimination order of the whole input
+    as (rank, later neighbours), read once for all components, or None.
 
     Step 1 runs the minor-min-degree bound mmd (`treewidth_lower_bound`)
     only where the minimum degree delta leaves it open, since delta <= mmd
@@ -252,18 +197,15 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
     in-block degrees already fix its partition takes it from
     `partition_by_size`.  Every other block is built as a graph from its
     edge list (H itself when it holds all of H), and the partitioner runs
-    on its share of the reduced decomposition as it is: each separator
-    bag is a weighted centroid, which every decomposition holds, so no
-    rebalancing comes first.  The first such block builds H's reduced
-    decomposition, once, and drops the neighbour sets: the clique tree of
-    step 1's order (`clique_tree`), and when H is not gc, the clique tree
-    of that tree's bags mapped onto H (`elimination_of`).  A block that is
-    all of H reads it in place, while any other block extracts its share
-    through `_td_index`, built on first use.  Below a cutvertex the
-    extraction keeps only the nodes meeting the block minus the
-    cutvertex, so a cutvertex shared by many blocks costs each block only
-    its own share of the decomposition.  Inputs whose blocks the size
-    rule decides, and rejects, build no decomposition at all.
+    on its clique tree as it is: each separator bag is a weighted
+    centroid, which every decomposition holds, so no rebalancing comes
+    first.  The first such block takes H's perfect elimination order,
+    once, from `_step1`'s reduced.  The clique tree (`clique_tree`) is the
+    order's for a block that is all of H, else that of the order
+    restricted to the block (`restrict_elimination`), with at most one
+    bag per block vertex, so a cutvertex shared by many blocks costs each
+    block only its own size.  Inputs whose blocks the size rule decides,
+    and rejects, build no decomposition at all.
 
     Step 5 expands each quotient vertex into its part; when H is gc, step
     4's partition, whose bags are sorted, is already the answer."""
@@ -273,12 +215,12 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
     delta = min(map(len, gc.adj))
     w = None
     if not (params.step1 == "exact" or delta > 2 * k - 1):
-        w, own, reduced = _step1(gc, params, old_ids, 0, import_index)
+        w, own, reduced = _step1(gc, params, old_ids, 0, imported)
     lb = w if w is not None and delta >= w else treewidth_lower_bound(gc)
     if lb > 2 * k - 1:
         return "reject", TreewidthLB(lb, 2 * k - 1)
     if w is None:
-        w, own, reduced = _step1(gc, params, old_ids, lb, import_index)
+        w, own, reduced = _step1(gc, params, old_ids, lb, imported)
     _fold(stats["step1"], max, w=w, lb=lb)
     t0 = _lap(stats["step1"], t0)
 
@@ -328,22 +270,20 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, import_ind
                 return "reject", BlockDegree(groups, groups[blk.index(v)], d, thr)
         degrees.append((low, d_cut))
     per_block = {}
-    tdh = tdh_index = None  # built for the first block that needs them
+    rank = None  # of H's elimination order, taken for the first block that needs it
     for bidx, blk in enumerate(bf.blocks):
         cut = bf.parent_cut[bidx]
         low, d_cut = degrees[bidx]
         tp_block = partition_by_size(blk, low, cut, d_cut)
         if tp_block is None:
-            if tdh is None:
-                tdh = reduced(red)
-                own = reduced = None  # the neighbour sets are not needed again
+            if rank is None:
+                order, own = reduced(red)
+                rank = rank_of(order)
             sub, new_id = subgraph(h, blk, block_edges[bidx])
-            if sub is h:  # extracting all of H returns tdh itself
-                sub_td = tdh
+            if sub is h:
+                sub_td = clique_tree(h.n, order, own)
             else:
-                if tdh_index is None:
-                    tdh_index = _td_index(tdh)
-                sub_td = _extract_sub_td(tdh, new_id, tdh_index, cut)
+                sub_td = clique_tree(len(blk), *restrict_elimination(rank, own, blk))
             if cut is not None:
                 tp_local = partition_isolated(sub, sub_td, new_id[cut])
             else:
@@ -406,13 +346,17 @@ def _run(g: Graph, params: PipelineParams) -> PipelineOutcome:
             trace=trace,
         )
 
-    import_index = _td_index(params.import_td) if params.step1 == "import" else None
+    imported = None
+    if params.step1 == "import":  # one order for all components, at the import's root or node 0
+        td = params.import_td
+        order, own = elimination_of(td if td.root is not None else TreeDecomposition(td.bags, td.tree_edges, 0), g.n)
+        imported = rank_of(order), own
     bags = []
     edges = []
     roots = []
     for comp in connected_components(g):
         gc, old_ids = g.induced(comp)
-        status, payload = _run_component(gc, params, old_ids, stats, import_index)
+        status, payload = _run_component(gc, params, old_ids, stats, imported)
         if status == "reject":
             trace = [TraceRecord(s, stats[s]) for s in stats]
             return PipelineOutcome(accepted=False, certificate=payload, trace=trace)

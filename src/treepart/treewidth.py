@@ -31,18 +31,36 @@ def _td_from_elimination(n: int, order, nbrs) -> TreeDecomposition:
     if not order:
         return TreeDecomposition([[]], [], root=0)
     bags = [sorted([v, *nbrs[v]]) for v in order]
-    edges = list(enumerate(_elimination_parents(n, order, nbrs)))
+    edges = list(enumerate(_elimination_parents(order, nbrs)))
     return TreeDecomposition(bags, edges, root=len(order) - 1)
 
 
-def _elimination_parents(n: int, order, nbrs) -> list:
+def rank_of(order) -> list:
+    """pos[v] = i for v = order[i], an order of 0..len(order)-1."""
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    return pos
+
+
+def _elimination_parents(order, nbrs) -> list:
     """The parent of each node but the root in `_td_from_elimination`'s
     tree: the position in order of the first-eliminated member of
     nbrs[order[i]], or i + 1 when that set is empty."""
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
+    pos = rank_of(order)
     return [min(map(pos.__getitem__, nbrs[v])) if nbrs[v] else i + 1 for i, v in enumerate(order[:-1])]
+
+
+def restrict_elimination(pos, nbrs, vertices):
+    """A perfect elimination order, as its rank pos (`rank_of`) and
+    later-neighbour sets nbrs, restricted to the sorted vertex list
+    `vertices` and renamed 0..len(vertices)-1 in that list's order.  A
+    subset of a clique is a clique, so it is a perfect elimination order of
+    the chordal graph's subgraph induced by `vertices`.  Cost O(|vertices|
+    log |vertices| + the sum of their |nbrs[v]|), whatever len(pos) is."""
+    new_id = {v: i for i, v in enumerate(vertices)}
+    order = [new_id[v] for v in sorted(vertices, key=pos.__getitem__)]
+    return order, [[new_id[u] for u in nbrs[v] if u in new_id] for v in vertices]
 
 
 def clique_tree(n: int, order, nbrs) -> TreeDecomposition:
@@ -50,8 +68,9 @@ def clique_tree(n: int, order, nbrs) -> TreeDecomposition:
     Peyton, "An introduction to chordal graphs and clique trees", 1993),
     read off a perfect elimination order given as later-neighbour sets:
     nbrs[v] is the set of v's neighbours after v in order, a clique.
-    `eliminate` gives one for its fill graph, and `elimination_of` one for
-    the graph of co-bagged pairs of any decomposition.
+    `eliminate` gives one for its fill graph, `elimination_of` one for any
+    decomposition's co-bagged pairs, and `restrict_elimination` one for a
+    vertex subset of either.
 
     It is `_td_from_elimination(n, order, nbrs)` with every tree edge whose
     bags nest contracted: a node p goes into its lowest-id child c with
@@ -76,7 +95,7 @@ def clique_tree(n: int, order, nbrs) -> TreeDecomposition:
     if not order:
         return TreeDecomposition([[]], [], root=0)
     size = [len(nbrs[v]) for v in order]
-    parent = _elimination_parents(n, order, nbrs)
+    parent = _elimination_parents(order, nbrs)
     into = [-1] * len(order)  # node -> the child it is contracted into
     for i, p in enumerate(parent):
         if into[p] < 0 and size[i] == size[p] + 1:
@@ -108,12 +127,10 @@ def elimination_of(td: TreeDecomposition, n: int):
     top bag has a deeper top, so nbrs[v] is v's later neighbours, inside
     one bag.  A largest bag not inside its parent's has a member whose top
     it is, and the first of them has the rest of the bag after it, so max
-    |nbrs[v]| is td's width."""
+    |nbrs[v]| is td's width, whichever node is its root."""
     top, _, depth = occupancy_tables(td)
     order = sorted(range(n), key=lambda v: (-depth[top[v]], v))
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
+    pos = rank_of(order)
     return order, [[u for u in td.bags[top[v]] if pos[u] > pos[v]] for v in range(n)]
 
 

@@ -52,6 +52,20 @@ def test_decompose_invalid_import_exit_2(tmp_path, capsys):
     assert "RESULT" not in captured.out
 
 
+def test_repeated_bag_vertex_and_wrong_header_size_exit_2(tmp_path, capsys):
+    src = write_gr(tmp_path, "p2.gr", Graph(2, [(0, 1)]))
+    repeated = tmp_path / "repeated.td"
+    repeated.write_text("s td 2 2 2\nb 1 1 1 2\nb 2 2\n1 2\n")
+    oversized = tmp_path / "oversized.td"
+    oversized.write_text("s td 1 5 2\nb 1 1 2\n")
+    for bad, reason in ((repeated, "line 2: bag 1 repeats a vertex"), (oversized, "line 1: header declares bags of 5")):
+        for argv in (["verify", "td", src, str(bad)], ["decompose", "-k", "1", "--step1", f"import:{bad}", src]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: {bad}: {reason}"), argv
+            assert "RESULT" not in captured.out, argv
+
+
 def test_decompose_exact_over_capacity_exit_2(tmp_path, capsys):
     # 16 vertices exceed the exact search's cap of 15
     src = write_gr(tmp_path, "grid4.gr", gen_grid(4))

@@ -1,6 +1,7 @@
 import pytest
 
 from treepart.decomp import (
+    MalformedDecomposition,
     TreeCutDecomposition,
     TreeDecomposition,
     TreePartition,
@@ -76,6 +77,15 @@ def test_verify_domino_counts_occurrences():
     )
     v = verify_domino(P4, td3)
     assert isinstance(v, Violation)
+
+
+def test_bag_repeating_a_vertex_is_malformed():
+    # the edge 0-1 decomposed at width 1, with vertex 0 listed twice in a bag
+    g = Graph(2, [(0, 1)])
+    assert verify_td(g, TreeDecomposition([[0, 1], [1]], [(0, 1)], root=0)) == 1
+    for verify in (verify_td, verify_domino):
+        with pytest.raises(MalformedDecomposition, match="bag 0 repeats vertex 0"):
+            verify(g, TreeDecomposition([[0, 0, 1], [1]], [(0, 1)], root=0))
 
 
 def test_tree_shape_errors_raise():

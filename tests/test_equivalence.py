@@ -1,25 +1,27 @@
 """The heap-driven elimination and lower bound, the clique tree of a
-perfect elimination order, the indexed block extraction, the subtree-size
-split choice of `balance_td`, the block forest, step 2's listing of
+perfect elimination order, the subtree-size split choice of
+`balance_td`, the block forest, step 2's listing of
 pairs from each vertex's own bag, the flow-saving tests of `build_gb`,
 the weighted-centroid climb of the partitioner, its job loop, the
 component join of `combine_blocks` and step 4's size rule must return exactly what the
-straightforward versions return.
+straightforward versions return.  The clique tree of an order restricted
+to a vertex subset must have exactly the maximal bags of the scan of
+that subset.
 
 The straightforward versions are kept here as reference oracles: one `min`
 over all alive vertices per step, run on random, hub-heavy and
 simplicial-heavy graphs (and, for the lower bound, both the degeneracy and
 the contraction bound), one contraction at a time
-on explicit neighbour sets, one scan of every bag and tree edge per block
-(keeping the nodes that meet the block minus its parent cutvertex), one
-component search per split candidate, a block-forest search that expands
-a cutvertex from every block holding it, one pair listing per bag, one
+on explicit neighbour sets, one scan of every bag and tree edge per vertex
+subset (keeping the nodes that meet it, or a block minus its parent
+cutvertex), one component search per split candidate, a block-forest
+search that expands a cutvertex from every block holding it, one pair listing per bag, one
 whole-graph flow per pair the degree bound keeps, a centroid that sums
 the contract set's counts over every subtree of the whole tree and
 descends from the root, the recursive boundary construction (one call per
 bag, every component listed and grouped), a union-find join of the
 combined partition's tree components, and step 4's full per-block path
-(extract, partition) for every block.  Bags, tree edges (in order),
+(decompose, partition) for every block.  Bags, tree edges (in order),
 roots, block forests, auxiliary graphs and separator nodes must match, so
 a drift in a tie-break, in edge order or in a pruning test fails.  A balanced tree, whose node numbers
 and child order the partitions never read, must match as a rooted,
@@ -68,14 +70,7 @@ from treepart.partitioner import (
     partition_isolated,
     partition_rooted,
 )
-from treepart.pipeline import (
-    PipelineParams,
-    _extract_sub_td,
-    _step1,
-    _step2_pairs,
-    _td_index,
-    run,
-)
+from treepart.pipeline import PipelineParams, _step1, _step2_pairs, run
 from treepart.separators import b_reduction, build_gb, candidate_pairs, mu
 from treepart.treewidth import (
     _td_from_elimination,
@@ -86,6 +81,8 @@ from treepart.treewidth import (
     exact_elimination,
     heuristic_td,
     occupancy_tables,
+    rank_of,
+    restrict_elimination,
     treewidth_lower_bound,
 )
 
@@ -176,7 +173,10 @@ def ref_treewidth_lower_bound(g):
 
 def ref_extract_sub_td(td, vertices, new_id, cut=None):
     """Every node whose bag meets vertices - {cut}, with its bag
-    restricted to vertices."""
+    restricted to vertices and renamed by new_id, and the tree edges
+    between them, rooted at 0: a decomposition of the subgraph induced by
+    a connected vertex subset, or by a block below its parent cutvertex
+    cut."""
     vset = set(vertices)
     rest = vset - {cut}
     keep = []
@@ -1067,22 +1067,16 @@ def same_rooted_tree(a, b):
     return a.num_nodes == b.num_nodes and rooted_code(a) == rooted_code(b)
 
 
-def check_blocks(g, td, extract=60, balance=8):
-    """On up to `extract` evenly spaced blocks of g: indexed extraction
-    equals the full scan; on up to `balance` of them, so does the balanced
-    tree of the extracted decomposition.  The caps keep the quadratic
-    oracles affordable on graphs with thousands of blocks."""
-    index = _td_index(td)
+def check_blocks(g, td, balance=8):
+    """On up to `balance` evenly spaced blocks of g, the balanced tree of
+    the block's extracted decomposition (`ref_extract_sub_td`) is the
+    reference one.  The cap keeps the quadratic oracles affordable on
+    graphs with thousands of blocks."""
     blocks = biconnected_components(g).blocks
-    step = max(1, len(blocks) // extract)
-    for count, blk in enumerate(blocks[::step]):
+    for blk in blocks[:: max(1, len(blocks) // balance)][:balance]:
         sub, old = g.induced(blk)
-        new_id = {v: i for i, v in enumerate(old)}
-        got = _extract_sub_td(td, new_id, index)
-        want = ref_extract_sub_td(td, blk, new_id)
-        assert same_td(got, want), blk
-        if count < balance:
-            assert same_rooted_tree(balance_td(sub, got), ref_balance_td(want)), blk
+        want = ref_extract_sub_td(td, blk, {v: i for i, v in enumerate(old)})
+        assert same_rooted_tree(balance_td(sub, want), ref_balance_td(want)), blk
 
 
 # ---------------------------------------------------------------------------
@@ -1254,7 +1248,7 @@ def test_step2_pairs_are_the_co_bagged_pairs_less_adjacent_tight_ones(strategy):
         td = heuristic_td(g, strategy, 1)
         w, own, reduced = _step1(g, params, range(g.n), 0, None)
         own_quotient = b_reduction(g, Graph(g.n))
-        assert w == td.width() and same_td(reduced(own_quotient), ref_reduce_td(td)), idx
+        assert w == td.width() and same_td(clique_tree(g.n, *reduced(own_quotient)), ref_reduce_td(td)), idx
         deg = [g.degree(v) for v in range(g.n)]
         high = {v for v in range(g.n) if deg[v] >= b}
 
@@ -1277,9 +1271,10 @@ def test_step2_pairs_are_the_co_bagged_pairs_less_adjacent_tight_ones(strategy):
         if len(connected_components(g)) == 1:
             balanced = balance_td(g, td)
             imports = PipelineParams(k=1, step1="import", import_td=balanced)
-            w, own, reduced = _step1(g, imports, range(g.n), 0, _td_index(balanced))
+            order, nbrs = elimination_of(balanced, g.n)
+            w, own, reduced = _step1(g, imports, range(g.n), 0, (rank_of(order), nbrs))
             assert w == balanced.width(), idx
-            assert bag_set(reduced(own_quotient)) == bag_set(ref_reduce_td(balanced)), idx
+            assert bag_set(clique_tree(g.n, *reduced(own_quotient))) == bag_set(ref_reduce_td(balanced)), idx
             assert _step2_pairs(g, own, b) == listed(balanced), idx
             imported += 1
     assert differ["y > h only"] >= 100 and differ["no degree-b endpoint"] >= 25, differ
@@ -1287,17 +1282,17 @@ def test_step2_pairs_are_the_co_bagged_pairs_less_adjacent_tight_ones(strategy):
 
 
 def block_partitions(g):
-    """Step 4's per-block partitions of any host graph, as the pipeline
-    builds them (without its block-degree check)."""
+    """Step 4's per-block partitions of any host graph, each built on the
+    extracted decomposition of the block below its parent cutvertex
+    (without the block-degree check)."""
     td = heuristic_td(g)
-    index = _td_index(td)
     bf = biconnected_components(g)
     per_block = {}
     for bidx, blk in enumerate(bf.blocks):
         sub, old = g.induced(blk)
         new_id = {v: i for i, v in enumerate(old)}
         cut = bf.parent_cut[bidx]
-        sub_td = _extract_sub_td(td, new_id, index, cut)
+        sub_td = ref_extract_sub_td(td, blk, new_id, cut)
         if cut is not None:
             local = partition_isolated(sub, sub_td, new_id[cut])
         else:
@@ -1515,19 +1510,18 @@ def test_size_rule_matches_full_block_path(monkeypatch):
 def test_size_rule_matches_partitioner_in_both_roles():
     """Every block of the chains, tree multiples and random graphs, as a
     root block and below each of its vertices: where the rule decides, it
-    returns what the partitioner builds from the extracted decomposition
-    (step 4's) and from its balanced tree."""
+    returns what the partitioner builds from the block's extracted
+    decomposition (`ref_extract_sub_td`) and from its balanced tree."""
     decided = 0
     graphs = [block_chain(seed) for seed in range(40, 70)]
     graphs += [gen_multiple_tree(random_tree(12, m), m) for m in range(1, 13)]
     graphs += random_corpus()[::4]
     for idx, g in enumerate(graphs):
         td = heuristic_td(g)
-        index = _td_index(td)
         for blk in biconnected_components(g).blocks:
             sub, old = g.induced(blk)
             new_id = {v: i for i, v in enumerate(old)}
-            sub_td = _extract_sub_td(td, new_id, index)
+            sub_td = ref_extract_sub_td(td, blk, new_id)
             low = min_in_degree(sub, range(sub.n))
             for cut in [None] + list(range(sub.n)):
                 if cut is None:
@@ -1572,9 +1566,10 @@ def extraction_cases():
 
 
 def step4_td(g, red):
-    """Step 4's decomposition of the quotient red.h of g, built as `_step1`
-    builds it from `eliminate(g)`: the clique tree of the order, and when
-    red.h is not g, the clique tree of its bags mapped onto red.h."""
+    """The clique tree of the quotient red.h's perfect elimination order,
+    as `_step1` builds the order from `eliminate(g)`: the order itself,
+    and when red.h is not g, that of its clique tree's bags mapped onto
+    red.h."""
     td = clique_tree(g.n, *eliminate(g))
     if red.h is g:
         return td
@@ -1582,65 +1577,116 @@ def step4_td(g, red):
     return clique_tree(red.h.n, *elimination_of(TreeDecomposition(bags, td.tree_edges, root=0), red.h.n))
 
 
-def test_block_extraction_keeps_the_nodes_meeting_block_minus_cut(monkeypatch):
-    """On the pipeline's own quotients and their reduced decompositions
-    (`step4_td`; the pipeline's `clique_tree` must be handed the captured
-    component's elimination, and for a merged quotient must return
-    `step4_td` of the captured quotient), every block's extraction equals
-    the full scan for the nodes meeting the block minus its parent
-    cutvertex (for a root block, the nodes meeting the block), has a tree
-    for its tree, and is a decomposition of the block."""
-    seen = {}  # the last component's graph, elimination and quotient
+def maximal_bags(td):
+    """The bags of td that lie inside no other, each once, as `bag_set`
+    lists them."""
+    sets = {frozenset(bag) for bag in td.bags}
+    return sorted(tuple(sorted(x)) for x in sets if not any(x < y for y in sets))
+
+
+def test_step4_hands_each_block_a_clique_tree_of_its_restricted_order(monkeypatch):
+    """On the pipeline's own quotients, every block that reaches the
+    partitioner, whether a root block or below a cutvertex, is handed a
+    decomposition of the block with at most as many bags as the block
+    has vertices, whose bags are the maximal ones among the restrictions
+    to the block of the bags of H's clique tree (`step4_td`), at the same
+    width: the clique tree of H's order restricted to the block."""
+    seen = {}  # the last component, its quotient and H's clique tree, and the last block
     real_reduction = pipeline.b_reduction
-    real_clique_tree = pipeline.clique_tree
-    real_combine = pipeline.combine_blocks
-    counts = {"root": 0, "below_cut": 0, "below_cut_3+": 0, "merged": 0, "built": 0, "built_merged": 0}
+    real_subgraph = pipeline.subgraph
+    real_rooted = pipeline.partition_rooted
+    real_isolated = pipeline.partition_isolated
+    counts = {"root": 0, "below_cut": 0, "below_cut_3+": 0, "part_of_h": 0, "merged": 0}
 
     def reduction(g, gb, parts=None):
-        seen["g"], seen["elimination"] = g, eliminate(g)
-        seen["red"] = real_reduction(g, gb, parts)
+        seen["g"], seen["red"] = g, real_reduction(g, gb, parts)
+        seen["tree"] = step4_td(g, seen["red"])
         return seen["red"]
 
-    def clique_tree(n, order, nbrs):
-        g, red = seen["g"], seen["red"]
-        got = real_clique_tree(n, order, nbrs)
-        if n == g.n:  # the clique tree of step 1's elimination
-            assert (order, nbrs) == seen["elimination"]
-        else:  # a merged quotient's, from that tree's mapped bags
-            assert red.h is not g and same_td(got, step4_td(g, red))
-            counts["built_merged"] += 1
-        counts["built"] += n == red.h.n
-        return got
+    def subgraph(h, blk, edges):
+        seen["blk"] = blk
+        return real_subgraph(h, blk, edges)
 
-    def combine(h, bf, per_block):
-        td = step4_td(seen["g"], seen["red"])
-        idx = _td_index(td)
-        for bidx, blk in enumerate(bf.blocks):
-            cut = bf.parent_cut[bidx]
-            sub, old = h.induced(blk)
-            new_id = {v: i for i, v in enumerate(old)}
-            got = _extract_sub_td(td, new_id, idx, cut)
-            assert same_td(got, ref_extract_sub_td(td, blk, new_id, cut)), (blk, cut)
-            if cut is None:
-                assert same_td(got, ref_extract_sub_td(td, blk, new_id)), blk
-            assert len(got.tree_edges) == got.num_nodes - 1, blk
-            assert len(tree_bfs(got.node_adj(), 0)[1]) == got.num_nodes, blk
-            assert verify_td(sub, got) == got.width(), blk
-            counts["root" if cut is None else "below_cut"] += 1
-            counts["below_cut_3+"] += cut is not None and len(blk) > 2
-        return real_combine(h, bf, per_block)
+    def check(sub, td, cut):
+        blk, h = seen["blk"], seen["red"].h
+        want = ref_extract_sub_td(seen["tree"], blk, {v: i for i, v in enumerate(blk)})
+        assert sub.n == len(blk) and td.num_nodes <= len(blk), blk
+        assert bag_set(td) == maximal_bags(want), blk
+        assert verify_td(sub, td) == want.width(), blk
+        counts["root" if cut is None else "below_cut"] += 1
+        counts["below_cut_3+"] += cut is not None and len(blk) > 2
+        counts["part_of_h"] += len(blk) < h.n
+        counts["merged"] += h is not seen["g"]
+
+    def rooted(sub, td, s_set):
+        check(sub, td, None)
+        return real_rooted(sub, td, s_set)
+
+    def isolated(sub, td, v):
+        check(sub, td, v)
+        return real_isolated(sub, td, v)
 
     monkeypatch.setattr(pipeline, "b_reduction", reduction)
-    monkeypatch.setattr(pipeline, "clique_tree", clique_tree)
-    monkeypatch.setattr(pipeline, "combine_blocks", combine)
+    monkeypatch.setattr(pipeline, "subgraph", subgraph)
+    monkeypatch.setattr(pipeline, "partition_rooted", rooted)
+    monkeypatch.setattr(pipeline, "partition_isolated", isolated)
     for g, k in extraction_cases():
-        before = counts["below_cut"]
-        out = run(g, PipelineParams(k=k))
-        merged = out.accepted and out.trace[1].fields["gb_edges"] > 0
-        counts["merged"] += merged and counts["below_cut"] > before
-    assert counts["root"] > 250 and counts["below_cut"] > 900, counts
-    assert counts["below_cut_3+"] > 300 and counts["merged"] >= 10, counts
-    assert counts["built"] > 50 and counts["built_merged"] >= 5, counts
+        run(g, PipelineParams(k=k))
+    assert counts["root"] > 70 and counts["below_cut_3+"] > 25, counts
+    assert counts["part_of_h"] > 90 and counts["merged"] >= 4, counts
+
+
+def restriction_cases():
+    """(kind, graph, order, nbrs, subsets): a perfect elimination order of a
+    chordal supergraph of graph, with the sorted vertex lists it is
+    restricted to.  On the random corpus, grid 20 and wall 20: step 1's
+    elimination (`eliminate`) and an import's order (`elimination_of` of
+    a heuristic decomposition), each with every component and every
+    block; and the order `_step1` builds for the quotient by the
+    components of a random half of the edges, with every block of the
+    quotient."""
+    rng = random.Random(31)
+    for idx, g in enumerate(random_corpus() + [gen_grid(20), gen_wall(20)]):
+        strategy = "min-fill" if idx % 2 else "min-degree"
+        subsets = connected_components(g) + biconnected_components(g).blocks
+        yield ("eliminate", g, *eliminate(g, strategy, idx % 4), subsets)
+        yield ("import", g, *elimination_of(heuristic_td(g, strategy, idx % 4), g.n), subsets)
+        red = b_reduction(g, Graph(g.n, [e for e in g.edges() if rng.random() < 0.5]))
+        _, _, reduced = _step1(g, PipelineParams(k=1, step1="heur:" + strategy), range(g.n), 0, None)
+        yield ("merged" if red.h.n < g.n else "quotient", red.h, *reduced(red), biconnected_components(red.h).blocks)
+
+
+def test_restrict_elimination_is_a_perfect_elimination_order_of_each_subset():
+    """`restrict_elimination(rank_of(order), nbrs, vertices)` orders
+    0..len(vertices)-1 so that each restricted nbrs[v] is after v and a
+    clique; its pairs are the co-bagged pairs of the order's clique tree
+    restricted to the vertices (`ref_extract_sub_td`), its clique tree's
+    bags are the maximal restricted bags, at the same width, and that
+    clique tree is a decomposition of the induced subgraph."""
+    counts = {}
+    for idx, (kind, g, order, nbrs, subsets) in enumerate(restriction_cases()):
+        tree = clique_tree(g.n, order, nbrs)
+        for vertices in subsets:
+            new_id = {v: i for i, v in enumerate(vertices)}
+            sub_order, sub_nbrs = restrict_elimination(rank_of(order), nbrs, vertices)
+            m = len(vertices)
+            assert sorted(sub_order) == list(range(m)), (idx, vertices)
+            pos = rank_of(sub_order)
+            want = ref_extract_sub_td(tree, vertices, new_id)
+            pairs = set(candidate_pairs(want))
+            listed = set()
+            for v in range(m):
+                assert all(pos[u] > pos[v] for u in sub_nbrs[v]), (idx, vertices, v)
+                assert pairs.issuperset(itertools.combinations(sorted(sub_nbrs[v]), 2)), (idx, vertices, v)
+                listed.update((min(u, v), max(u, v)) for u in sub_nbrs[v])
+            assert listed == pairs, (idx, vertices)
+            got = clique_tree(m, sub_order, sub_nbrs)
+            assert bag_set(got) == maximal_bags(want), (idx, vertices)
+            assert got.width() == want.width(), (idx, vertices)
+            assert verify_td(g.induced(vertices)[0], got) == got.width(), (idx, vertices)
+            counts[kind, m < g.n] = counts.get((kind, m < g.n), 0) + 1
+    assert min(counts["eliminate", True], counts["import", True]) > 1000, counts
+    assert counts["merged", True] > 300 and counts["merged", False] > 20, counts
 
 
 def test_clique_tree_is_the_reduced_elimination_decomposition():
@@ -1678,7 +1724,7 @@ def elimination_cases():
     """(decomposition, n), each rooted at its own root and at two random
     nodes: heuristic (min-degree and min-fill) and balanced decompositions
     of the random corpus, grid 20 and wall 20; an import's restriction to
-    each component (`_extract_sub_td`); the heuristic decompositions
+    each component (`ref_extract_sub_td`); the heuristic decompositions
     mapped onto the quotient by the components of a random half of the
     edges, where many bags become equal or nested; and random trees of
     bags with runs of equal and nested bags and empty bags."""
@@ -1687,10 +1733,9 @@ def elimination_cases():
     for idx, g in enumerate(random_corpus() + [gen_grid(20), gen_wall(20)]):
         td = heuristic_td(g, "min-fill" if idx % 2 else "min-degree", idx % 4)
         tds += [(td, g.n), (balance_td(g, td), g.n)]
-        index = _td_index(td)
         for comp in connected_components(g):
             new_id = {v: i for i, v in enumerate(comp)}
-            tds.append((_extract_sub_td(td, new_id, index), len(comp)))
+            tds.append((ref_extract_sub_td(td, comp, new_id), len(comp)))
         half = Graph(g.n, [e for e in g.edges() if rng.random() < 0.5])
         red = b_reduction(g, half)
         bags = [sorted({red.part_of[v] for v in bag}) for bag in td.bags]

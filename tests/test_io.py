@@ -116,6 +116,27 @@ def test_bagged_format_errors():
         parse_tp(f"s tp 1 1 {MAX_HEADER_SIZE + 1}\nb 1 1\n")
 
 
+def test_bag_repeating_a_vertex_is_refused():
+    with pytest.raises(ParseError, match="line 2: bag 1 repeats a vertex"):
+        parse_td("s td 2 2 2\nb 1 1 1 2\nb 2 2\n1 2\n")
+    with pytest.raises(ParseError, match="line 3: bag 2 repeats a vertex"):
+        parse_tp("s tp 2 1 3\nb 1 1\nb 2 3 3\n1 2\n")
+
+
+def test_header_size_must_be_the_largest_bag():
+    # a .td or .tp header's size field is the largest bag's size
+    for text in ("s td 1 5 2\nb 1 1 2\n", "s td 2 1 3\nb 1 1 2\nb 2 3\n1 2\n"):
+        with pytest.raises(ParseError, match="line 1: header declares bags of"):
+            parse_td(text)
+    # the error names the header's line
+    with pytest.raises(ParseError, match="line 2: header declares bags of 3, the largest has 2"):
+        parse_tp("c a comment\ns tp 2 3 3\nb 1 1 2\nb 2 3\n1 2\n")
+    assert parse_td("s td 2 2 3\nb 1 1 2\nb 2 3\n1 2\n").bags == [[0, 1], [2]]
+    assert parse_td("s td 0 0 0\n").bags == []
+    # a .tcd width is the tree-cut width, not a bag size
+    assert parse_tcd("s tcd 1 7 2\nr 1\nb 1 1 2\n").bags == [[0, 1]]
+
+
 def test_jsonl_round_trip():
     recs = [{"kind": "clique", "ids": [0, 1]}, {"x": 1}]
     assert parse_jsonl(emit_jsonl(recs)) == recs

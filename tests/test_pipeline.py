@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from treepart import graph, pipeline, separators, treewidth
-from treepart.decomp import TreeDecomposition, Violation, verify_td, verify_tp
+from treepart.decomp import MalformedDecomposition, TreeDecomposition, Violation, verify_td, verify_tp
 from treepart.exact import exact_tpw
 from treepart.families import (
     gen_complete_bipartite,
@@ -201,91 +201,101 @@ def test_invalid_import_td_is_refused():
     assert verify_td(g, td) == Violation("vertex-coverage", 6)
     with pytest.raises(ValueError, match="vertex-coverage"):
         run(g, PipelineParams(k=2, step1="import", import_td=td))
+    # a bag listing a vertex twice is malformed, not a wider decomposition
+    repeated = TreeDecomposition([[0, 0, 1]], [], root=0)
+    with pytest.raises(MalformedDecomposition, match="bag 0 repeats vertex 0"):
+        run(Graph(2, [(0, 1)]), PipelineParams(k=1, step1="import", import_td=repeated))
 
 
-def test_import_index_is_built_once(monkeypatch):
+def counting_calls(monkeypatch, names, module=pipeline):
+    """Wrap each of module's names so that calls[name] lists the
+    arguments of its calls."""
+    calls = {name: [] for name in names}
+    for name in names:
+        real = getattr(module, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name].append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_import_is_read_as_one_elimination_order(monkeypatch):
+    """An import is read as one perfect elimination order per run, at its
+    own root or, without one, at node 0 (`elimination_of`), and each of
+    the input's four components restricts that order to its vertices."""
     g = Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
     td = heuristic_td(g)
-    indexed = []
-    real = pipeline._td_index
-
-    def counting(t):
-        indexed.append(t)
-        return real(t)
-
-    monkeypatch.setattr(pipeline, "_td_index", counting)
-    assert run(g, PipelineParams(k=1, step1="import", import_td=td)).accepted
-    assert sum(t is td for t in indexed) == 1
+    calls = counting_calls(monkeypatch, ("elimination_of", "restrict_elimination"))
+    for t, root in ((td, td.root), (TreeDecomposition(td.bags, td.tree_edges), 0)):
+        calls["elimination_of"].clear()
+        calls["restrict_elimination"].clear()
+        out = run(g, PipelineParams(k=1, step1="import", import_td=t))
+        assert out.accepted and verify_tp(g, out.tp) == out.width
+        (read,) = calls["elimination_of"]
+        assert read[0].bags is td.bags and read[0].root == root and read[1] == g.n
+        assert [args[2] for args in calls["restrict_elimination"]] == connected_components(g)
 
 
 def test_size_rule_skips_block_decompositions(monkeypatch):
-    calls = {"partition_rooted": 0, "partition_isolated": 0, "_extract_sub_td": 0}
-    for name in calls:
-        real = getattr(pipeline, name)
-
-        def counting(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(pipeline, name, counting)
+    names = ("partition_rooted", "partition_isolated", "clique_tree", "elimination_of", "restrict_elimination")
+    calls = counting_calls(monkeypatch, names)
     # 10^4 bridges under one cutvertex: each is decided by its size alone
     star = gen_complete_bipartite(1, 10_000)
     out = run(star, PipelineParams(k=1))
     assert out.accepted and verify_tp(star, out.tp) == out.width
-    assert calls == {"partition_rooted": 0, "partition_isolated": 0, "_extract_sub_td": 0}
+    assert all(not c for c in calls.values())
     # a K_{2,12} block below a cutvertex c is decided by its size and c's
-    # degree (13 - 1 <= 12 + 2 + 1); the root block, with no cut, is not
+    # degree (13 - 1 <= 12 + 2 + 1); the root block, with no cut, is not,
+    # and takes the clique tree of the order restricted to it
     g = gen_multiple_tree(random_tree(8, 1), 12)
     out = run(g, PipelineParams(k=7))
     assert out.accepted and verify_tp(g, out.tp) == out.width
-    assert calls == {"partition_rooted": 1, "partition_isolated": 0, "_extract_sub_td": 1}
+    counts = {name: len(c) for name, c in calls.items()}
+    assert counts == dict.fromkeys(names, 0) | dict(partition_rooted=1, clique_tree=1, restrict_elimination=1)
 
 
 def test_step4_builds_one_reduced_decomposition_on_first_need(monkeypatch):
     """Step 1 keeps its elimination order, and the first block the size
-    rule leaves reads H's clique tree off it (`clique_tree`, H being the
-    component), once, with no full tree of bags built; a block that is all
-    of H reads it in place.  A merged quotient takes one more clique tree,
-    of that tree's bags mapped onto H (`elimination_of`), and an import
-    is read as an elimination order in step 1.  Blocks the size rule
-    decides, and rejects (every `flow_reject` instance), build nothing.
-    Step 2 hands `build_gb` no pair its degree bound rejects, so a fan's
-    adjacent pairs of degree-b vertices never reach it."""
-    calls = dict.fromkeys(("clique_tree", "elimination_of", "_td_index", "_extract_sub_td"), 0)
-    calls["_td_from_elimination"] = 0  # behind heuristic_td, which step 1 does not call
+    rule leaves takes it as H's (H being the component), once, with no
+    full tree of bags built: a block that is all of H reads its clique
+    tree (`clique_tree`), and any other block the clique tree of the
+    order restricted to it (`restrict_elimination`).  A merged quotient
+    takes one more clique tree, of the component's, whose bags mapped
+    onto H give H's order (`elimination_of`), and an import is read as
+    one elimination order, restricted to the component in step 1.
+    Blocks the size rule decides, and rejects (every `flow_reject`
+    instance), build nothing.  Step 2 hands `build_gb` no pair its degree
+    bound rejects, so a fan's adjacent pairs of degree-b vertices never
+    reach it."""
+    calls = counting_calls(monkeypatch, ("clique_tree", "elimination_of", "restrict_elimination"))
+    calls |= counting_calls(monkeypatch, ("_td_from_elimination",), treewidth)  # behind heuristic_td
     listed = []
-    for name in calls:
-        module = treewidth if name == "_td_from_elimination" else pipeline
-        real = getattr(module, name)
-
-        def counting(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(module, name, counting)
     real_gb = pipeline.build_gb
     monkeypatch.setattr(
         pipeline, "build_gb", lambda g, b, pairs, *rest: listed.append(len(pairs)) or real_gb(g, b, pairs, *rest)
     )
 
     def counted(g, k, **params):
-        calls.update(dict.fromkeys(calls, 0))
+        for c in calls.values():
+            c.clear()
         listed.clear()
-        return run(g, PipelineParams(k=k, **params)).accepted, dict(calls)
+        return run(g, PipelineParams(k=k, **params)).accepted, {name: len(c) for name, c in calls.items()}
 
-    # grid 40 is one block and its own quotient
+    # grid 40 is one block and its own quotient; wall 40's big block is
+    # not all of it
     none = dict.fromkeys(calls, 0)
     assert counted(gen_grid(40), 16) == (True, dict(none, clique_tree=1))
-    accepted, wall = counted(gen_wall(40), 16)
-    assert accepted and wall["clique_tree"] == 1
-    assert wall["_td_from_elimination"] == wall["elimination_of"] == 0
+    assert counted(gen_wall(40), 16) == (True, dict(none, clique_tree=1, restrict_elimination=1))
     # one pair of this graph merges, and one block of its quotient takes
-    # its share of the quotient's clique tree
-    merged = dict(none, clique_tree=2, elimination_of=1, _td_index=1, _extract_sub_td=1)
+    # the clique tree of the quotient's order restricted to it
+    merged = dict(none, clique_tree=2, elimination_of=1, restrict_elimination=1)
     assert counted(random_graph(8, 0.6, 1189), 3) == (True, merged)
-    # step 1 indexes the import and restricts it to the component, and step
-    # 4 does the same for the wall's big block and the clique tree
-    imported = dict(none, clique_tree=1, elimination_of=1, _td_index=2, _extract_sub_td=2)
+    # step 1 reads the import once and restricts it to the component, and
+    # step 4 restricts the component's order to the wall's big block
+    imported = dict(none, clique_tree=1, elimination_of=1, restrict_elimination=2)
     td = heuristic_td(gen_wall(10), "min-fill", 1)
     assert counted(gen_wall(10), 4, step1="import", import_td=td) == (True, imported)
     assert counted(Graph(2000, [(i, i + 1) for i in range(1999)]), 2) == (True, none)
@@ -343,29 +353,31 @@ def test_one_block_input_is_never_copied(monkeypatch):
 def test_windmill_blades_hand_the_partitioner_a_fixed_share():
     """Windmills of K_{2,12} blades on one hub (vertex 0): the blades
     below the hub are decided by the size rule, and the root blade hands
-    `partition_rooted` at most the decomposition's nodes, once, and
-    `partition_isolated` nothing; so step 4's input grows linearly in the
-    blade count."""
-    nodes_in = []
+    `partition_rooted` a decomposition of at most as many bags as it has
+    vertices, once, and `partition_isolated` nothing, however many
+    decomposition nodes hold the hub; so step 4's input stays fixed as
+    the blade count grows."""
+    handed = []
     real = pipeline.partition_rooted
 
     def counting(g, td, s_set):
-        nodes_in.append(len(td.bags))
+        handed.append((g.n, len(td.bags)))
         return real(g, td, s_set)
 
     def isolated(g, td, v):
         raise AssertionError("a blade below the hub reached the partitioner")
 
-    for blades in (25, 50, 100):
+    for blades in (25, 50, 100, 200):
         g = gen_multiple_tree(gen_complete_bipartite(1, blades), 12)
-        nodes_in.clear()
+        handed.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pipeline, "partition_rooted", counting)
             mp.setattr(pipeline, "partition_isolated", isolated)
             out = run(g, PipelineParams(k=7))
         assert out.accepted and verify_tp(g, out.tp) == out.width
-        assert len(nodes_in) == 1
-        assert nodes_in[0] <= heuristic_td(g).num_nodes
+        assert len(handed) == 1
+        size, bags = handed[0]
+        assert size == 14 and bags <= size, (blades, handed)
 
 
 _STEP_KEYS = {
