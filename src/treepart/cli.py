@@ -255,7 +255,7 @@ def _cmd_bridge(args) -> int:
             _write(args.out_gr, emit_gr(g2))
         if args.output:
             _write(args.output, emit_tp(tp, g2.n))
-        print(f"RESULT status=ok width={max(len(b) for b in tp.bags)}")
+        print(f"RESULT status=ok width={tp.width()}")
         return 0
     tp = _load(args.lift, parse_tp)
     counts = _load(args.counts, parse_counts, g.n) if args.counts else {}
@@ -269,7 +269,7 @@ def _cmd_bridge(args) -> int:
     if args.output:
         n2 = g.n + sum(counts.values())
         _write(args.output, emit_tp(out, n2))
-    print(f"RESULT status=ok width={max(len(b) for b in out.bags)}")
+    print(f"RESULT status=ok width={out.width()}")
     return 0
 
 

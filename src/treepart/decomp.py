@@ -76,16 +76,35 @@ class TreeDecomposition(BaggedTree):
 
     def depth(self):
         """Depth of the rooted tree (root at depth 0); requires root set."""
-        if self.root is None:
-            raise ValueError("decomposition is not rooted")
-        if not 0 <= self.root < self.num_nodes:
-            raise ValueError(f"root {self.root} is not a node")
-        parent, order = tree_bfs(self.node_adj(), self.root)
-        best, x = 0, order[-1]  # breadth-first order ends at a deepest node
-        while parent[x] != -1:
-            best += 1
-            x = parent[x]
-        return best
+        return max(occupancy_tables(self)[2])
+
+
+def occupancy_tables(td: TreeDecomposition):
+    """Occupancy tables of a rooted decomposition, as (top, parent, depth).
+
+    parent[t] is t's parent node, -1 at the root (`tree_bfs`), depth[t]
+    is t's distance from the root, and top[v] is the first node in
+    breadth-first order whose bag holds v, which in a valid decomposition
+    is the highest node of v's occupancy subtree.  So v occupies a node in
+    the subtree of a node t outside its bag exactly when climbing parent
+    pointers from top[v] reaches t.  One pass over the nodes in
+    breadth-first order sets each depth and each top[v] once, at its first
+    bag.
+    """
+    if td.root is None:
+        raise ValueError("decomposition is not rooted")
+    if not 0 <= td.root < td.num_nodes:
+        raise ValueError(f"root {td.root} is not a node")
+    parent, order = tree_bfs(td.node_adj(), td.root)
+    depth = [0] * td.num_nodes
+    top = {}
+    for i in order:
+        if i != td.root:
+            depth[i] = depth[parent[i]] + 1
+        for v in td.bags[i]:
+            if v not in top:
+                top[v] = i
+    return top, parent, depth
 
 
 @dataclass

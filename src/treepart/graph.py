@@ -214,8 +214,10 @@ def tree_bfs(adj, root: int):
     visiting each node's neighbors in list order; parent[x] is the node
     that reached x, and -1 for the root and for unreached nodes.  On a
     tree, passing sorted adjacency lists puts each node's children in
-    ascending order.
+    ascending order.  An empty list has no nodes and gives ([], []).
     """
+    if not adj:
+        return [], []
     parent = [-1] * len(adj)
     seen = [False] * len(adj)
     seen[root] = True

@@ -17,9 +17,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .decomp import TreeDecomposition, TreePartition
+from .decomp import TreeDecomposition, TreePartition, occupancy_tables
 from .graph import BlockForest, Graph, connected_components
-from .treewidth import occupancy_tables
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,7 @@ class PartitionConstants:
     well below 2**50 are exact in doubles).
     """
 
-    gamma: float = 1.0 + math.sqrt(2.0)
+    gamma = 1.0 + math.sqrt(2.0)
 
     def window_low(self, w: int) -> float:
         return (self.gamma + 1.0) * (w + 1)

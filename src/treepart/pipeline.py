@@ -131,7 +131,7 @@ def _step1(gc: Graph, params: PipelineParams, old_ids, lb: int, imported):
     def reduced(red):
         if red.h is gc:
             return order, own
-        td = clique_tree(gc.n, order, own)
+        td = clique_tree(order, own)
         bags = [{red.part_of[v] for v in bag} for bag in td.bags]
         return elimination_of(TreeDecomposition(bags, td.tree_edges, root=0), red.h.n)
 
@@ -281,9 +281,9 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, imported):
                 rank = rank_of(order)
             sub, new_id = subgraph(h, blk, block_edges[bidx])
             if sub is h:
-                sub_td = clique_tree(h.n, order, own)
+                sub_td = clique_tree(order, own)
             else:
-                sub_td = clique_tree(len(blk), *restrict_elimination(rank, own, blk))
+                sub_td = clique_tree(*restrict_elimination(rank, own, blk))
             if cut is not None:
                 tp_local = partition_isolated(sub, sub_td, new_id[cut])
             else:

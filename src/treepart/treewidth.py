@@ -12,12 +12,12 @@ from __future__ import annotations
 import heapq
 import random
 
-from .decomp import TreeDecomposition
+from .decomp import TreeDecomposition, occupancy_tables
 from .exact import CapacityError, _bits
 from .graph import Graph, tree_bfs
 
 
-def _td_from_elimination(n: int, order, nbrs) -> TreeDecomposition:
+def _td_from_elimination(order, nbrs) -> TreeDecomposition:
     """Build a decomposition from an elimination order.
 
     nbrs[v] holds v's remaining neighbors in the fill graph when v was
@@ -63,7 +63,7 @@ def restrict_elimination(pos, nbrs, vertices):
     return order, [[new_id[u] for u in nbrs[v] if u in new_id] for v in vertices]
 
 
-def clique_tree(n: int, order, nbrs) -> TreeDecomposition:
+def clique_tree(order, nbrs) -> TreeDecomposition:
     """The maximal cliques of a chordal graph on a clique tree (Blair and
     Peyton, "An introduction to chordal graphs and clique trees", 1993),
     read off a perfect elimination order given as later-neighbour sets:
@@ -72,7 +72,7 @@ def clique_tree(n: int, order, nbrs) -> TreeDecomposition:
     decomposition's co-bagged pairs, and `restrict_elimination` one for a
     vertex subset of either.
 
-    It is `_td_from_elimination(n, order, nbrs)` with every tree edge whose
+    It is `_td_from_elimination(order, nbrs)` with every tree edge whose
     bags nest contracted: a node p goes into its lowest-id child c with
     |bag c| = |bag p| + 1, when it has one.  Proof:
     - Each child c of p has bag(c) - order[c] inside bag(p): order[c]'s
@@ -150,7 +150,7 @@ def _fill(nbr, v) -> int:
 
 def heuristic_td(g: Graph, strategy: str = "min-degree", seed: int = 0) -> TreeDecomposition:
     """Greedy elimination-order decomposition (`eliminate`)."""
-    return _td_from_elimination(g.n, *eliminate(g, strategy, seed))
+    return _td_from_elimination(*eliminate(g, strategy, seed))
 
 
 def eliminate(g: Graph, strategy: str = "min-degree", seed: int = 0):
@@ -199,9 +199,7 @@ def eliminate(g: Graph, strategy: str = "min-degree", seed: int = 0):
     rnd = random.Random(seed)
     salt = [rnd.random() for _ in range(n)]
     byrank = sorted(range(n), key=salt.__getitem__)  # stable: ties by id
-    rank = [0] * n
-    for r, v in enumerate(byrank):
-        rank[v] = r
+    rank = rank_of(byrank)
     sh = n.bit_length()
     nbr = [set(a) for a in g.adj]
     min_fill = strategy == "min-fill"
@@ -333,7 +331,7 @@ def exact_td(g: Graph, k: int, cap: int = 15):
     """A tree decomposition of width <= k, or None if none exists
     (`exact_elimination`)."""
     found = exact_elimination(g, k, cap)
-    return None if found is None else _td_from_elimination(g.n, *found)
+    return None if found is None else _td_from_elimination(*found)
 
 
 def exact_elimination(g: Graph, k: int, cap: int = 15):
@@ -387,33 +385,20 @@ def _feasible(adj_mask, k: int, memo, s_mask: int) -> bool:
     """Whether the vertices outside s_mask can be eliminated after those
     in it at width <= k.
 
-    A depth-first search over masks on an explicit stack of (mask,
-    untried successor masks), the successors by increasing (elimination
-    cost, vertex) among those of cost <= k.  memo maps each mask settled
-    so far to its answer: a mask is infeasible once all its successors
-    are, and a feasible successor makes every mask on the stack feasible.
+    A depth-first search over masks, one level per eliminated vertex, so
+    at most n deep: the successors by increasing (elimination cost,
+    vertex) among those of cost <= k.  memo maps each mask settled so far
+    to its answer: a mask is infeasible once all its successors are, and
+    feasible once one of them is.
     """
     full = (1 << len(adj_mask)) - 1
-    stack = []
-    t = s_mask
-    while True:
-        hit = True if t == full else memo.get(t)
-        if hit:
-            for m, _ in stack:
-                memo[m] = True
-            return True
-        if hit is None:
-            moves = sorted((bin(_q_mask(adj_mask, t, v)).count("1"), v) for v in _bits(full & ~t))
-            stack.append((t, iter([t | 1 << v for c, v in moves if c <= k])))
-        while True:  # the next untried successor, settling exhausted masks
-            if not stack:
-                return False
-            m, untried = stack[-1]
-            t = next(untried, 0)
-            if t:
-                break
-            memo[m] = False
-            stack.pop()
+    if s_mask == full:
+        return True
+    hit = memo.get(s_mask)
+    if hit is None:
+        moves = sorted((bin(_q_mask(adj_mask, s_mask, v)).count("1"), v) for v in _bits(full & ~s_mask))
+        hit = memo[s_mask] = any(_feasible(adj_mask, k, memo, s_mask | 1 << v) for c, v in moves if c <= k)
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -577,31 +562,3 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
             bnd = [(x, a) for x, a in boundary if not lo <= pos[a] < hi]
             stack.append((up[c], r - size[c], bnd + [(c, up[c])], node))
     return TreeDecomposition(out_bags, out_edges, root=0)
-
-
-def occupancy_tables(td: TreeDecomposition):
-    """Occupancy tables of a rooted decomposition, as (top, parent, depth).
-
-    parent[t] is t's parent node, -1 at the root (`tree_bfs`), depth[t]
-    is t's distance from the root, and top[v] is the first node in
-    breadth-first order whose bag holds v, which in a valid decomposition
-    is the highest node of v's occupancy subtree.  So v occupies a node in
-    the subtree of a node t outside its bag exactly when climbing parent
-    pointers from top[v] reaches t.  One pass over the nodes in
-    breadth-first order sets each depth and each top[v] once, at its first
-    bag.
-    """
-    if td.root is None:
-        raise ValueError("decomposition is not rooted")
-    if not 0 <= td.root < td.num_nodes:
-        raise ValueError(f"root {td.root} is not a node")
-    parent, order = tree_bfs(td.node_adj(), td.root)
-    depth = [0] * td.num_nodes
-    top = {}
-    for i in order:
-        if i != td.root:
-            depth[i] = depth[parent[i]] + 1
-        for v in td.bags[i]:
-            if v not in top:
-                top[v] = i
-    return top, parent, depth

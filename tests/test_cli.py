@@ -223,6 +223,21 @@ def test_bridge_subcommand(tmp_path, capsys):
     assert max(len(b) for b in out_tp.bags) == 2
 
 
+def test_empty_pair_commands_report_width_0(tmp_path, capsys):
+    src = write_gr(tmp_path, "e.gr", Graph(0, []))
+    tcd = tmp_path / "e.tcd"
+    tcd.write_text("s tcd 0 0 0\n")
+    tp = tmp_path / "e.tp"
+    tp.write_text("s tp 0 0 0\n")
+    for argv, result in (
+        (["verify", "tcd", src, str(tcd)], "RESULT status=valid width=0 nice=1"),
+        (["bridge", src, "--from-tcd", str(tcd)], "RESULT status=ok width=0"),
+        (["bridge", src, "--lift", str(tp)], "RESULT status=ok width=0"),
+    ):
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out.strip() == result, argv
+
+
 def test_bridge_lift_counts_errors(tmp_path, capsys):
     src = write_gr(tmp_path, "p3.gr", Graph(3, [(0, 1), (1, 2)]))
     tp = tmp_path / "p3.tp"

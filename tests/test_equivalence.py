@@ -27,10 +27,12 @@ a drift in a tie-break, in edge order or in a pruning test fails.  A balanced tr
 and child order the partitions never read, must match as a rooted,
 bag-labelled tree.
 
-The tuple-heap elimination and lower bound and the list-frame block
-search, which the int-keyed heap and the iterator frames replaced, are
-kept as references too: on both benchmark corpora and 300 random graphs
-the new code must return exactly what they return.
+The tuple-heap elimination and lower bound, the list-frame block search
+and the explicit-stack exact search, which the int-keyed heap, the
+iterator frames and the recursive search replaced, are kept as
+references too: on both benchmark corpora and 300 random graphs (random
+graphs of at most 12 vertices for the exact search) the new code must
+return exactly what they return.
 """
 
 import functools
@@ -43,8 +45,9 @@ from pathlib import Path
 
 import pytest
 
-from treepart import partitioner, pipeline
-from treepart.decomp import TreeDecomposition, TreePartition, verify_td
+from treepart import partitioner, pipeline, treewidth
+from treepart.decomp import TreeDecomposition, TreePartition, occupancy_tables, verify_td
+from treepart.exact import _bits
 from treepart.families import (
     gen_complete_bipartite,
     gen_fan,
@@ -79,8 +82,8 @@ from treepart.treewidth import (
     eliminate,
     elimination_of,
     exact_elimination,
+    _q_mask,
     heuristic_td,
-    occupancy_tables,
     rank_of,
     restrict_elimination,
     treewidth_lower_bound,
@@ -793,6 +796,34 @@ def ref_combine_blocks(h, bf, per_block):
     return TreePartition(bags, edges, root=0 if bags else None)
 
 
+# The explicit-stack search of `exact_elimination` that the recursive
+# `_feasible` replaced: the same moves in the same order, and the same memo.
+
+
+def stack_feasible(adj_mask, k, memo, s_mask):
+    full = (1 << len(adj_mask)) - 1
+    stack = []
+    t = s_mask
+    while True:
+        hit = True if t == full else memo.get(t)
+        if hit:
+            for m, _ in stack:
+                memo[m] = True
+            return True
+        if hit is None:
+            moves = sorted((bin(_q_mask(adj_mask, t, v)).count("1"), v) for v in _bits(full & ~t))
+            stack.append((t, iter([t | 1 << v for c, v in moves if c <= k])))
+        while True:
+            if not stack:
+                return False
+            m, untried = stack[-1]
+            t = next(untried, 0)
+            if t:
+                break
+            memo[m] = False
+            stack.pop()
+
+
 # ---------------------------------------------------------------------------
 # corpora
 # ---------------------------------------------------------------------------
@@ -1155,6 +1186,24 @@ def test_iterator_frames_match_list_frames():
     for idx, g in enumerate(heap_corpus()):
         assert biconnected_components(g) == list_frame_biconnected_components(g), idx
 
+
+def test_recursive_feasible_matches_explicit_stack(monkeypatch):
+    """At every k < n on random graphs of at most 12 vertices, `_feasible`
+    gives the explicit stack's answer and memo, and `exact_elimination`
+    the same (order, nbrs), or None."""
+    graphs = [random_graph(n, p, seed) for n in range(1, 13) for p in (0.2, 0.4, 0.6) for seed in range(3)]
+    cases = [(g, k) for g in graphs for k in range(g.n)]
+    got = []
+    for idx, (g, k) in enumerate(cases):
+        adj_mask = [sum(1 << v for v in nu) for nu in g.adj]
+        memo, want_memo = {}, {}
+        assert treewidth._feasible(adj_mask, k, memo, 0) == stack_feasible(adj_mask, k, want_memo, 0), idx
+        assert memo == want_memo, idx
+        got.append(exact_elimination(g, k))
+    monkeypatch.setattr(treewidth, "_feasible", stack_feasible)
+    assert got == [exact_elimination(g, k) for g, k in cases]
+    assert got.count(None) > 50 and len(got) - got.count(None) > 50, got.count(None)
+
 def test_block_forest_matches_scan():
     graphs = [star(leaves) for leaves in (0, 1, 2, 60, 500)]
     graphs += [random_tree(n, seed) for n, seed in ((2, 0), (40, 1), (600, 2))]
@@ -1248,7 +1297,7 @@ def test_step2_pairs_are_the_co_bagged_pairs_less_adjacent_tight_ones(strategy):
         td = heuristic_td(g, strategy, 1)
         w, own, reduced = _step1(g, params, range(g.n), 0, None)
         own_quotient = b_reduction(g, Graph(g.n))
-        assert w == td.width() and same_td(clique_tree(g.n, *reduced(own_quotient)), ref_reduce_td(td)), idx
+        assert w == td.width() and same_td(clique_tree(*reduced(own_quotient)), ref_reduce_td(td)), idx
         deg = [g.degree(v) for v in range(g.n)]
         high = {v for v in range(g.n) if deg[v] >= b}
 
@@ -1274,7 +1323,7 @@ def test_step2_pairs_are_the_co_bagged_pairs_less_adjacent_tight_ones(strategy):
             order, nbrs = elimination_of(balanced, g.n)
             w, own, reduced = _step1(g, imports, range(g.n), 0, (rank_of(order), nbrs))
             assert w == balanced.width(), idx
-            assert bag_set(clique_tree(g.n, *reduced(own_quotient))) == bag_set(ref_reduce_td(balanced)), idx
+            assert bag_set(clique_tree(*reduced(own_quotient))) == bag_set(ref_reduce_td(balanced)), idx
             assert _step2_pairs(g, own, b) == listed(balanced), idx
             imported += 1
     assert differ["y > h only"] >= 100 and differ["no degree-b endpoint"] >= 25, differ
@@ -1570,11 +1619,11 @@ def step4_td(g, red):
     as `_step1` builds the order from `eliminate(g)`: the order itself,
     and when red.h is not g, that of its clique tree's bags mapped onto
     red.h."""
-    td = clique_tree(g.n, *eliminate(g))
+    td = clique_tree(*eliminate(g))
     if red.h is g:
         return td
     bags = [sorted({red.part_of[v] for v in bag}) for bag in td.bags]
-    return clique_tree(red.h.n, *elimination_of(TreeDecomposition(bags, td.tree_edges, root=0), red.h.n))
+    return clique_tree(*elimination_of(TreeDecomposition(bags, td.tree_edges, root=0), red.h.n))
 
 
 def maximal_bags(td):
@@ -1665,7 +1714,7 @@ def test_restrict_elimination_is_a_perfect_elimination_order_of_each_subset():
     clique tree is a decomposition of the induced subgraph."""
     counts = {}
     for idx, (kind, g, order, nbrs, subsets) in enumerate(restriction_cases()):
-        tree = clique_tree(g.n, order, nbrs)
+        tree = clique_tree(order, nbrs)
         for vertices in subsets:
             new_id = {v: i for i, v in enumerate(vertices)}
             sub_order, sub_nbrs = restrict_elimination(rank_of(order), nbrs, vertices)
@@ -1680,7 +1729,7 @@ def test_restrict_elimination_is_a_perfect_elimination_order_of_each_subset():
                 assert pairs.issuperset(itertools.combinations(sorted(sub_nbrs[v]), 2)), (idx, vertices, v)
                 listed.update((min(u, v), max(u, v)) for u in sub_nbrs[v])
             assert listed == pairs, (idx, vertices)
-            got = clique_tree(m, sub_order, sub_nbrs)
+            got = clique_tree(sub_order, sub_nbrs)
             assert bag_set(got) == maximal_bags(want), (idx, vertices)
             assert got.width() == want.width(), (idx, vertices)
             assert verify_td(g.induced(vertices)[0], got) == got.width(), (idx, vertices)
@@ -1701,16 +1750,16 @@ def test_clique_tree_is_the_reduced_elimination_decomposition():
     cases += [(make(), "min-degree", 0) for make in STRUCTURED.values()]
     for idx, (g, strategy, seed) in enumerate(cases):
         order, nbrs = eliminate(g, strategy, seed)
-        want = ref_reduce_td(_td_from_elimination(g.n, order, nbrs))
-        assert same_td(clique_tree(g.n, order, nbrs), want), (idx, strategy)
+        want = ref_reduce_td(_td_from_elimination(order, nbrs))
+        assert same_td(clique_tree(order, nbrs), want), (idx, strategy)
         connected[len(connected_components(g)) == 1] += 1
     assert min(connected.values()) > 100, connected
     for s in range(40):
         g = random_graph(12, 0.3, s)
         order, nbrs = next(filter(None, (exact_elimination(g, w) for w in range(g.n))))
-        want = ref_reduce_td(_td_from_elimination(g.n, order, nbrs))
-        assert same_td(clique_tree(g.n, order, nbrs), want), s
-    assert same_td(clique_tree(0, [], []), ref_reduce_td(_td_from_elimination(0, [], [])))
+        want = ref_reduce_td(_td_from_elimination(order, nbrs))
+        assert same_td(clique_tree(order, nbrs), want), s
+    assert same_td(clique_tree([], []), ref_reduce_td(_td_from_elimination([], [])))
 
 
 def dense(td):
@@ -1769,7 +1818,7 @@ def test_elimination_of_is_a_perfect_elimination_order_of_the_co_bagged_pairs():
             listed.update((min(u, v), max(u, v)) for u in nbrs[v])
         assert sorted(listed) == pairs, idx
         assert max(map(len, nbrs)) == td.width(), idx
-        assert bag_set(clique_tree(n, order, nbrs)) == bag_set(ref_reduce_td(td)), idx
+        assert bag_set(clique_tree(order, nbrs)) == bag_set(ref_reduce_td(td)), idx
         cases += 1
     assert cases > 4000, cases
 

@@ -12,6 +12,7 @@ from treepart.graph import Graph, biconnected_components
 from treepart.treewidth import heuristic_td
 from treepart.partitioner import (
     CONSTANTS,
+    PartitionConstants,
     balanced_separator_bag,
     combine_blocks,
     expand,
@@ -30,6 +31,8 @@ def test_constants():
     assert math.isclose(CONSTANTS.gamma, 1 + math.sqrt(2))
     assert math.isclose(CONSTANTS.window_low(1), 2 * (2 + math.sqrt(2)))
     assert CONSTANTS.bound(1, 3) > 0
+    with pytest.raises(TypeError):
+        PartitionConstants(gamma=2.0)
 
 
 def test_balanced_separator_bag():

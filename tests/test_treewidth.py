@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from treepart import treewidth
-from treepart.decomp import TreeDecomposition, Violation, verify_td
+from treepart.decomp import TreeDecomposition, Violation, occupancy_tables, verify_td
 from treepart.families import (
     gen_complete_bipartite,
     gen_grid,
@@ -24,7 +24,6 @@ from treepart.treewidth import (
     elimination_of,
     exact_td,
     heuristic_td,
-    occupancy_tables,
     treewidth_lower_bound,
 )
 
@@ -196,7 +195,7 @@ def random_order_td(g, seed):
         for u in nbr[v]:
             nbr[u] |= nbr[v]
             nbr[u] -= {u, v}
-    return _td_from_elimination(g.n, order, elim_bags)
+    return _td_from_elimination(order, elim_bags)
 
 
 def transported(g, td, seed):
@@ -231,7 +230,7 @@ def reduce_cases():
 
 def reduced(td, n):
     """The clique tree of td's co-bagged pairs on vertices 0..n-1."""
-    return clique_tree(n, *elimination_of(td, n))
+    return clique_tree(*elimination_of(td, n))
 
 
 def test_clique_tree_of_any_decomposition_leaves_no_nested_bags():
@@ -250,6 +249,6 @@ def test_clique_tree_of_any_decomposition_leaves_no_nested_bags():
 
 def test_clique_tree_keeps_the_maximal_cliques_of_grid_40():
     g = gen_grid(40)
-    red = clique_tree(g.n, *eliminate(g))
+    red = clique_tree(*eliminate(g))
     assert (red.num_nodes, sum(map(len, red.bags))) == (1196, 10300)
     assert sorted(reduced(heuristic_td(g), g.n).bags) == sorted(red.bags)
