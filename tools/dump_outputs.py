@@ -25,13 +25,15 @@ walls of side 10, 20 and 30; windmills of 10 and 40 `K_{2,12}` blades on
 one hub at k in {3, 7}.  Then every other step-1 mode: exact on
 `random_graph(12, 0.3, s)` for s < 40 at k in {2, 3}, and min-fill,
 min-degree with seed 3 and an import of `heuristic_td(g, "min-fill", 1)`
-on the grids and walls at k in {3, 4, 8, 16}.  Last, the flow corpus:
+on the grids and walls at k in {3, 4, 8, 16}.  Then the flow corpus:
 random 2-trees and random outerplanar graphs (`_two_tree`, `_outerplanar`)
 of 250, 500 and 1,000 vertices at k = 3, seeds 0-3, whose step 2 runs
 the max-flows that the smaller graphs above mostly settle without one.
-The `treepart` on
-PYTHONPATH is the one dumped, so pointing PYTHONPATH at another checkout's
-`src` dumps that version against the same corpus.  The dump exits 1 when
+Last, grids and walls of side 60 and 100 at k = 16, with step-1 seeds 0
+and 3, where a change to step 4's width shows at a scale the sides up to
+30 do not reach.  The `treepart` on PYTHONPATH is the one dumped, so
+pointing PYTHONPATH at another checkout's `src` dumps that version
+against the same corpus.  The dump exits 1 when
 any accept fails `verify_tp`, or when any run leaves a reference cycle:
 each run starts after a full collection, and `run` pauses the cyclic
 collector, so everything the run allocated is still in generation 0 when
@@ -135,6 +137,11 @@ def _corpus():
         for n in (250, 500, 1000):
             for seed in range(4):
                 yield name, f"{name}({n},{seed})", gen(n, seed), P(3)
+    for name, gen in (("grid", tp.gen_grid), ("wall", tp.gen_wall)):
+        for side in (60, 100):
+            g = gen(side)
+            for seed in (0, 3):
+                yield f"{name} large", f"{name}/{side} seed {seed}", g, P(16, seed=seed)
 
 
 def _certificate(cert):
