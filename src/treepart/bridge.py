@@ -70,18 +70,13 @@ def tcd_to_subdivision_tp(g: Graph, tcd: TreeCutDecomposition):
     for t in order[1:]:
         depth[t] = depth[parent[t]] + 1
     node_of = tcd.bag_of()
-    counts = {}
-    for u, v in g.edges():
-        counts[(u, v)] = len(_tree_path(parent, depth, node_of[u], node_of[v])) - 1
-    g2, smap = subdivide(g, counts)
+    edges = g.edges()
+    tree_paths = [_tree_path(parent, depth, node_of[u], node_of[v]) for u, v in edges]
+    g2, smap = subdivide(g, {e: len(nodes) - 1 for e, nodes in zip(edges, tree_paths)})
 
     bags = [list(b) for b in tcd.bags]
-    for u, v in g.edges():
-        path = smap.paths[(u, v)]
-        if not path:
-            continue
-        nodes = _tree_path(parent, depth, node_of[u], node_of[v])
-        for vertex, node in zip(path, nodes[1:]):
+    for e, nodes in zip(edges, tree_paths):
+        for vertex, node in zip(smap.paths[e], nodes[1:]):
             bags[node].append(vertex)
 
     # contract nodes that stayed empty: their children re-attach upward

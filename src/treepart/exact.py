@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .graph import Graph, connected_components
+from .graph import Graph, connected_components, find
 
 
 class CapacityError(Exception):
@@ -133,13 +133,6 @@ def _set_partitions(items, max_part=None):
         yield [[first]] + part
 
 
-def _find(root, x):
-    while root[x] != x:
-        root[x] = root[root[x]]
-        x = root[x]
-    return x
-
-
 def _quotient_forest(edges, parts):
     """(quotient edge set, union-find table joining its edges) for a
     partition of the vertices, or None when the quotient edges close a
@@ -157,7 +150,7 @@ def _quotient_forest(edges, parts):
         return None
     root = list(range(len(parts)))
     for a, b in quotient_edges:
-        ra, rb = _find(root, a), _find(root, b)
+        ra, rb = find(root, a), find(root, b)
         if ra == rb:
             return None
         root[ra] = rb
@@ -209,7 +202,7 @@ def completion_tree(g: Graph, parts):
         raise ValueError("quotient has a cycle")
     tree, root = sorted(forest[0]), forest[1]
     for b in range(1, len(parts)):
-        ra, rb = _find(root, 0), _find(root, b)
+        ra, rb = find(root, 0), find(root, b)
         if ra != rb:
             root[ra] = rb
             tree.append((0, b))

@@ -1,6 +1,7 @@
 """Simple undirected graphs with the structural operations the rest of the
 library is built on: connected components, blocks (biconnected components),
-a rooted breadth-first tree walk, edge subdivision and quotients.
+a rooted breadth-first tree walk, a union-find, edge subdivision and
+quotients.
 
 Vertices are dense 0-based integers.  All set-valued outputs are sorted so
 that downstream golden tests are reproducible.
@@ -205,6 +206,15 @@ def connected_components(g: Graph, vertices=None):
         if not left:
             break
     return comps
+
+
+def find(root, x):
+    """Representative of x in the union-find table root (root[x] is x's
+    parent, x itself at a representative), halving the path it climbs."""
+    while root[x] != x:
+        root[x] = root[root[x]]
+        x = root[x]
+    return x
 
 
 def tree_bfs(adj, root: int):

@@ -2,8 +2,10 @@
 bound: separator bags at weighted centroids of the decomposition tree,
 one loop over a stack of boundary jobs with an optional rooted or
 isolated-vertex contract (no recursion, so long thin blocks need no deep
-call stack), combination of per-block partitions across cutvertices, and
-expansion of quotient vertices.
+call stack), the refinement of any tree-partition by the components below
+each bag (`refine`, also applied to breadth-first layers, `bfs_layering`),
+combination of per-block partitions across cutvertices, and expansion of
+quotient vertices.
 
 The job loop is correctness-first: every output passes the tree-partition
 verifier unconditionally; realized widths are tracked empirically against
@@ -18,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .decomp import TreeDecomposition, TreePartition, occupancy_tables
-from .graph import BlockForest, Graph, connected_components
+from .graph import BlockForest, Graph, connected_components, find, tree_bfs
 
 
 @dataclass(frozen=True)
@@ -323,6 +325,96 @@ def combine_blocks(h: Graph, bf: BlockForest, per_block) -> TreePartition:
         for comp in connected_components(Graph(len(bags), edges))[1:]:
             edges.append((0, comp[0]))
     return TreePartition(bags, edges, root=0 if bags else None)
+
+
+def refine(g: Graph, tp: TreePartition) -> TreePartition:
+    """Split each bag of the tree-partition tp of g by the components
+    below it; no bag grows.
+
+    The tree is rooted at tp.root (node 0 when unset) and its bags are
+    walked bottom-up with one union-find over g's vertices.  At bag B with
+    parent bag P, each v in B is joined with its neighbours outside P,
+    which lie in B or in bags already walked, and B splits into its
+    classes.  Each vertex keeps its class index from that split, and each
+    class its representative, since the walk at P merges classes of B.  A
+    class is connected through the bags below B, so all its neighbours in
+    P lie in one class of P, the one whose representative its own
+    representative then finds; it hangs under that class, and under P's
+    first class when it has no neighbour in P.  The root bag's other
+    classes hang under its first.  An edge inside B joins two vertices of
+    one class, and an edge from B to P joins a class to the one it hangs
+    under, so the result is a tree-partition of g.  Classes are numbered
+    in breadth-first order of their bags, each bag's by least vertex, so
+    the root bag's first class is node 0 and every bag is sorted.  The
+    walk reads each vertex's adjacency once, with a union-find climb per
+    neighbour read.
+    """
+    if not tp.bags:
+        return tp
+    adj = g.adj
+    parent, order = tree_bfs(tp.node_adj(), 0 if tp.root is None else tp.root)
+    node_of = [0] * g.n
+    for t, bag in enumerate(tp.bags):
+        for v in bag:
+            node_of[v] = t
+    uf = list(range(g.n))
+    cls = [0] * g.n  # v's class index in its bag, fixed when the bag splits
+    heads = [None] * len(tp.bags)  # per class of t, its representative when t splits
+    up = [None] * len(tp.bags)  # per class of t, the class of t's parent it hangs under
+    kids = [[] for _ in tp.bags]
+    for t in reversed(order):
+        p = parent[t]
+        bag = tp.bags[t]
+        for v in bag:
+            rv = find(uf, v)
+            for u in adj[v]:
+                if node_of[u] != p:
+                    ru = find(uf, u)
+                    if ru != rv:  # v, often still alone, joins u's class
+                        uf[rv] = ru
+                        rv = ru
+        index = {}
+        for v in bag:
+            cls[v] = index.setdefault(find(uf, v), len(index))
+        heads[t] = list(index)
+        # a child class touching this bag now shares a representative with
+        # the one class it touches; one touching none keeps its own
+        for c in kids[t]:
+            up[c] = [index.get(find(uf, r), 0) for r in heads[c]]
+        if p != -1:
+            kids[p].append(t)
+    first = [0] * len(tp.bags)  # node of t's first class
+    total = 0
+    for t in order:
+        first[t] = total
+        total += len(heads[t])
+    bags = [[] for _ in range(total)]
+    for v in range(g.n):
+        bags[first[node_of[v]] + cls[v]].append(v)
+    edges = [(0, c) for c in range(1, len(heads[order[0]]))]
+    for t in order[1:]:
+        a, b = first[parent[t]], first[t]
+        edges += [(a + c, b + i) for i, c in enumerate(up[t])]
+    return TreePartition(bags, edges, root=0)
+
+
+def bfs_layering(g: Graph, root: int) -> TreePartition:
+    """Tree-partition of the connected graph g into its breadth-first
+    layers from root: bag i holds the vertices at distance i, and the bags
+    form a path rooted at {root}.  Every edge joins one layer or two
+    consecutive ones, so `refine` of it is the layered partition of Ding
+    and Oporowski."""
+    parent, order = tree_bfs(g.adj, root)
+    depth = [0] * g.n
+    bags = [[root]]
+    for v in order[1:]:
+        d = depth[v] = depth[parent[v]] + 1
+        if d == len(bags):
+            bags.append([])
+        bags[d].append(v)
+    for bag in bags:
+        bag.sort()
+    return TreePartition(bags, [(i, i + 1) for i in range(len(bags) - 1)], root=0)
 
 
 def expand(tp_h: TreePartition, red) -> TreePartition:

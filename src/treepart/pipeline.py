@@ -4,8 +4,9 @@ Steps: (1) tree decomposition plus a treewidth lower bound for certified
 rejection; (2) auxiliary graph of highly-connected pairs; (3) quotient by
 its components, split into blocks; (4) per-block partitions under a degree
 threshold, each built on the clique tree of the quotient's perfect
-elimination order restricted to the block, as it is (no rebalancing), and
-combined across cutvertices; (5) expansion back to the input graph.
+elimination order restricted to the block, as it is (no rebalancing),
+narrowed by `refine` or replaced by the refined breadth-first layering
+where that is narrower, and combined across cutvertices; (5) expansion back to the input graph.
 
 Every accepted output passes the tree-partition verifier; every rejection
 carries a certificate that recomputes to a genuine obstruction.
@@ -25,11 +26,13 @@ from .separators import b_reduction, build_gb, candidate_pairs  # noqa: F401
 from .treewidth import balance_td, clique_tree, eliminate, elimination_of, exact_elimination  # noqa: F401
 from .treewidth import heuristic_td, rank_of, restrict_elimination, treewidth_lower_bound  # noqa: F401
 from .partitioner import (
+    bfs_layering,
     combine_blocks,
     expand,
     partition_by_size,
     partition_isolated,
     partition_rooted,
+    refine,
 )
 
 
@@ -205,7 +208,15 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, imported):
     restricted to the block (`restrict_elimination`), with at most one
     bag per block vertex, so a cutvertex shared by many blocks costs each
     block only its own size.  Inputs whose blocks the size rule decides,
-    and rejects, build no decomposition at all.
+    and rejects, build no decomposition at all.  Each partition so built
+    has two candidates: `refine` of it, and `refine` of the block's
+    breadth-first layering (`bfs_layering`) from its contract vertex, the
+    parent cutvertex, which both keep alone in the root bag, or vertex 0
+    of a root block.  The block keeps the narrower, counted in input
+    vertices, and the refined one on a tie.  `refine` grows no bag, so the
+    accepted width is at most what the partition built gives.  The trace
+    records the widest block as built, refined and layered, and how many
+    blocks the layered candidate won.
 
     Step 5 expands each quotient vertex into its part; when H is gc, step
     4's partition, whose bags are sorted, is already the answer."""
@@ -270,6 +281,9 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, imported):
                 return "reject", BlockDegree(groups, groups[blk.index(v)], d, thr)
         degrees.append((low, d_cut))
     per_block = {}
+    size = None if h is gc else list(map(len, red.parts))  # input vertices per vertex of H
+    widest = [0, 0, 0]  # widest partitioned block: built, refined, layered
+    layered_wins = 0
     rank = None  # of H's elimination order, taken for the first block that needs it
     for bidx, blk in enumerate(bf.blocks):
         cut = bf.parent_cut[bidx]
@@ -285,16 +299,29 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, imported):
             else:
                 sub_td = clique_tree(*restrict_elimination(rank, own, blk))
             if cut is not None:
-                tp_local = partition_isolated(sub, sub_td, new_id[cut])
+                root = new_id[cut]
+                built = partition_isolated(sub, sub_td, root)
             else:
-                tp_local = partition_rooted(sub, sub_td, {0})
+                root = 0
+                built = partition_rooted(sub, sub_td, {0})
+            candidates = built, refine(sub, built), refine(sub, bfs_layering(sub, root))
+            if h is gc:
+                widths = [c.width() for c in candidates]
+            else:  # in input vertices
+                widths = [max(sum(size[blk[x]] for x in bag) for bag in c.bags) for c in candidates]
+            layered = widths[2] < widths[1]
+            tp_local = candidates[1 + layered]
+            layered_wins += layered
+            widest = list(map(max, widest, widths))
             tp_block = TreePartition(
-                [sorted(blk[x] for x in bag) for bag in tp_local.bags],
+                [[blk[x] for x in bag] for bag in tp_local.bags],
                 list(tp_local.tree_edges),
                 tp_local.root,
             )
         per_block[bidx] = tp_block
     tp_h = combine_blocks(h, bf, per_block)
+    _fold(stats["step4"], max, **dict(zip(("built_width", "refined_width", "layered_width"), widest)))
+    _fold(stats["step4"], operator.add, layered_wins=layered_wins)
     t0 = _lap(stats["step4"], t0)
 
     tp = tp_h if h is gc else expand(tp_h, red)  # step 4's bags are sorted

@@ -1512,7 +1512,12 @@ def test_combine_blocks_matches_union_find(monkeypatch):
 def test_size_rule_matches_full_block_path(monkeypatch):
     """Each run is made twice, once with the size rule and once with every
     block on the full path; every block's partition must agree, and the
-    rule must decide exactly the blocks its size bound names."""
+    rule must decide exactly the blocks its size bound names.  The rule
+    stands for the partitioner's output, before step 4 narrows it, so both
+    runs keep the partition as built: `refine` returns its input, and the
+    layered candidate is one bag, which never wins."""
+    monkeypatch.setattr(pipeline, "refine", lambda g, tp: tp)
+    monkeypatch.setattr(pipeline, "bfs_layering", lambda g, root: TreePartition([list(range(g.n))], [], 0))
     real_rule = pipeline.partition_by_size
     real_combine = pipeline.combine_blocks
     use_rule = [True]

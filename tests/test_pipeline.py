@@ -384,7 +384,9 @@ _STEP_KEYS = {
     "step1": {"w", "lb", "millis"},
     "step2": {"b", "gb_edges", "max_component", "millis"},
     "step3": {"h_n", "blocks", "millis"},
-    "step4": {"delta_h", "threshold", "millis"},
+    "step4": {
+        "delta_h", "threshold", "built_width", "refined_width", "layered_width", "layered_wins", "millis",
+    },
     "step5": {"millis", "width"},
 }
 
