@@ -338,10 +338,9 @@ def refine(g: Graph, tp: TreePartition) -> TreePartition:
     classes.  Each vertex keeps its class index from that split, and each
     class its representative, since the walk at P merges classes of B.  A
     class is connected through the bags below B, so all its neighbours in
-    P lie in one class of P, the one whose representative its own
-    representative then finds; it hangs under that class, and under P's
-    first class when it has no neighbour in P.  The root bag's other
-    classes hang under its first.  An edge inside B joins two vertices of
+    P lie in one class of P, the one it joins there; it hangs under that
+    class, and under P's first class when it has no neighbour in P.  The
+    root bag's other classes hang under its first.  An edge inside B joins two vertices of
     one class, and an edge from B to P joins a class to the one it hangs
     under, so the result is a tree-partition of g.  Classes are numbered
     in breadth-first order of their bags, each bag's by least vertex, so

@@ -6,7 +6,8 @@ its components, split into blocks; (4) per-block partitions under a degree
 threshold, each built on the clique tree of the quotient's perfect
 elimination order restricted to the block, as it is (no rebalancing),
 narrowed by `refine` or replaced by the refined breadth-first layering
-where that is narrower, and combined across cutvertices; (5) expansion back to the input graph.
+where that is narrower, and combined across cutvertices; (5) expansion
+back to the input graph.
 
 Every accepted output passes the tree-partition verifier; every rejection
 carries a certificate that recomputes to a genuine obstruction.
@@ -305,7 +306,7 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, imported):
                 root = 0
                 built = partition_rooted(sub, sub_td, {0})
             candidates = built, refine(sub, built), refine(sub, bfs_layering(sub, root))
-            if h is gc:
+            if size is None:
                 widths = [c.width() for c in candidates]
             else:  # in input vertices
                 widths = [max(sum(size[blk[x]] for x in bag) for bag in c.bags) for c in candidates]
@@ -320,7 +321,7 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, imported):
             )
         per_block[bidx] = tp_block
     tp_h = combine_blocks(h, bf, per_block)
-    _fold(stats["step4"], max, **dict(zip(("built_width", "refined_width", "layered_width"), widest)))
+    _fold(stats["step4"], max, built_width=widest[0], refined_width=widest[1], layered_width=widest[2])
     _fold(stats["step4"], operator.add, layered_wins=layered_wins)
     t0 = _lap(stats["step4"], t0)
 

@@ -99,10 +99,9 @@ def cases():
 
 
 def test_refine_is_valid_and_never_widens(monkeypatch):
-    """On every accept, the pipeline's partition is no wider than the
-    partitions built give, refining it again stays valid and no wider,
-    and so does the layering; on a single block with H = G (the grids and
-    walls at k = 16), the width is the narrower candidate's."""
+    """On every accept, the pipeline's partition verifies and is no wider
+    than with the partitions as built, and `refine` of it, and of the
+    graph's layering, is valid and no wider than its input."""
     accepts = narrower = 0
     outs = [(g, k, run(g, PipelineParams(k))) for g, k in cases()]
     as_built(monkeypatch)
