@@ -98,21 +98,11 @@ def mu(g: Graph, s: int, t: int, cap: int | None = None) -> int:
     return flow
 
 
-def candidate_pairs(td, vertices=None) -> list:
-    """Deduplicated vertex pairs co-occurring in some bag, sorted.
-
-    With `vertices` (a set), each bag is first restricted to it, so only
-    pairs of those vertices are listed.  Pairs are listed once per distinct
-    restricted bag, so many bags restricting to the same few vertices (the
-    hubs of K_{a,N}) cost one listing.
-    """
-    restricted = {
-        tuple(sorted(set(bag) if vertices is None else vertices.intersection(bag)))
-        for bag in td.bags
-    }
+def candidate_pairs(td) -> list:
+    """Deduplicated vertex pairs co-occurring in some bag, sorted."""
     pairs = set()
-    for bs in restricted:
-        pairs.update(itertools.combinations(bs, 2))
+    for bag in td.bags:
+        pairs.update(itertools.combinations(sorted(set(bag)), 2))
     return sorted(pairs)
 
 

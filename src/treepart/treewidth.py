@@ -444,16 +444,9 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
     boundary-holding components (path case) are read off exactly; the pick
     minimizes the same (size, node) key as a component search per
     candidate would, so outputs are identical to that O(r^2) search.  The
-    centroid is found by descent from the walk root into the child holding
-    more than r/2 nodes: the node c reached has every component of region
-    - c at most r/2 (its children by the stop, the part above it because
-    c holds more than r/2).  Any other node keeps c's side in one
-    component, of more than r/2 nodes unless it is the root of a child
-    subtree of exactly r/2, whose key then ties on size; two such children
-    would need r >= r/2 + r/2 + 1.  So the least key is c's or that
-    child's.  The parts, the components of the region minus the split
-    node c, are preorder slices: each child subtree of c, entered at its
-    root, and the rest of the region, entered at c's parent in the walk.
+    parts, the components of the region minus the split node c, are
+    preorder slices: each child subtree of c, entered at its root, and the
+    rest of the region, entered at c's parent in the walk.
     """
     if td.num_nodes == 0:
         return TreeDecomposition([[]], [], root=0)
@@ -519,20 +512,9 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
                 if size[u] > heavy[p]:
                     heavy[p] = size[u]
             if len(boundary) <= 1:
-                # centroid: the components of region - c are the child
-                # subtrees of c and the r - size[c] nodes above it; descend
-                # into the child holding more than half of the region, then
-                # the node reached ties only with a child of exactly half
-                while True:
-                    kids = [v for v in badj[c] if v != up[c] and not split[v]]
-                    big = [v for v in kids if 2 * size[v] > r]
-                    if not big:
-                        break
-                    c = big[0]
-                best = (max(heavy[c], r - size[c]), c)
-                for v in kids:
-                    if 2 * size[v] == r:
-                        best = min(best, (max(heavy[v], r - size[v]), v))
+                # centroid: the components of region - u are the child
+                # subtrees of u and the r - size[u] nodes above it
+                best = min((max(heavy[u], r - size[u]), u) for u in region)
             else:
                 # walk the a2 -> a1 path; rooted at a1, the component
                 # holding a1 is the part above the candidate, and the one
