@@ -241,7 +241,9 @@ def partition_by_size(block, min_degree: int, cut=None, cut_degree=0) -> TreePar
     cut_degree neighbours of cut) that `partition_isolated` at cut, or with
     no cut `partition_rooted` with a one-vertex s_set, returns from every
     tree decomposition of it, in the graph's own vertex ids; None when its
-    size does not fix it.
+    size does not fix it.  With no cut that partition is one bag, and the
+    rule splits block[0] off it into a root bag: every edge lies in the
+    rest or joins the two bags, so the pair is valid and one narrower.
 
     Proof: any decomposition's width w is at least the treewidth, which is
     at least min_degree (with no bag inside a neighbouring bag, a leaf bag
@@ -260,7 +262,7 @@ def partition_by_size(block, min_degree: int, cut=None, cut_degree=0) -> TreePar
     ):
         return TreePartition([[cut], [v for v in block if v != cut]], [(0, 1)], root=0)
     if cut is None and n <= min_degree + 2:
-        return TreePartition([list(block)], [], root=0)
+        return TreePartition([[block[0]], block[1:]], [(0, 1)], root=0)
     return None
 
 
