@@ -349,14 +349,23 @@ def refine(g: Graph, tp: TreePartition) -> TreePartition:
     the root bag's first class is node 0 and every bag is sorted.  The
     walk reads each vertex's adjacency once, with a union-find climb per
     neighbour read.
+
+    Raises ValueError when tp does not partition g's vertices (a vertex
+    out of range, in two bags or in none) or its tree misses a bag.
     """
-    if not tp.bags:
+    if not tp.bags and not g.n:
         return tp
     adj = g.adj
     parent, order = tree_bfs(tp.node_adj(), 0 if tp.root is None else tp.root)
-    node_of = [0] * g.n
+    if len(order) < len(tp.bags):
+        raise ValueError(f"{len(tp.bags) - len(order)} bags are not reached from the root")
+    node_of = [-1] * g.n
     for t, bag in enumerate(tp.bags):
         for v in bag:
+            if not 0 <= v < g.n:
+                raise ValueError(f"vertex {v} is out of range")
+            if node_of[v] != -1:
+                raise ValueError(f"vertex {v} is in two bags")
             node_of[v] = t
     uf = list(range(g.n))
     cls = [0] * g.n  # v's class index in its bag, fixed when the bag splits
@@ -390,8 +399,10 @@ def refine(g: Graph, tp: TreePartition) -> TreePartition:
         first[t] = total
         total += len(heads[t])
     bags = [[] for _ in range(total)]
-    for v in range(g.n):
-        bags[first[node_of[v]] + cls[v]].append(v)
+    for v, t in enumerate(node_of):
+        if t == -1:
+            raise ValueError(f"vertex {v} is in no bag")
+        bags[first[t] + cls[v]].append(v)
     edges = [(0, c) for c in range(1, len(heads[order[0]]))]
     for t in order[1:]:
         a, b = first[parent[t]], first[t]
@@ -404,8 +415,10 @@ def bfs_layering(g: Graph, root: int) -> TreePartition:
     layers from root: bag i holds the vertices at distance i, and the bags
     form a path rooted at {root}.  Every edge joins one layer or two
     consecutive ones, so `refine` of it is the layered partition of Ding
-    and Oporowski."""
+    and Oporowski.  Raises ValueError when g is not connected."""
     parent, order = tree_bfs(g.adj, root)
+    if len(order) < g.n:
+        raise ValueError(f"{g.n - len(order)} vertices are not reached from {root}")
     depth = [0] * g.n
     bags = [[root]]
     for v in order[1:]:

@@ -61,6 +61,28 @@ def test_refine_hangs_each_class_under_the_class_it_touches():
     assert refine(Graph(0), TreePartition([], [], root=None)).bags == []
 
 
+def test_bfs_layering_rejects_an_unreached_vertex():
+    with pytest.raises(ValueError, match="2 vertices are not reached from 0"):
+        bfs_layering(Graph(4, [(0, 1), (2, 3)]), 0)
+
+
+@pytest.mark.parametrize(
+    "bags, edges, message",
+    [
+        ([[0], [1]], [(0, 1)], "vertex 2 is in no bag"),
+        ([], [], "vertex 0 is in no bag"),
+        ([[0, 1], [1, 2, 3]], [(0, 1)], "vertex 1 is in two bags"),
+        ([[0, 1], [2, 3, 4]], [(0, 1)], "vertex 4 is out of range"),
+        ([[-1, 0, 1], [2, 3]], [(0, 1)], "vertex -1 is out of range"),
+        ([[0, 1], [2], [3]], [(1, 2)], "2 bags are not reached from the root"),
+    ],
+    ids=["uncovered", "no-bags", "two-bags", "too-high", "negative", "unreached-bag"],
+)
+def test_refine_rejects_what_is_not_a_partition(bags, edges, message):
+    with pytest.raises(ValueError, match=message):
+        refine(Graph(4, [(0, 1), (2, 3)]), TreePartition(bags, edges, root=0))
+
+
 def check_refine(g, tp):
     """refine of tp, and of g's layering from its vertex 0 when g is
     connected, is a tree-partition of g no wider than what it refines."""
