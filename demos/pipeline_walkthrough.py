@@ -1,7 +1,12 @@
 """Walk through the five-step pipeline on a few instructive inputs.
 
 Run with:  python demos/pipeline_walkthrough.py
+
+Each step's trace record prints as the JSON object that `treepart
+decompose --trace FILE` writes on one line of FILE.
 """
+
+import json
 
 from treepart import (
     Graph,
@@ -18,7 +23,7 @@ def show(name, g, k):
     out = run(g, PipelineParams(k=k))
     print(f"--- {name} (n={g.n}, m={g.m}, k={k}) ---")
     for rec in out.trace:
-        print(" ", rec.format())
+        print(" ", json.dumps({"step": rec.step, **rec.fields}, sort_keys=True))
     if out.accepted:
         print(f"  accepted: width {out.width}, verified {verify_tp(g, out.tp)}")
     else:

@@ -99,7 +99,7 @@ def _cmd_decompose(args) -> int:
     except (ValueError, CapacityError) as exc:
         raise CliError(str(exc))
     if args.trace:
-        _write(args.trace, "".join(r.format() + "\n" for r in out.trace))
+        _write(args.trace, emit_jsonl({"step": r.step, **r.fields} for r in out.trace))
     if not out.accepted:
         print(f"RESULT status=reject reason={_reject_reason(out.certificate)}")
         return 1

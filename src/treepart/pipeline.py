@@ -97,16 +97,6 @@ class TraceRecord:
     step: str
     fields: dict
 
-    def format(self) -> str:
-        parts = [f"step={self.step}"]
-        for key in sorted(self.fields):
-            val = self.fields[key]
-            if isinstance(val, float):
-                parts.append(f"{key}={val:.3f}")
-            else:
-                parts.append(f"{key}={val}")
-        return " ".join(parts)
-
 
 @dataclass
 class PipelineOutcome:

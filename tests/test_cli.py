@@ -23,8 +23,9 @@ def test_decompose_accept_and_verify(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "RESULT status=accept width=" in captured
     assert main(["verify", "tp", src, out]) == 0
-    lines = Path(trace).read_text().splitlines()
-    assert [ln.split()[0] for ln in lines] == [f"step=step{i}" for i in range(1, 6)]
+    records = parse_jsonl(Path(trace).read_text())
+    assert [r["step"] for r in records] == [f"step{i}" for i in range(1, 6)]
+    assert records[2]["h_n"] == 9
 
 
 def test_decompose_accepts_a_long_cycle(tmp_path, capsys):

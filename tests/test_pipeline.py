@@ -1,4 +1,5 @@
 import gc
+import json
 import sys
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from treepart.families import (
     random_tree,
 )
 from treepart.graph import Graph, connected_components
+from treepart.ioformats import emit_jsonl
 from treepart.pipeline import (
     BlockDegree,
     LargeComponent,
@@ -140,8 +142,9 @@ def test_trace_has_five_steps_in_order():
         "step4",
         "step5",
     ]
-    line = out.trace[0].format()
-    assert line.startswith("step=step1") and "w=" in line
+    lines = emit_jsonl({"step": r.step, **r.fields} for r in out.trace).splitlines()
+    first = json.loads(lines[0])
+    assert len(lines) == 5 and first["step"] == "step1" and "w" in first
 
 
 def test_step1_modes_agree_on_acceptance():
