@@ -5,6 +5,7 @@ from treepart.decomp import (
     TreeCutDecomposition,
     TreePartition,
     Violation,
+    verify_tcd,
     verify_tp,
 )
 from treepart.families import random_graph
@@ -41,6 +42,23 @@ def test_from_tcd_contracts_empty_bags():
     g2, _, tp = tcd_to_subdivision_tp(g, tcd)
     assert all(bag for bag in tp.bags)
     assert not isinstance(verify_tp(g2, tp), Violation)
+
+
+def test_from_tcd_edge_between_bold_siblings():
+    """K_4 less the edge 23, with 2 and 3 in the root bag and 0 and 1 in
+    two child bags.  Each child's cut is 3, so both are bold and the edge
+    01 between them keeps the decomposition nice.  Its tree path climbs
+    from both ends to the root, and the edges 02, 03 climb from their
+    deeper first end.  Each edge is subdivided by its tree distance."""
+    g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    tcd = TreeCutDecomposition([[2, 3], [0], [1]], [(0, 1), (0, 2)], root=0)
+    g2, smap, tp = tcd_to_subdivision_tp(g, tcd)
+    distance = {(0, 1): 2, (0, 2): 1, (0, 3): 1, (1, 2): 1, (1, 3): 1}
+    assert {e: len(path) for e, path in smap.paths.items()} == distance
+    assert g2.n == g.n + sum(distance.values())
+    width, nice = verify_tcd(g, tcd)
+    assert (width, nice) == (4, True)  # the root's torso: two vertices, two bold children
+    assert verify_tp(g2, tp) <= 2 + width * (width + 2) // 2 + width
 
 
 def test_from_tcd_rejects_non_nice():

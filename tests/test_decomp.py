@@ -68,6 +68,13 @@ def test_verify_tp_requires_partition():
     assert isinstance(verify_tp(P4, tp2), Violation)
 
 
+def test_verify_tp_rejects_an_empty_bag():
+    tp = TreePartition([[0, 1], [], [2, 3]], [(0, 1), (1, 2)], root=0)
+    assert verify_tp(P4, tp) == Violation("empty-bag", 1)
+    # the empty graph needs no bag, and one empty bag is still empty
+    assert verify_tp(Graph(0), TreePartition([[]], [], root=0)) == Violation("empty-bag", 0)
+
+
 def test_verify_domino_counts_occurrences():
     td = TreeDecomposition([[0, 1], [1, 2], [2, 3]], [(0, 1), (1, 2)], root=0)
     assert verify_domino(P4, td) == 1
@@ -118,6 +125,13 @@ def test_verify_tcd_near_partition_allows_empty_bags():
     )
     res = verify_tcd(P4, tcd)
     assert not isinstance(res, Violation)
+
+
+def test_verify_tcd_rejects_a_vertex_in_two_bags_or_in_none():
+    tcd = TreeCutDecomposition([[0, 1], [1, 2, 3]], [(0, 1)], root=0)
+    assert verify_tcd(P4, tcd) == Violation("vertex-in-two-bags", 1)
+    tcd = TreeCutDecomposition([[0, 1], [], [3]], [(0, 1), (1, 2)], root=0)
+    assert verify_tcd(P4, tcd) == Violation("near-partition-coverage", 2)
 
 
 def test_verify_tcd_bold_children_increase_torso():
