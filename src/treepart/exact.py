@@ -257,7 +257,7 @@ def brute_disjoint_paths(g: Graph, s: int, t: int, cap: int = 8) -> int:
 
     # all simple s-t paths avoiding the direct edge, as interior-vertex sets
     interiors = []
-    stack = [(s, frozenset())]
+
     # DFS enumerating paths
     def extend(u, used):
         for v in g.adj[u]:

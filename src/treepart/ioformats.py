@@ -115,7 +115,8 @@ def emit_gr(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_bagged(text: str, kind: str, allow_empty_bags: bool, want_root: bool):
+def _parse_bagged(text: str, kind: str):
+    tcd = kind == "tcd"  # only a .tcd may leave a bag empty, and it names its root
     header = None
     root = None
     bags = None
@@ -138,7 +139,7 @@ def _parse_bagged(text: str, kind: str, allow_empty_bags: bool, want_root: bool)
             continue
         nb, width, n = header
         if toks[0] == "r":
-            if not want_root:
+            if not tcd:
                 raise ParseError(lineno, f"unexpected root line in a .{kind} file")
             if root is not None:
                 raise ParseError(lineno, "duplicate root line")
@@ -161,7 +162,7 @@ def _parse_bagged(text: str, kind: str, allow_empty_bags: bool, want_root: bool)
             for v in vs:
                 if not (1 <= v <= n):
                     raise ParseError(lineno, f"vertex out of range 1..{n}")
-            if not vs and not allow_empty_bags:
+            if not vs and not tcd:
                 raise ParseError(lineno, "empty bag")
             bags[bid - 1] = sorted(v - 1 for v in vs)
             if len(set(vs)) < len(vs):
@@ -182,30 +183,30 @@ def _parse_bagged(text: str, kind: str, allow_empty_bags: bool, want_root: bool)
     nb, width, n = header
     for bid in range(nb):
         if bags[bid] is None:
-            if allow_empty_bags:
+            if tcd:
                 bags[bid] = []
             else:
                 raise ParseError(last + 1, f"bag {bid + 1} missing")
-    if want_root and root is None and nb > 0:
+    if tcd and root is None and nb > 0:
         raise ParseError(last + 1, "missing root line")
     largest = max(map(len, bags), default=0)
-    if kind != "tcd" and width != largest:  # a .tcd width is not a bag size
+    if not tcd and width != largest:  # a .tcd width is not a bag size
         raise ParseError(header_line, f"header declares bags of {width}, the largest has {largest}")
     return bags, tree_edges, (root - 1 if root is not None else None), width, n
 
 
 def parse_td(text: str) -> TreeDecomposition:
-    bags, edges, _, _, _ = _parse_bagged(text, "td", False, False)
+    bags, edges, _, _, _ = _parse_bagged(text, "td")
     return TreeDecomposition(bags, edges, root=0 if bags else None)
 
 
 def parse_tp(text: str) -> TreePartition:
-    bags, edges, _, _, _ = _parse_bagged(text, "tp", False, False)
+    bags, edges, _, _, _ = _parse_bagged(text, "tp")
     return TreePartition(bags, edges, root=0 if bags else None)
 
 
 def parse_tcd(text: str) -> TreeCutDecomposition:
-    bags, edges, root, _, _ = _parse_bagged(text, "tcd", True, True)
+    bags, edges, root, _, _ = _parse_bagged(text, "tcd")
     return TreeCutDecomposition(bags, edges, root=root if root is not None else 0)
 
 
