@@ -351,14 +351,15 @@ def refine(g: Graph, tp: TreePartition) -> TreePartition:
     neighbour read.
 
     Raises ValueError when tp does not partition g's vertices (a vertex
-    out of range, in two bags or in none) or its tree misses a bag.
+    out of range, in two bags or in none) or its edges are no tree on its
+    bags (one is not reached from the root, or they close a cycle).
     """
     if not tp.bags and not g.n:
         return tp
     adj = g.adj
     parent, order = tree_bfs(tp.node_adj(), 0 if tp.root is None else tp.root)
-    if len(order) < len(tp.bags):
-        raise ValueError(f"{len(tp.bags) - len(order)} bags are not reached from the root")
+    if len(order) < len(tp.bags) or tp.bags and len(tp.tree_edges) != len(tp.bags) - 1:
+        raise ValueError("the tree edges do not join the bags into one tree")
     node_of = [-1] * g.n
     for t, bag in enumerate(tp.bags):
         for v in bag:

@@ -74,9 +74,10 @@ def test_bfs_layering_rejects_an_unreached_vertex():
         ([[0, 1], [1, 2, 3]], [(0, 1)], "vertex 1 is in two bags"),
         ([[0, 1], [2, 3, 4]], [(0, 1)], "vertex 4 is out of range"),
         ([[-1, 0, 1], [2, 3]], [(0, 1)], "vertex -1 is out of range"),
-        ([[0, 1], [2], [3]], [(1, 2)], "2 bags are not reached from the root"),
+        ([[0, 1], [2], [3]], [(1, 2)], "the tree edges do not join the bags into one tree"),
+        ([[0], [1], [2, 3]], [(0, 1), (1, 2), (0, 2)], "the tree edges do not join the bags into one tree"),
     ],
-    ids=["uncovered", "no-bags", "two-bags", "too-high", "negative", "unreached-bag"],
+    ids=["uncovered", "no-bags", "two-bags", "too-high", "negative", "unreached-bag", "cycle"],
 )
 def test_refine_rejects_what_is_not_a_partition(bags, edges, message):
     with pytest.raises(ValueError, match=message):
