@@ -17,29 +17,13 @@ from .decomp import (
     Violation,
     non_nice_node,
     tcd_cuts,
+    tree_climbs,
     verify_tp,
     verify_tcd,
 )
 from .graph import Graph, SubdivisionMap, subdivide, tree_bfs
 
 log = logging.getLogger(__name__)
-
-
-def _tree_path(parent, depth, a, b):
-    """Nodes of the tree path from a to b, inclusive."""
-    up_a, up_b = [], []
-    while depth[a] > depth[b]:
-        up_a.append(a)
-        a = parent[a]
-    while depth[b] > depth[a]:
-        up_b.append(b)
-        b = parent[b]
-    while a != b:
-        up_a.append(a)
-        up_b.append(b)
-        a = parent[a]
-        b = parent[b]
-    return up_a + [a] + list(reversed(up_b))
 
 
 def tcd_to_subdivision_tp(g: Graph, tcd: TreeCutDecomposition):
@@ -56,22 +40,23 @@ def tcd_to_subdivision_tp(g: Graph, tcd: TreeCutDecomposition):
     if isinstance(res, Violation):
         raise ValueError(f"invalid tree-cut decomposition: {res}")
     width, nice = res
+    cuts = tcd_cuts(g, tcd)
     if not nice:
-        offender = non_nice_node(g, tcd, tcd_cuts(g, tcd))
         raise ValueError(
-            f"decomposition is not nice: thin node {offender} has edges "
-            "into a sibling subtree"
+            f"decomposition is not nice: thin node {non_nice_node(cuts)} has "
+            "edges into a sibling subtree"
         )
 
+    _, parent, depth, _, _ = cuts
     # sorted adjacency: the walk lists children in ascending order, which
     # fixes the bag numbering of the output
-    parent, order = tree_bfs([sorted(a) for a in tcd.node_adj()], tcd.root)
-    depth = [0] * tcd.num_nodes
-    for t in order[1:]:
-        depth[t] = depth[parent[t]] + 1
+    order = tree_bfs([sorted(a) for a in tcd.node_adj()], tcd.root)[1]
     node_of = tcd.bag_of()
     edges = g.edges()
-    tree_paths = [_tree_path(parent, depth, node_of[u], node_of[v]) for u, v in edges]
+    tree_paths = []  # per edge uv, the tree path from u's node to v's
+    for u, v in edges:
+        up_u, top, up_v = tree_climbs(parent, depth, node_of[u], node_of[v])
+        tree_paths.append(up_u + [top] + up_v[::-1])
     g2, smap = subdivide(g, {e: len(nodes) - 1 for e, nodes in zip(edges, tree_paths)})
 
     bags = [list(b) for b in tcd.bags]

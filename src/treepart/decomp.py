@@ -223,46 +223,62 @@ def verify_domino(g: Graph, td: TreeDecomposition):
     return base
 
 
+def tree_climbs(parent, depth, a, b):
+    """(up_a, top, up_b): the nodes climbed from nodes a and b of a tree,
+    rooted by parent and depth, to their lowest common ancestor top, which
+    neither list holds.  Each is the child end of one tree edge on the path
+    from a to b, which runs up_a, top, then up_b reversed."""
+    up_a, up_b = [], []
+    while depth[a] > depth[b]:
+        up_a.append(a)
+        a = parent[a]
+    while depth[b] > depth[a]:
+        up_b.append(b)
+        b = parent[b]
+    while a != b:
+        up_a.append(a)
+        up_b.append(b)
+        a = parent[a]
+        b = parent[b]
+    return up_a, a, up_b
+
+
 def tcd_cuts(g: Graph, tcd: TreeCutDecomposition):
     """cut(e) sizes for every tree edge, keyed by the child endpoint.
 
-    Requires the tree shape to be valid.  cut(e) counts host edges with one
-    endpoint below e and one above.  Returns (cut, parent, order, below):
-    the tree rooted by `tree_bfs` and below[t], the vertex set of the
-    subtree rooted at t.
+    Requires a valid tree shape and root, and every vertex in one bag.
+    Each host edge adds one to the cut of every node it climbs
+    (`tree_climbs`), and when both its sides climb, it marks the last node
+    of each: two sibling subtrees that it joins.  The climbs sum to the
+    total cut, so the cost is O(n + m + nodes * width).  Returns (cut,
+    parent, depth, order, marked), cut 0 at the root and the tree rooted
+    by `tree_bfs`.
     """
     parent, order = tree_bfs(tcd.node_adj(), tcd.root)
-    below = [set(b) for b in tcd.bags]
-    for u in reversed(order):
-        p = parent[u]
-        if p != -1:
-            below[p] |= below[u]
-    cut = {}
+    depth = [0] * tcd.num_nodes
     for t in order[1:]:
-        sub = below[t]
-        cut[t] = sum(w not in sub for v in sub for w in g.adj[v])
-    return cut, parent, order, below
+        depth[t] = depth[parent[t]] + 1
+    node_of = tcd.bag_of()
+    cut = [0] * tcd.num_nodes
+    marked = [False] * tcd.num_nodes
+    for u, v in g.edges():
+        up_u, _, up_v = tree_climbs(parent, depth, node_of[u], node_of[v])
+        for t in up_u + up_v:
+            cut[t] += 1
+        if up_u and up_v:
+            marked[up_u[-1]] = marked[up_v[-1]] = True
+    return cut, parent, depth, order, marked
 
 
-def non_nice_node(g: Graph, tcd: TreeCutDecomposition, cuts):
+def non_nice_node(cuts):
     """First thin node, in the order of `tcd_cuts`, whose subtree has an
     edge into a sibling subtree, or None when the decomposition is nice.
 
     A node is thin when the cut of its parent edge is at most 2; cuts is
-    `tcd_cuts(g, tcd)`.
+    `tcd_cuts(g, tcd)`, whose marked nodes are those with such an edge.
     """
-    cut, parent, order, below = cuts
-    adj = tcd.node_adj()
-    for t in order[1:]:
-        if cut[t] <= 2:
-            p = parent[t]
-            sib_vertices = set()
-            for s in adj[p]:
-                if s != t and parent[s] == p:
-                    sib_vertices |= below[s]
-            if any(w in sib_vertices for v in below[t] for w in g.adj[v]):
-                return t
-    return None
+    cut, _, _, order, marked = cuts
+    return next((t for t in order[1:] if marked[t] and cut[t] <= 2), None)
 
 
 def verify_tcd(g: Graph, tcd: TreeCutDecomposition):
@@ -282,15 +298,11 @@ def verify_tcd(g: Graph, tcd: TreeCutDecomposition):
         return Violation("near-partition-coverage", node_of.index(-1))
 
     cuts = tcd_cuts(g, tcd)
-    cut, parent = cuts[0], cuts[1]
-    width = 0
-    for t, nbrs in enumerate(tcd.node_adj()):
-        bold_incident = 0
-        for u in nbrs:
-            child = u if parent[u] == t else t
-            if cut.get(child, 0) >= 3:
-                bold_incident += 1
-        tor = len(tcd.bags[t]) + bold_incident
-        adh = cut.get(t, 0)  # 0 for the root
-        width = max(width, tor, adh)
-    return width, non_nice_node(g, tcd, cuts) is None
+    cut, parent, _, order, _ = cuts
+    bold = [0] * tcd.num_nodes  # bold edges at each node: cut at least 3
+    for t in order[1:]:
+        if cut[t] >= 3:
+            bold[t] += 1
+            bold[parent[t]] += 1
+    width = max((max(len(bag) + b, c) for bag, b, c in zip(tcd.bags, bold, cut)), default=0)
+    return width, non_nice_node(cuts) is None

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from treepart.bridge import tcd_to_subdivision_tp, tp_lift_subdivision
@@ -152,3 +154,21 @@ def test_from_tcd_names_the_thin_offender():
     tcd = TreeCutDecomposition([[0], [1], [2]], [(0, 1), (0, 2)], root=0)
     with pytest.raises(ValueError, match=r"not nice: thin node 1 has edges"):
         tcd_to_subdivision_tp(g, tcd)
+
+
+def test_long_path_tcd_verifies_and_bridges_in_linear_memory():
+    """A 20,000-node path decomposition of a path: each host edge climbs
+    one tree edge, so verify_tcd holds a few lists of the nodes, where
+    vertex sets per subtree would hold about n^2 / 2 entries."""
+    n = 20000
+    g = Graph(n, [(i, i + 1) for i in range(n - 1)])
+    tcd = TreeCutDecomposition([[v] for v in range(n)], [(i, i + 1) for i in range(n - 1)], root=0)
+    tracemalloc.start()
+    try:
+        assert verify_tcd(g, tcd) == (1, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+    g2, _, tp = tcd_to_subdivision_tp(g, tcd)
+    assert verify_tp(g2, tp) == 2

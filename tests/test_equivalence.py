@@ -32,7 +32,10 @@ and the explicit-stack exact search, which the int-keyed heap, the
 iterator frames and the recursive search replaced, are kept as
 references too: on both benchmark corpora and 300 random graphs (random
 graphs of at most 12 vertices for the exact search) the new code must
-return exactly what they return.
+return exactly what they return.  So are the subtree vertex sets that
+read a tree-cut decomposition before one tree climb per host edge did:
+on 2,500 random decompositions, nice and not, the cuts and the thin node
+that breaks niceness must match.
 """
 
 import functools
@@ -46,7 +49,15 @@ from pathlib import Path
 import pytest
 
 from treepart import partitioner, pipeline, treewidth
-from treepart.decomp import TreeDecomposition, TreePartition, occupancy_tables, verify_td
+from treepart.decomp import (
+    TreeCutDecomposition,
+    TreeDecomposition,
+    TreePartition,
+    non_nice_node,
+    occupancy_tables,
+    tcd_cuts,
+    verify_td,
+)
 from treepart.exact import _bits
 from treepart.families import (
     gen_complete_bipartite,
@@ -796,6 +807,40 @@ def ref_combine_blocks(h, bf, per_block):
     return TreePartition(bags, edges, root=0 if bags else None)
 
 
+# The subtree-set reading of a tree-cut decomposition that one climb per
+# host edge (`tree_climbs`) replaced: the vertex set below every node, and
+# the union of the sibling subtrees of every thin node.
+
+
+def ref_tcd_cuts(g, tcd):
+    parent, order = tree_bfs(tcd.node_adj(), tcd.root)
+    below = [set(b) for b in tcd.bags]
+    for u in reversed(order):
+        p = parent[u]
+        if p != -1:
+            below[p] |= below[u]
+    cut = {}
+    for t in order[1:]:
+        sub = below[t]
+        cut[t] = sum(w not in sub for v in sub for w in g.adj[v])
+    return cut, parent, order, below
+
+
+def ref_non_nice_node(g, tcd, cuts):
+    cut, parent, order, below = cuts
+    adj = tcd.node_adj()
+    for t in order[1:]:
+        if cut[t] <= 2:
+            p = parent[t]
+            sib_vertices = set()
+            for s in adj[p]:
+                if s != t and parent[s] == p:
+                    sib_vertices |= below[s]
+            if any(w in sib_vertices for v in below[t] for w in g.adj[v]):
+                return t
+    return None
+
+
 # The explicit-stack search of `exact_elimination` that the recursive
 # `_feasible` replaced: the same moves in the same order, and the same memo.
 
@@ -855,6 +900,23 @@ def heap_corpus():
     corpus and 100 larger sparse ones."""
     extra = [random_graph(40 + i % 41, (0.03, 0.06, 0.12, 0.25)[i % 4], 6000 + i) for i in range(100)]
     return list(bench_graphs()) + random_corpus() + extra
+
+def random_tcds(count=2500):
+    """Seeded tree-cut decompositions: a G(n, p) graph on at most 12
+    vertices, a random tree of at most 10 nodes listed in shuffled order
+    and orientation, each vertex in one random node, a random root."""
+    rng = random.Random(30)
+    for i in range(count):
+        g = random_graph(rng.randrange(13), rng.choice((0.1, 0.2, 0.35)), 3000 + i)
+        nodes = rng.randrange(1, 11)
+        perm = rng.sample(range(nodes), nodes)
+        edges = [(perm[rng.randrange(t)], perm[t]) for t in range(1, nodes)]
+        edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in rng.sample(edges, len(edges))]
+        bags = [[] for _ in range(nodes)]
+        for v in range(g.n):
+            bags[rng.randrange(nodes)].append(v)
+        yield g, TreeCutDecomposition(bags, edges, root=rng.randrange(nodes))
+
 
 def random_bag_trees():
     """Trees of bags over few vertices, in shuffled node order, where each
@@ -1848,3 +1910,21 @@ def test_candidate_pairs_match_per_bag_listing():
     for idx, g in enumerate(random_corpus()):
         td = heuristic_td(g, "min-fill" if idx % 2 else "min-degree", idx % 4)
         assert candidate_pairs(td) == ref_candidate_pairs(td), idx
+
+
+def test_tcd_climbs_match_subtree_sets():
+    """One climb per host edge gives every cut and the first thin node
+    with an edge into a sibling subtree exactly as the subtree vertex sets
+    do, on decompositions both nice and not."""
+    offenders = 0
+    for idx, (g, tcd) in enumerate(random_tcds()):
+        cuts = tcd_cuts(g, tcd)
+        cut, parent, depth, order, _ = cuts
+        ref = ref_tcd_cuts(g, tcd)
+        assert (parent, order) == (ref[1], ref[2]), idx
+        assert {t: cut[t] for t in order[1:]} == ref[0] and cut[tcd.root] == 0, idx
+        assert all(depth[t] == depth[parent[t]] + 1 for t in order[1:]), idx
+        offender = non_nice_node(cuts)
+        assert offender == ref_non_nice_node(g, tcd, ref), idx
+        offenders += offender is not None
+    assert 400 < offenders < 2100, offenders
