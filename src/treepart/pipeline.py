@@ -157,8 +157,10 @@ def _fold(record: dict, op, **fields) -> None:
 
 def _lap(record: dict, t0: float) -> float:
     """Step timer: add the milliseconds since t0 to the record's `millis`
-    and return the current time, where the next step starts.  A step that
-    rejects returns before its lap, so its record has no `millis`."""
+    and return the current time, where the next step starts.  Steps 1 and
+    2 lap before their reject tests, so a `TreewidthLB` or
+    `LargeComponent` reject records its step's `millis`; step 4 returns a
+    `BlockDegree` reject before its lap, so that record has none."""
     now = time.perf_counter()
     _fold(record, operator.add, millis=1000 * (now - t0))
     return now
@@ -219,12 +221,14 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, imported):
     if not (params.step1 == "exact" or delta > 2 * k - 1):
         w, own, reduced = _step1(gc, params, old_ids, 0, imported)
     lb = w if w is not None and delta >= w else treewidth_lower_bound(gc)
+    if w is None and lb <= 2 * k - 1:
+        w, own, reduced = _step1(gc, params, old_ids, lb, imported)
+    if w is not None:
+        _fold(stats["step1"], max, w=w)
+    _fold(stats["step1"], max, lb=lb)
+    t0 = _lap(stats["step1"], t0)
     if lb > 2 * k - 1:
         return "reject", TreewidthLB(lb, 2 * k - 1)
-    if w is None:
-        w, own, reduced = _step1(gc, params, old_ids, lb, imported)
-    _fold(stats["step1"], max, w=w, lb=lb)
-    t0 = _lap(stats["step1"], t0)
 
     b = max(2 * k - 1, w + 1)
     if params.b_override is not None:

@@ -400,9 +400,11 @@ _STEP_KEYS = {
         # accept: every step record is complete
         (lambda: cycle(6), 2, None, "step5", {}),
         (lambda: Graph(5, [(0, 1), (1, 2), (3, 4)]), 1, None, "step5", {}),
-        # a rejection leaves the later steps empty; the rejecting step keeps
-        # what it recorded before the verdict and has no millis
-        (lambda: complete(5), 1, TreewidthLB, None, {"step1": set()}),
+        # a rejection leaves the later steps empty; a step-1 reject records
+        # its lower bound and millis, and a step-4 reject keeps what it
+        # recorded before the verdict, with no millis
+        (lambda: complete(5), 1, TreewidthLB, None, {"step1": {"lb", "millis"}}),
+        (lambda: gen_grid(9), 2, TreewidthLB, None, {"step1": {"w", "lb", "millis"}}),
         (lambda: gen_complete_bipartite(3, 6), 2, LargeComponent, "step2", {}),
         (lambda: gen_fan(7), 2, BlockDegree, "step3", {"step4": {"delta_h", "threshold"}}),
     ],
