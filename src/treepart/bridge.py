@@ -53,10 +53,8 @@ def tcd_to_subdivision_tp(g: Graph, tcd: TreeCutDecomposition):
     order = tree_bfs([sorted(a) for a in tcd.node_adj()], tcd.root)[1]
     node_of = tcd.bag_of()
     edges = g.edges()
-    tree_paths = []  # per edge uv, the tree path from u's node to v's
-    for u, v in edges:
-        up_u, top, up_v = tree_climbs(parent, depth, node_of[u], node_of[v])
-        tree_paths.append(up_u + [top] + up_v[::-1])
+    climbs = [tree_climbs(parent, depth, node_of[u], node_of[v]) for u, v in edges]
+    tree_paths = [up_u + [top] + up_v[::-1] for up_u, top, up_v in climbs]  # u's node to v's
     g2, smap = subdivide(g, {e: len(nodes) - 1 for e, nodes in zip(edges, tree_paths)})
 
     bags = [list(b) for b in tcd.bags]

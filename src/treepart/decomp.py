@@ -126,8 +126,9 @@ class TreeCutDecomposition(BaggedTree):
     root: int = 0
 
 
-def _check_tree_shape(t: BaggedTree) -> None:
-    """Raise MalformedDecomposition unless the edges form a tree on the nodes."""
+def _check_tree_shape(t: BaggedTree, root: int = 0):
+    """The walk (parent, order) of `tree_bfs` from root over t's nodes, or
+    MalformedDecomposition unless the edges form a tree on them."""
     num_nodes, tree_edges = t.num_nodes, t.tree_edges
     for i, j in tree_edges:
         if not (0 <= i < num_nodes and 0 <= j < num_nodes) or i == j:
@@ -135,13 +136,15 @@ def _check_tree_shape(t: BaggedTree) -> None:
     if num_nodes == 0:
         if tree_edges:
             raise MalformedDecomposition("tree edges on zero nodes")
-        return
+        return [], []
     if len(tree_edges) != num_nodes - 1:
         raise MalformedDecomposition(
             f"tree must have {num_nodes - 1} edges, got {len(tree_edges)}"
         )
-    if len(tree_bfs(t.node_adj(), 0)[1]) != num_nodes:
+    parent, order = tree_bfs(t.node_adj(), root)
+    if len(order) != num_nodes:
         raise MalformedDecomposition("tree is disconnected")
+    return parent, order
 
 
 def _check_bag_indices(g: Graph, bags) -> None:
@@ -248,11 +251,10 @@ def tcd_cuts(g: Graph, tcd: TreeCutDecomposition):
 
     Requires a valid tree shape and root, and every vertex in one bag.
     Each host edge adds one to the cut of every node it climbs
-    (`tree_climbs`), and when both its sides climb, it marks the last node
-    of each: two sibling subtrees that it joins.  The climbs sum to the
-    total cut, so the cost is O(n + m + nodes * width).  Returns (cut,
-    parent, depth, order, marked), cut 0 at the root and the tree rooted
-    by `tree_bfs`.
+    (`tree_climbs`), and when both its sides climb, marks the last node of
+    each: two sibling subtrees that it joins.  The climbs sum to the total
+    cut, so the cost is O(n + m + nodes * width).  Returns (cut, parent,
+    depth, order, marked), cut 0 at the root, rooted by `tree_bfs`.
     """
     parent, order = tree_bfs(tcd.node_adj(), tcd.root)
     depth = [0] * tcd.num_nodes

@@ -224,10 +224,13 @@ def tree_bfs(adj, root: int):
     visiting each node's neighbors in list order; parent[x] is the node
     that reached x, and -1 for the root and for unreached nodes.  On a
     tree, passing sorted adjacency lists puts each node's children in
-    ascending order.  An empty list has no nodes and gives ([], []).
+    ascending order.  An empty list has no nodes and gives ([], []);
+    otherwise a root outside 0..len(adj)-1 raises ValueError.
     """
     if not adj:
         return [], []
+    if not 0 <= root < len(adj):
+        raise ValueError(f"root {root} is not a node in 0..{len(adj) - 1}")
     parent = [-1] * len(adj)
     seen = [False] * len(adj)
     seen[root] = True

@@ -19,7 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .decomp import TreeDecomposition, TreePartition, occupancy_tables
+from .decomp import TreeDecomposition, TreePartition, _check_tree_shape, occupancy_tables
 from .graph import BlockForest, Graph, connected_components, find, tree_bfs
 
 
@@ -351,15 +351,13 @@ def refine(g: Graph, tp: TreePartition) -> TreePartition:
     neighbour read.
 
     Raises ValueError when tp does not partition g's vertices (a vertex
-    out of range, in two bags or in none) or its edges are no tree on its
-    bags (one is not reached from the root, or they close a cycle).
+    out of range, in two bags or in none), its edges are no tree on its
+    bags (`_check_tree_shape`, whose walk it reads) or its root is no bag.
     """
     if not tp.bags and not g.n:
         return tp
     adj = g.adj
-    parent, order = tree_bfs(tp.node_adj(), 0 if tp.root is None else tp.root)
-    if len(order) < len(tp.bags) or tp.bags and len(tp.tree_edges) != len(tp.bags) - 1:
-        raise ValueError("the tree edges do not join the bags into one tree")
+    parent, order = _check_tree_shape(tp, 0 if tp.root is None else tp.root)
     node_of = [-1] * g.n
     for t, bag in enumerate(tp.bags):
         for v in bag:

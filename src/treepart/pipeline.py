@@ -157,10 +157,9 @@ def _fold(record: dict, op, **fields) -> None:
 
 def _lap(record: dict, t0: float) -> float:
     """Step timer: add the milliseconds since t0 to the record's `millis`
-    and return the current time, where the next step starts.  Steps 1 and
-    2 lap before their reject tests, so a `TreewidthLB` or
-    `LargeComponent` reject records its step's `millis`; step 4 returns a
-    `BlockDegree` reject before its lap, so that record has none."""
+    and return the current time, where the next step starts.  Steps 1 and 2
+    lap before their reject tests, so `TreewidthLB` and `LargeComponent`
+    rejects record `millis`; a `BlockDegree` reject, in step 4, does not."""
     now = time.perf_counter()
     _fold(record, operator.add, millis=1000 * (now - t0))
     return now
@@ -223,9 +222,7 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, imported):
     lb = w if w is not None and delta >= w else treewidth_lower_bound(gc)
     if w is None and lb <= 2 * k - 1:
         w, own, reduced = _step1(gc, params, old_ids, lb, imported)
-    if w is not None:
-        _fold(stats["step1"], max, w=w)
-    _fold(stats["step1"], max, lb=lb)
+    _fold(stats["step1"], max, **({"lb": lb} if w is None else {"w": w, "lb": lb}))
     t0 = _lap(stats["step1"], t0)
     if lb > 2 * k - 1:
         return "reject", TreewidthLB(lb, 2 * k - 1)

@@ -38,9 +38,9 @@ def mu(g: Graph, s: int, t: int, cap: int | None = None) -> int:
     overwrite pred[w] and succ[u].  It stops after `cap` augmenting paths;
     each costs one search, O(n + m), and at most min(mu, cap) + 1 run.
     """
-    if s == t:
-        raise ValueError("s == t")
     n = g.n
+    if not (0 <= s < n and 0 <= t < n) or s == t:
+        raise ValueError(f"s = {s} and t = {t} must be distinct vertices in 0..{n - 1}")
     if cap is None:
         cap = n
     if cap <= 0:

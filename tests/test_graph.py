@@ -210,3 +210,8 @@ def test_tree_bfs_parent_and_order():
     # unreached nodes keep parent -1 and stay out of the order
     parent, order = tree_bfs([[1], [0], []], 0)
     assert (parent, order) == ([-1, 0, -1], [0, 1])
+    # no node is a root of a nonempty list outside its range; an empty one has none
+    for root in (-1, 3):
+        with pytest.raises(ValueError, match="is not a node"):
+            tree_bfs([[1], [0], []], root)
+    assert tree_bfs([], 0) == ([], [])

@@ -74,14 +74,28 @@ def test_bfs_layering_rejects_an_unreached_vertex():
         ([[0, 1], [1, 2, 3]], [(0, 1)], "vertex 1 is in two bags"),
         ([[0, 1], [2, 3, 4]], [(0, 1)], "vertex 4 is out of range"),
         ([[-1, 0, 1], [2, 3]], [(0, 1)], "vertex -1 is out of range"),
-        ([[0, 1], [2], [3]], [(1, 2)], "the tree edges do not join the bags into one tree"),
-        ([[0], [1], [2, 3]], [(0, 1), (1, 2), (0, 2)], "the tree edges do not join the bags into one tree"),
+        ([[0, 1], [2], [3]], [(1, 2)], "tree must have 2 edges, got 1"),
+        ([[0], [1], [2, 3]], [(0, 1), (1, 2), (0, 2)], "tree must have 2 edges, got 3"),
+        ([[0], [1], [2], [3]], [(1, 2), (2, 3), (3, 1)], "tree is disconnected"),
+        ([[0], [1], [2, 3]], [(0, 1), (1, 7)], r"bad tree edge \(1,7\)"),
     ],
-    ids=["uncovered", "no-bags", "two-bags", "too-high", "negative", "unreached-bag", "cycle"],
+    ids=["uncovered", "no-bags", "two-bags", "too-high", "negative", "unreached-bag", "cycle",
+         "cycle-beside-a-bag", "edge-out-of-range"],
 )
 def test_refine_rejects_what_is_not_a_partition(bags, edges, message):
     with pytest.raises(ValueError, match=message):
         refine(Graph(4, [(0, 1), (2, 3)]), TreePartition(bags, edges, root=0))
+
+
+@pytest.mark.parametrize("root", [-1, 5])
+def test_a_root_outside_the_tree_is_refused(root):
+    """A negative root would alias a node from the end and a large one
+    index past it; both layering and refine raise ValueError instead."""
+    g = Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=f"root {root} is not a node in 0..2"):
+        bfs_layering(g, root)
+    with pytest.raises(ValueError, match=f"root {root} is not a node in 0..2"):
+        refine(g, TreePartition([[0], [1], [2]], [(0, 1), (1, 2)], root=root))
 
 
 def check_refine(g, tp):

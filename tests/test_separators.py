@@ -28,6 +28,14 @@ def test_mu_known_values():
     assert mu(Graph(2, [(0, 1)]), 0, 1) == 0
 
 
+@pytest.mark.parametrize("s, t", [(0, 7), (7, 0), (-1, 1), (0, 3), (1, 1)])
+def test_mu_refuses_endpoints_that_are_not_two_vertices(s, t):
+    """A large endpoint would read past the flow arrays, a negative one
+    would alias a vertex from the end, and s == t has no separator."""
+    with pytest.raises(ValueError, match="must be distinct vertices in 0..2"):
+        mu(Graph(3, [(0, 1), (1, 2)]), s, t)
+
+
 def test_mu_matches_brute_force():
     for seed in range(30):
         g = random_graph(8, 0.4, seed)
