@@ -404,9 +404,10 @@ _STEP_KEYS = {
         # its lower bound and millis, and a step-4 reject keeps what it
         # recorded before the verdict, with no millis
         (lambda: complete(5), 1, TreewidthLB, None, {"step1": {"lb", "millis"}}),
-        (lambda: gen_grid(9), 2, TreewidthLB, None, {"step1": {"w", "lb", "millis"}}),
         (lambda: gen_complete_bipartite(3, 6), 2, LargeComponent, "step2", {}),
         (lambda: gen_fan(7), 2, BlockDegree, "step3", {"step4": {"delta_h", "threshold"}}),
+        # a grid is rejected on step 1's bound after the heuristic ran
+        (lambda: gen_grid(9), 2, TreewidthLB, None, {"step1": {"w", "lb", "millis"}}),
     ],
 )
 def test_trace_key_sets_per_outcome(make, k, flavour, last_full, partial):
