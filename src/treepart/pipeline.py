@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 from .decomp import TreeDecomposition, TreePartition, Violation, verify_td
-from .graph import Graph, biconnected_components, connected_components, subgraph
+from .graph import Graph, biconnected_components, connected_components, subgraph, tree_bfs
 # candidate_pairs, balance_td and heuristic_td stay importable: perfbench/layers.py times them here
 from .separators import b_reduction, build_gb, candidate_pairs  # noqa: F401
 from .treewidth import balance_td, clique_tree, eliminate, elimination_of, exact_elimination  # noqa: F401
@@ -72,7 +72,9 @@ class TreewidthLB:
 
 @dataclass(frozen=True)
 class LargeComponent:
-    """Connected component of the auxiliary graph with more than k vertices."""
+    """k + 1 vertices connected in the auxiliary graph G^b: the first k + 1
+    that a breadth-first search of step 2's G^b, cut short once a
+    component exceeds k, reaches from that component's least vertex."""
 
     vertices: frozenset
     b: int
@@ -181,6 +183,13 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, imported):
     order (`_step1`), from whose later-neighbour sets step 2 lists its
     pairs (`_step2_pairs`).
 
+    Step 2 hands `build_gb` k, so on a reject its G^b stops where one
+    component first exceeds k, and the trace's gb_edges and max_component
+    are that partial graph's.  The certificate is the first k + 1
+    vertices a breadth-first search of it reaches from that component's
+    least vertex: connected by pairs with mu >= b, and no larger than any
+    certificate needs to be.
+
     Step 3 reuses step 2's components of G^b.  One pass over H's edges
     gives each block its edge list (`BlockForest.block_edges`).  When G^b
     has no edge, H is gc, and the block forest and edge lists that step
@@ -233,7 +242,7 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, imported):
             raise ValueError(f"b_override {params.b_override} below required {b}")
         b = params.b_override
     blocks = []  # gc's block forest and block edges, when step 2 builds them
-    gb = build_gb(gc, b, _step2_pairs(gc, own, b), blocks)
+    gb = build_gb(gc, b, _step2_pairs(gc, own, b), blocks, k)  # all of G^b unless it rejects
     gb_comps = connected_components(gb)
     _fold(stats["step2"], max, b=b)
     _fold(stats["step2"], operator.add, gb_edges=gb.m)
@@ -242,7 +251,8 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, imported):
     t0 = _lap(stats["step2"], t0)
     if largest > k:
         comp = next(c for c in gb_comps if len(c) > k)
-        return "reject", LargeComponent(frozenset(old_ids[v] for v in comp), b)
+        reached = tree_bfs(gb.adj, comp[0])[1][: k + 1]
+        return "reject", LargeComponent(frozenset(old_ids[v] for v in reached), b)
 
     red = b_reduction(gc, gb, gb_comps)
     h = red.h

@@ -8,9 +8,10 @@ disjoint s-t paths in G-st, and those paths are all the flow holds: each
 vertex's two neighbours on its path (see `mu`).
 
 `build_gb` settles most pairs without a flow, by three exact tests that
-run before it (see its docstring): a degree bound, a common-neighbour
-accept, and, for b >= 2, a block test that also moves any remaining flow
-from G onto the one block holding both endpoints.
+run before it (see its docstring): a degree bound and a common-neighbour
+accept on every pair first, then, for b >= 2, a block test that also
+moves any remaining flow from G onto the one block holding both
+endpoints.  Given k, it stops once k + 1 vertices are connected.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graph import Graph, biconnected_components, connected_components, quotient, subgraph
+from .graph import Graph, biconnected_components, connected_components, find, quotient, subgraph
 
 
 def mu(g: Graph, s: int, t: int, cap: int | None = None) -> int:
@@ -106,15 +107,18 @@ def candidate_pairs(td) -> list:
     return sorted(pairs)
 
 
-def build_gb(g: Graph, b: int, pairs, blocks=None) -> Graph:
-    """Auxiliary graph joining the given pairs uv with mu(u, v) >= b.
+def build_gb(g: Graph, b: int, pairs, blocks=None, k=None) -> Graph:
+    """Auxiliary graph joining the given pairs uv with mu(u, v) >= b; with
+    k given, possibly only part of it, holding k + 1 vertices connected in
+    G^b when G^b has them.
 
     blocks, when given, is a list to which the block forest of g and its
     `block_edges` are appended as one pair when test 3 below builds them,
     so a caller that needs g's blocks too builds them once.
 
-    Each pair goes through three exact tests, cheapest first; a flow runs
-    only when none of them settles it:
+    Pairs are settled by three exact tests, cheapest first, in two passes:
+    tests 1 and 2 on every pair, then test 3 on the pairs they leave open;
+    a flow runs only when none of them settles a pair.
 
     1. Degree bound, O(1): every u-v path in G-uv leaves u and v by
        distinct edges, so mu <= min(deg u, deg v) - [uv in E].  Skip when
@@ -125,7 +129,7 @@ def build_gb(g: Graph, b: int, pairs, blocks=None) -> Graph:
        share no inner vertex, so mu >= |N(u) & N(v)|.  Accept when the
        count, which stops there, reaches b.
     3. Blocks, for b >= 2 only, O(1) per pair after one O(n + m) pass,
-       made when a pair first gets here, for the block forest and each
+       made when the second pass starts, for the block forest and each
        block's edges.  Two vertices share at most one block (`block_of`),
        and every simple u-v path stays inside it.  With no shared block a
        cutvertex separates u and v, so mu <= 1 < b: skip.  Otherwise apply
@@ -134,14 +138,35 @@ def build_gb(g: Graph, b: int, pairs, blocks=None) -> Graph:
        block from its edges, where the flow runs.  With b = 1 a pair split
        by a cutvertex can still reach mu = 1, so the flow runs on all of G.
 
-    Output does not depend on pair order.
+    With k given, each accepted pair is joined in a union-find, and the
+    pairs accepted so far are returned as soon as one component exceeds
+    k: a reject then tests no further pair, and runs no flow when the
+    first pass decides it.  That partial graph has exactly one component
+    above k, and it depends on pair order; without k, or when no
+    component exceeds k, the output is all of G^b and does not.
     """
     if b < 1:
         raise ValueError("b must be >= 1")
     nbrs = [None] * g.n  # vertex -> neighbour set, built on first use
-    forest = None  # b >= 2: the block forest and its block_edges, built on first use
-    subs = {}  # block id -> (subgraph, vertex -> subgraph id)
     edges = []
+    if k is not None:
+        root = list(range(g.n))  # union-find over the joined pairs
+        size = [1] * g.n  # at a representative: its component's size
+
+    def join(u, v) -> bool:
+        """Add uv to G^b; True when k is given and uv's component exceeds it."""
+        edges.append((min(u, v), max(u, v)))
+        if k is None:
+            return False
+        ru, rv = find(root, u), find(root, v)
+        if ru != rv:
+            if size[ru] > size[rv]:
+                ru, rv = rv, ru
+            root[ru] = rv
+            size[rv] += size[ru]
+        return size[rv] > k
+
+    left = []  # (u, v, [uv in E]) for the pairs tests 1 and 2 leave open
     for u, v in pairs:
         nu = nbrs[u] = nbrs[u] or set(g.adj[u])  # an empty set is rebuilt, in O(1)
         nv = nbrs[v] = nbrs[v] or set(g.adj[v])
@@ -149,18 +174,21 @@ def build_gb(g: Graph, b: int, pairs, blocks=None) -> Graph:
         if min(len(nu), len(nv)) - adjacent < b:
             continue
         small, big = sorted((nu, nv), key=len)
-        if len(list(itertools.islice(filter(big.__contains__, small), b))) == b:
-            edges.append((min(u, v), max(u, v)))
-            continue
+        if len(list(itertools.islice(filter(big.__contains__, small), b))) < b:
+            left.append((u, v, adjacent))
+        elif join(u, v):
+            return Graph(g.n, sorted(edges))
+    if left and b >= 2:
+        forest = biconnected_components(g)
+        block_edges = forest.block_edges(g)
+        if blocks is not None:
+            blocks.append((forest, block_edges))
+    subs = {}  # block id -> (subgraph, vertex -> subgraph id)
+    for u, v, adjacent in left:
         if b == 1:
-            if mu(g, u, v, cap=b) >= b:
-                edges.append((min(u, v), max(u, v)))
+            if mu(g, u, v, cap=b) >= b and join(u, v):
+                break
             continue
-        if forest is None:
-            forest = biconnected_components(g)
-            block_edges = forest.block_edges(g)
-            if blocks is not None:
-                blocks.append((forest, block_edges))
         i = forest.block_of(u, v)
         if i is None or len(forest.blocks[i]) - 1 - adjacent < b:  # no block, or too small
             continue
@@ -170,8 +198,8 @@ def build_gb(g: Graph, b: int, pairs, blocks=None) -> Graph:
         su, sv = new_id[u], new_id[v]
         if min(sub.degree(su), sub.degree(sv)) - adjacent < b:
             continue
-        if mu(sub, su, sv, cap=b) >= b:
-            edges.append((min(u, v), max(u, v)))
+        if mu(sub, su, sv, cap=b) >= b and join(u, v):
+            break
     return Graph(g.n, sorted(edges))
 
 

@@ -31,6 +31,8 @@ from treepart.treewidth import heuristic_td, treewidth_lower_bound
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench import corpus  # noqa: E402
+from perfbench.checks import _spanning_tree_holds  # noqa: E402
+from tools.dump_outputs import _outerplanar, _two_tree  # noqa: E402
 
 
 def complete(n):
@@ -117,6 +119,67 @@ def test_large_component_certificate_recomputes():
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
             assert mu(g, verts[i], verts[j]) >= cert.b
+
+
+@pytest.mark.parametrize("n", [2000, 4000, 8000, 16000])
+def test_two_trees_reject_on_four_vertices_without_a_flow(monkeypatch, n):
+    """A random 2-tree at k = 3 (w = 2, b = 5) has vertices of degree at
+    least 5 sharing 5 neighbours, so the first pass of step 2 finds four
+    vertices connected in G^b, and the pipeline rejects on exactly those
+    with no max-flow at all (settling every pair first, n = 16,000 ran
+    2,633 flows and certified 653 vertices)."""
+    flows = []
+    monkeypatch.setattr(separators, "mu", lambda *args, **kw: flows.append(args))
+    out = run(_two_tree(n, 0), PipelineParams(k=3))
+    assert isinstance(out.certificate, LargeComponent)
+    assert out.certificate.vertices == frozenset({0, 1, 2, 3})
+    assert out.certificate.b == 5
+    assert flows == []
+
+
+def step2_cases():
+    """The dump's random graphs and its flow corpus of random 2-trees and
+    outerplanar graphs at k = 3."""
+    for s in range(300):
+        g = random_graph(30, 0.1, s)
+        for k in (1, 2, 3, 5):
+            yield g, k
+    for gen in (_two_tree, _outerplanar):
+        for n in (250, 500, 1000):
+            for seed in range(4):
+                yield gen(n, seed), 3
+
+
+def test_large_component_is_k_plus_one_vertices_and_matches_all_of_gb(monkeypatch):
+    """Each step-2 call that stops early has a component above k exactly
+    when all of G^b does, and otherwise returns all of G^b; each
+    `LargeComponent` holds k + 1 vertices that pairs with mu >= b span."""
+    real = pipeline.build_gb
+    checked = []
+
+    def both(g, b, pairs, blocks, k):
+        part = real(g, b, pairs, blocks, k)
+        full = real(g, b, pairs)
+        if max(map(len, connected_components(full))) > k:
+            assert max(map(len, connected_components(part))) > k
+            assert set(part.edges()) <= set(full.edges())
+        else:
+            assert part == full
+        checked.append(b)
+        return part
+
+    monkeypatch.setattr(pipeline, "build_gb", both)
+    rejects = 0
+    for g, k in step2_cases():
+        checked.clear()
+        out = run(g, PipelineParams(k=k))
+        cert = out.certificate
+        if isinstance(cert, LargeComponent):
+            rejects += 1
+            assert len(cert.vertices) == k + 1
+            assert cert.b == checked[-1]
+            assert _spanning_tree_holds(g, cert.vertices, cert.b)
+    assert rejects == 28
 
 
 def test_block_degree_certificate_on_fans():

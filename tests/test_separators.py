@@ -7,7 +7,7 @@ from treepart import separators
 from treepart.decomp import TreeDecomposition
 from treepart.exact import brute_disjoint_paths, brute_mu
 from treepart.families import random_graph, random_tree
-from treepart.graph import Graph
+from treepart.graph import Graph, connected_components
 from treepart.pipeline import _step2_pairs
 from treepart.separators import b_reduction, build_gb, candidate_pairs, mu
 from treepart.treewidth import eliminate, heuristic_td
@@ -166,3 +166,59 @@ def test_build_gb_builds_no_subgraph_for_a_bridge(monkeypatch, seed):
     assert build_gb(g, 2, pairs, blocks) == Graph(g.n)
     assert blocks, "no pair reached the block test"
     assert built == []
+
+
+def test_build_gb_with_k_stops_once_a_component_exceeds_k():
+    # K_{4,6}: the four hubs are pairwise joined by six common neighbours,
+    # so at b = 5 G^b is the clique on them; with k = 2 the first pass
+    # stops at the pair that joins a third hub, (0, 2), and tests no more
+    g = Graph(10, [(u, v) for u in range(4) for v in range(4, 10)])
+    pairs = list(itertools.combinations(range(4), 2))
+    assert build_gb(g, 5, pairs).edges() == pairs
+    assert build_gb(g, 5, pairs, k=2).edges() == [(0, 1), (0, 2)]
+    assert build_gb(g, 5, pairs, k=3).edges() == [(0, 1), (0, 2), (0, 3)]
+
+
+def test_build_gb_with_k_is_all_of_gb_at_a_component_of_exactly_k():
+    # the same four hubs at k = 4 exceed nothing: a stop at k vertices
+    # would return three of the six edges
+    g = Graph(10, [(u, v) for u in range(4) for v in range(4, 10)])
+    pairs = list(itertools.combinations(range(4), 2))
+    assert build_gb(g, 5, pairs, k=4) == build_gb(g, 5, pairs)
+
+
+def test_build_gb_with_k_runs_no_flow_when_the_first_pass_rejects(monkeypatch):
+    # the three hubs of K_{3,4} share four neighbours, so at b = 2 the
+    # first pass joins them and exceeds k = 2; the opposite pair (7, 11)
+    # of a separate 8-cycle shares none, so only a flow would settle it
+    hubs = [(u, v) for u in range(3) for v in range(3, 7)]
+    ring = [(7 + i, 7 + (i + 1) % 8) for i in range(8)]
+    g = Graph(15, hubs + ring)
+    pairs = [(0, 1), (0, 2), (1, 2), (7, 11)]
+    flows = []
+    monkeypatch.setattr(separators, "mu", lambda *args, **kw: flows.append(args) or mu(*args, **kw))
+    assert build_gb(g, 2, pairs, k=2).edges() == [(0, 1), (0, 2)]
+    assert flows == []
+    assert build_gb(g, 2, pairs).edges() == [(0, 1), (0, 2), (1, 2), (7, 11)]
+    assert len(flows) == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_build_gb_with_k_is_a_prefix_of_gb_that_exceeds_k_only_when_gb_does(seed):
+    # with k given, the output is a subgraph of G^b; it is all of G^b
+    # unless G^b has a component above k, and then it has exactly one
+    rnd = random.Random(seed)
+    for _ in range(40):
+        g = random_graph(rnd.randrange(8, 20), rnd.choice((0.3, 0.5, 0.7)), rnd.randrange(10**6))
+        pairs = list(itertools.combinations(range(g.n), 2))
+        b = rnd.randrange(1, 5)
+        full = build_gb(g, b, pairs)
+        top = max(map(len, connected_components(full)))
+        for k in (1, 2, 3, 5):
+            part = build_gb(g, b, pairs, k=k)
+            sizes = sorted(map(len, connected_components(part)))
+            assert set(part.edges()) <= set(full.edges())
+            if top > k:
+                assert sizes[-1] > k and (len(sizes) < 2 or sizes[-2] <= k)
+            else:
+                assert part == full
