@@ -414,7 +414,10 @@ def bfs_layering(g: Graph, root: int) -> TreePartition:
     layers from root: bag i holds the vertices at distance i, and the bags
     form a path rooted at {root}.  Every edge joins one layer or two
     consecutive ones, so `refine` of it is the layered partition of Ding
-    and Oporowski.  Raises ValueError when g is not connected."""
+    and Oporowski.  The empty graph has no bags and no root.  Raises
+    ValueError when g is not connected."""
+    if g.n == 0:
+        return TreePartition([], [], root=None)
     parent, order = tree_bfs(g.adj, root)
     if len(order) < g.n:
         raise ValueError(f"{g.n - len(order)} vertices are not reached from {root}")

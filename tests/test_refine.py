@@ -61,6 +61,12 @@ def test_refine_hangs_each_class_under_the_class_it_touches():
     assert refine(Graph(0), TreePartition([], [], root=None)).bags == []
 
 
+def test_bfs_layering_of_the_empty_graph_has_no_bags():
+    # whatever the root, as partition_rooted gives for n = 0
+    for root in (0, 3):
+        assert bfs_layering(Graph(0), root) == TreePartition([], [], root=None)
+
+
 def test_bfs_layering_rejects_an_unreached_vertex():
     with pytest.raises(ValueError, match="2 vertices are not reached from 0"):
         bfs_layering(Graph(4, [(0, 1), (2, 3)]), 0)
