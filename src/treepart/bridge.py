@@ -15,11 +15,10 @@ from .decomp import (
     TreeCutDecomposition,
     TreePartition,
     Violation,
+    _checked_tcd_cuts,
     non_nice_node,
-    tcd_cuts,
     tree_climbs,
     verify_tp,
-    verify_tcd,
 )
 from .graph import Graph, SubdivisionMap, subdivide, tree_bfs
 
@@ -36,16 +35,13 @@ def tcd_to_subdivision_tp(g: Graph, tcd: TreeCutDecomposition):
     vertices of the same or adjacent bags.  Empty nodes are contracted
     away.  Returns (subdivided graph, subdivision map, tree-partition).
     """
-    res = verify_tcd(g, tcd)
+    res = _checked_tcd_cuts(g, tcd)
     if isinstance(res, Violation):
         raise ValueError(f"invalid tree-cut decomposition: {res}")
-    width, nice = res
-    cuts = tcd_cuts(g, tcd)
-    if not nice:
-        raise ValueError(
-            f"decomposition is not nice: thin node {non_nice_node(cuts)} has "
-            "edges into a sibling subtree"
-        )
+    width, cuts = res
+    thin = non_nice_node(cuts)
+    if thin is not None:
+        raise ValueError(f"decomposition is not nice: thin node {thin} has edges into a sibling subtree")
 
     _, parent, depth, _, _ = cuts
     # sorted adjacency: the walk lists children in ascending order, which

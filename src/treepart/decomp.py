@@ -283,8 +283,10 @@ def non_nice_node(cuts):
     return next((t for t in order[1:] if marked[t] and cut[t] <= 2), None)
 
 
-def verify_tcd(g: Graph, tcd: TreeCutDecomposition):
-    """(width, nice) of a valid tree-cut decomposition, or a Violation."""
+def _checked_tcd_cuts(g: Graph, tcd: TreeCutDecomposition):
+    """(width, `tcd_cuts(g, tcd)`) of a valid tree-cut decomposition, or
+    a Violation; `verify_tcd` and the subdivision bridge both read it, so
+    the cuts are counted once."""
     _check_bag_indices(g, tcd.bags)
     _check_tree_shape(tcd)
     if not (0 <= tcd.root < max(tcd.num_nodes, 1)):
@@ -307,4 +309,13 @@ def verify_tcd(g: Graph, tcd: TreeCutDecomposition):
             bold[t] += 1
             bold[parent[t]] += 1
     width = max((max(len(bag) + b, c) for bag, b, c in zip(tcd.bags, bold, cut)), default=0)
+    return width, cuts
+
+
+def verify_tcd(g: Graph, tcd: TreeCutDecomposition):
+    """(width, nice) of a valid tree-cut decomposition, or a Violation."""
+    res = _checked_tcd_cuts(g, tcd)
+    if isinstance(res, Violation):
+        return res
+    width, cuts = res
     return width, non_nice_node(cuts) is None
