@@ -129,7 +129,7 @@ def build_gb(g: Graph, b: int, pairs, blocks=None, k=None) -> Graph:
        share no inner vertex, so mu >= |N(u) & N(v)|.  Accept when the
        count, which stops there, reaches b.
     3. Blocks, for b >= 2 only, O(1) per pair after one O(n + m) pass,
-       made when the second pass starts, for the block forest and each
+       made once the second pass has a pair, for the block forest and each
        block's edges.  Two vertices share at most one block (`block_of`),
        and every simple u-v path stays inside it.  With no shared block a
        cutvertex separates u and v, so mu <= 1 < b: skip.  Otherwise apply

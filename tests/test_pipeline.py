@@ -126,8 +126,7 @@ def test_two_trees_reject_on_four_vertices_without_a_flow(monkeypatch, n):
     """A random 2-tree at k = 3 (w = 2, b = 5) has vertices of degree at
     least 5 sharing 5 neighbours, so the first pass of step 2 finds four
     vertices connected in G^b, and the pipeline rejects on exactly those
-    with no max-flow at all (settling every pair first, n = 16,000 ran
-    2,633 flows and certified 653 vertices)."""
+    with no max-flow at all."""
     flows = []
     monkeypatch.setattr(separators, "mu", lambda *args, **kw: flows.append(args))
     out = run(_two_tree(n, 0), PipelineParams(k=3))
