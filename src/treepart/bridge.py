@@ -20,7 +20,7 @@ from .decomp import (
     tree_climbs,
     verify_tp,
 )
-from .graph import Graph, SubdivisionMap, subdivide, tree_bfs
+from .graph import Graph, SubdivisionMap, part_index, subdivide, tree_bfs
 
 log = logging.getLogger(__name__)
 
@@ -47,7 +47,7 @@ def tcd_to_subdivision_tp(g: Graph, tcd: TreeCutDecomposition):
     # sorted adjacency: the walk lists children in ascending order, which
     # fixes the bag numbering of the output
     order = tree_bfs([sorted(a) for a in tcd.node_adj()], tcd.root)[1]
-    node_of = tcd.bag_of()
+    node_of = part_index(tcd.bags, g.n)[0]
     edges = g.edges()
     climbs = [tree_climbs(parent, depth, node_of[u], node_of[v]) for u, v in edges]
     tree_paths = [up_u + [top] + up_v[::-1] for up_u, top, up_v in climbs]  # u's node to v's
@@ -108,8 +108,8 @@ def tp_lift_subdivision(g: Graph, tp: TreePartition, counts) -> TreePartition:
     if g2.n == g.n:
         return tp
 
-    parent, _ = tree_bfs(tp.node_adj(), 0)
-    node_of = tp.bag_of()
+    parent = tree_bfs(tp.node_adj(), 0)[0]
+    node_of = part_index(tp.bags, g.n)[0]
     bags = [list(b) for b in tp.bags]
     edges = list(tp.tree_edges)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, tree_bfs
+from .graph import Graph, part_index, tree_bfs
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,6 @@ class BaggedTree:
             adj[j].append(i)
         return adj
 
-    def bag_of(self):
-        """vertex -> node id table (vertices assumed partitioned)."""
-        out = {}
-        for i, bag in enumerate(self.bags):
-            for v in bag:
-                out[v] = i
-        return out
-
 
 @dataclass
 class TreeDecomposition(BaggedTree):
@@ -88,19 +80,15 @@ def occupancy_tables(td: TreeDecomposition):
     is the highest node of v's occupancy subtree.  So v occupies a node in
     the subtree of a node t outside its bag exactly when climbing parent
     pointers from top[v] reaches t.  One pass over the nodes in
-    breadth-first order sets each depth and each top[v] once, at its first
-    bag.
+    breadth-first order sets each top[v] once, at its first bag.
     """
     if td.root is None:
         raise ValueError("decomposition is not rooted")
     if not 0 <= td.root < td.num_nodes:
         raise ValueError(f"root {td.root} is not a node")
-    parent, order = tree_bfs(td.node_adj(), td.root)
-    depth = [0] * td.num_nodes
+    parent, order, depth = tree_bfs(td.node_adj(), td.root)
     top = {}
     for i in order:
-        if i != td.root:
-            depth[i] = depth[parent[i]] + 1
         for v in td.bags[i]:
             if v not in top:
                 top[v] = i
@@ -127,8 +115,8 @@ class TreeCutDecomposition(BaggedTree):
 
 
 def _check_tree_shape(t: BaggedTree, root: int = 0):
-    """The walk (parent, order) of `tree_bfs` from root over t's nodes, or
-    MalformedDecomposition unless the edges form a tree on them."""
+    """The walk (parent, order, depth) of `tree_bfs` from root over t's
+    nodes, or MalformedDecomposition unless the edges form a tree on them."""
     num_nodes, tree_edges = t.num_nodes, t.tree_edges
     for i, j in tree_edges:
         if not (0 <= i < num_nodes and 0 <= j < num_nodes) or i == j:
@@ -136,15 +124,15 @@ def _check_tree_shape(t: BaggedTree, root: int = 0):
     if num_nodes == 0:
         if tree_edges:
             raise MalformedDecomposition("tree edges on zero nodes")
-        return [], []
+        return [], [], []
     if len(tree_edges) != num_nodes - 1:
         raise MalformedDecomposition(
             f"tree must have {num_nodes - 1} edges, got {len(tree_edges)}"
         )
-    parent, order = tree_bfs(t.node_adj(), root)
-    if len(order) != num_nodes:
+    walk = tree_bfs(t.node_adj(), root)
+    if len(walk[1]) != num_nodes:
         raise MalformedDecomposition("tree is disconnected")
-    return parent, order
+    return walk
 
 
 def _check_bag_indices(g: Graph, bags) -> None:
@@ -195,12 +183,9 @@ def verify_tp(g: Graph, tp: TreePartition):
     for i, bag in enumerate(tp.bags):
         if not bag:
             return Violation("empty-bag", i)
-    node_of = [-1] * g.n
-    for i, bag in enumerate(tp.bags):
-        for v in bag:
-            if node_of[v] != -1:
-                return Violation("vertex-in-two-bags", v)
-            node_of[v] = i
+    node_of, twice = part_index(tp.bags, g.n)
+    if twice is not None:
+        return Violation("vertex-in-two-bags", twice)
     if -1 in node_of:
         return Violation("vertex-coverage", node_of.index(-1))
     tree_edge_set = {(min(i, j), max(i, j)) for i, j in tp.tree_edges}
@@ -256,11 +241,8 @@ def tcd_cuts(g: Graph, tcd: TreeCutDecomposition):
     cut, so the cost is O(n + m + nodes * width).  Returns (cut, parent,
     depth, order, marked), cut 0 at the root, rooted by `tree_bfs`.
     """
-    parent, order = tree_bfs(tcd.node_adj(), tcd.root)
-    depth = [0] * tcd.num_nodes
-    for t in order[1:]:
-        depth[t] = depth[parent[t]] + 1
-    node_of = tcd.bag_of()
+    parent, order, depth = tree_bfs(tcd.node_adj(), tcd.root)
+    node_of = part_index(tcd.bags, g.n)[0]
     cut = [0] * tcd.num_nodes
     marked = [False] * tcd.num_nodes
     for u, v in g.edges():
@@ -292,12 +274,9 @@ def _checked_tcd_cuts(g: Graph, tcd: TreeCutDecomposition):
     if not (0 <= tcd.root < max(tcd.num_nodes, 1)):
         raise MalformedDecomposition(f"bad root {tcd.root}")
 
-    node_of = [-1] * g.n
-    for i, bag in enumerate(tcd.bags):
-        for v in bag:
-            if node_of[v] != -1:
-                return Violation("vertex-in-two-bags", v)
-            node_of[v] = i
+    node_of, twice = part_index(tcd.bags, g.n)
+    if twice is not None:
+        return Violation("vertex-in-two-bags", twice)
     if -1 in node_of:
         return Violation("near-partition-coverage", node_of.index(-1))
 

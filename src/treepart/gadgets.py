@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .decomp import TreePartition, TreeDecomposition
-from .graph import Graph, connected_components, tree_bfs
+from .graph import Graph, connected_components, part_index, tree_bfs
 
 
 def gen_cluster_gadget(h: Graph, z, big_l: int):
@@ -127,7 +127,7 @@ def gen_tcmis_gadget(inst: TcmisInstance) -> TcmisGadget:
     ext_adj[iprime] += [0, r0]
     ext_adj[r0].append(iprime)
     # sorted adjacency fixes the walk order, and with it the trunk vertex ids
-    ext_parent, ext_order = tree_bfs([sorted(a) for a in ext_adj], r0)
+    ext_parent, ext_order, _ = tree_bfs([sorted(a) for a in ext_adj], r0)
 
     # trunk tree: the extended tree with every edge subdivided big_n times
     parent = []
@@ -471,7 +471,7 @@ def tp_witness_to_domino(
         bags.append(sorted(vs))
         return len(bags) - 1
 
-    node_of = tp.bag_of()
+    node_of = part_index(tp.bags, g.n)[0]
     main = []
     for bag in tp.bags:
         vs = []

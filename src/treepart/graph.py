@@ -1,7 +1,7 @@
 """Simple undirected graphs with the structural operations the rest of the
 library is built on: connected components, blocks (biconnected components),
-a rooted breadth-first tree walk, a union-find, edge subdivision and
-quotients.
+a rooted breadth-first tree walk with depths, a union-find, the index from
+each vertex to the part holding it, edge subdivision and quotients.
 
 Vertices are dense 0-based integers.  All set-valued outputs are sorted so
 that downstream golden tests are reproducible.
@@ -220,28 +220,29 @@ def find(root, x):
 def tree_bfs(adj, root: int):
     """Breadth-first walk from root over a node adjacency list.
 
-    Returns (parent, order): order lists the reached nodes, root first,
-    visiting each node's neighbors in list order; parent[x] is the node
-    that reached x, and -1 for the root and for unreached nodes.  On a
+    Returns (parent, order, depth): order lists the reached nodes, root
+    first, visiting each node's neighbors in list order; parent[x] is the
+    node that reached x, and -1 for the root and for unreached nodes;
+    depth[x] is x's distance from root, and -1 for unreached nodes.  On a
     tree, passing sorted adjacency lists puts each node's children in
-    ascending order.  An empty list has no nodes and gives ([], []);
+    ascending order.  An empty list has no nodes and gives ([], [], []);
     otherwise a root outside 0..len(adj)-1 raises ValueError.
     """
     if not adj:
-        return [], []
+        return [], [], []
     if not 0 <= root < len(adj):
         raise ValueError(f"root {root} is not a node in 0..{len(adj) - 1}")
     parent = [-1] * len(adj)
-    seen = [False] * len(adj)
-    seen[root] = True
+    depth = [-1] * len(adj)
+    depth[root] = 0
     order = [root]
     for u in order:
         for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
+            if depth[v] < 0:
+                depth[v] = depth[u] + 1
                 parent[v] = u
                 order.append(v)
-    return parent, order
+    return parent, order, depth
 
 
 def biconnected_components(g: Graph) -> BlockForest:
@@ -350,20 +351,33 @@ def subdivide(g: Graph, counts: dict):
     return Graph(nxt, edges), SubdivisionMap(paths)
 
 
+def part_index(parts, n: int):
+    """(part_of, twice) for vertex lists over 0..n-1: part_of[v] is the
+    index of the part holding v, -1 for none, and twice the first vertex
+    met in a second part, or None; the scan stops there.  A vertex outside
+    0..n-1 met first raises ValueError."""
+    part_of = [-1] * n
+    for i, part in enumerate(parts):
+        for v in part:
+            if not 0 <= v < n:
+                raise ValueError(f"vertex {v} is out of range")
+            if part_of[v] != -1:
+                return part_of, v
+            part_of[v] = i
+    return part_of, None
+
+
 def quotient(g: Graph, parts):
     """Identify each part to a single vertex; drop loops and multiplicities.
 
-    parts must partition 0..n-1.  Returns (quotient graph, part_of) where
-    part_of[v] is the part id of v.  Part ids follow the given order, so
-    the singletons in vertex order give g itself.
+    parts must partition 0..n-1 (`part_index`).  Returns (quotient graph,
+    part_of) where part_of[v] is the part id of v.  Part ids follow the
+    given order, so the singletons in vertex order give g itself.
     """
-    part_of = [-1] * g.n
-    for i, part in enumerate(parts):
-        for v in part:
-            if part_of[v] != -1:
-                raise ValueError(f"vertex {v} in two parts")
-            part_of[v] = i
-    if any(p == -1 for p in part_of):
+    part_of, twice = part_index(parts, g.n)
+    if twice is not None:
+        raise ValueError(f"vertex {twice} in two parts")
+    if -1 in part_of:
         raise ValueError("parts do not cover all vertices")
     if len(parts) == g.n and all(p == v for v, p in enumerate(part_of)):
         return g, part_of

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .decomp import TreeDecomposition, TreePartition, _check_tree_shape, occupancy_tables
-from .graph import BlockForest, Graph, connected_components, find, tree_bfs
+from .graph import BlockForest, Graph, connected_components, find, part_index, tree_bfs
 
 
 @dataclass(frozen=True)
@@ -357,15 +357,12 @@ def refine(g: Graph, tp: TreePartition) -> TreePartition:
     if not tp.bags and not g.n:
         return tp
     adj = g.adj
-    parent, order = _check_tree_shape(tp, 0 if tp.root is None else tp.root)
-    node_of = [-1] * g.n
-    for t, bag in enumerate(tp.bags):
-        for v in bag:
-            if not 0 <= v < g.n:
-                raise ValueError(f"vertex {v} is out of range")
-            if node_of[v] != -1:
-                raise ValueError(f"vertex {v} is in two bags")
-            node_of[v] = t
+    parent, order, _ = _check_tree_shape(tp, 0 if tp.root is None else tp.root)
+    node_of, twice = part_index(tp.bags, g.n)
+    if twice is not None:
+        raise ValueError(f"vertex {twice} is in two bags")
+    if -1 in node_of:
+        raise ValueError(f"vertex {node_of.index(-1)} is in no bag")
     uf = list(range(g.n))
     cls = [0] * g.n  # v's class index in its bag, fixed when the bag splits
     heads = [None] * len(tp.bags)  # per class of t, its representative when t splits
@@ -399,8 +396,6 @@ def refine(g: Graph, tp: TreePartition) -> TreePartition:
         total += len(heads[t])
     bags = [[] for _ in range(total)]
     for v, t in enumerate(node_of):
-        if t == -1:
-            raise ValueError(f"vertex {v} is in no bag")
         bags[first[t] + cls[v]].append(v)
     edges = [(0, c) for c in range(1, len(heads[order[0]]))]
     for t in order[1:]:
@@ -418,18 +413,12 @@ def bfs_layering(g: Graph, root: int) -> TreePartition:
     ValueError when g is not connected."""
     if g.n == 0:
         return TreePartition([], [], root=None)
-    parent, order = tree_bfs(g.adj, root)
+    _, order, depth = tree_bfs(g.adj, root)
     if len(order) < g.n:
         raise ValueError(f"{g.n - len(order)} vertices are not reached from {root}")
-    depth = [0] * g.n
-    bags = [[root]]
-    for v in order[1:]:
-        d = depth[v] = depth[parent[v]] + 1
-        if d == len(bags):
-            bags.append([])
-        bags[d].append(v)
-    for bag in bags:
-        bag.sort()
+    bags = [[] for _ in range(depth[order[-1]] + 1)]
+    for v in range(g.n):
+        bags[depth[v]].append(v)
     return TreePartition(bags, [(i, i + 1) for i in range(len(bags) - 1)], root=0)
 
 

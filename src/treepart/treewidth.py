@@ -452,7 +452,7 @@ def balance_td(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
         return TreeDecomposition([[]], [], root=0)
 
     # --- root at 0 and binarize with duplicate-bag chains ---------------
-    parent, order = tree_bfs(td.node_adj(), 0)
+    parent, order, _ = tree_bfs(td.node_adj(), 0)
     kids = [[] for _ in range(td.num_nodes)]
     for v in order[1:]:
         kids[parent[v]].append(v)

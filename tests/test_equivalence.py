@@ -813,7 +813,7 @@ def ref_combine_blocks(h, bf, per_block):
 
 
 def ref_tcd_cuts(g, tcd):
-    parent, order = tree_bfs(tcd.node_adj(), tcd.root)
+    parent, order, _ = tree_bfs(tcd.node_adj(), tcd.root)
     below = [set(b) for b in tcd.bags]
     for u in reversed(order):
         p = parent[u]
@@ -1152,7 +1152,7 @@ def bag_set(td):
 def rooted_code(td):
     """The canonical encoding of td as a rooted, bag-labelled tree:
     (bag, sorted encodings of the children) at the root."""
-    parent, order = tree_bfs(td.node_adj(), td.root)
+    parent, order, _ = tree_bfs(td.node_adj(), td.root)
     below = [[] for _ in range(td.num_nodes)]
     for v in reversed(order):
         code = (tuple(td.bags[v]), tuple(sorted(below[v])))

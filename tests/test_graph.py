@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from treepart.decomp import TreePartition, Violation, verify_tp
 from treepart.families import random_graph
 from treepart.graph import (
     Graph,
     biconnected_components,
     connected_components,
+    part_index,
     quotient,
     subdivide,
     subgraph,
@@ -159,6 +161,24 @@ def test_quotient_drops_loops_and_multiplicities():
     assert part_of == [0, 0, 1, 1]
 
 
+def test_part_index_stops_at_the_first_repeat():
+    assert part_index([[0, 2], [1, 2], [1, 9]], 4) == ([0, 1, 0, -1], 2)  # 9 goes unread
+    with pytest.raises(ValueError, match="vertex 9 is out of range"):
+        part_index([[0, 9], [0]], 4)
+    assert part_index([], 3) == ([-1, -1, -1], None)
+    # every reader names the first repeat: a scan that went on would name 2
+    g = Graph(3, [(0, 1), (1, 2)])
+    tp = TreePartition([[0, 1], [1, 2], [2]], [(0, 1), (1, 2)])
+    assert verify_tp(g, tp) == Violation("vertex-in-two-bags", 1)
+
+
+def test_quotient_rejects_part_vertices_out_of_range():
+    g = Graph(3, [(0, 1), (1, 2)])
+    for v in (-1, 3):
+        with pytest.raises(ValueError, match=f"vertex {v} is out of range"):
+            quotient(g, [[0, 1], [v]])
+
+
 def test_connected_components_of_a_vertex_subset():
     g = Graph(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)])
     # dropping 1 and 5 splits both paths; order is by minimum vertex
@@ -202,16 +222,16 @@ def test_tree_bfs_parent_and_order():
     #    /      \
     #   2        4
     adj = [[3], [4, 3], [5], [5, 0, 1], [1], [2, 3]]
-    parent, order = tree_bfs(adj, 3)
+    parent, order, depth = tree_bfs(adj, 3)
     assert order == [3, 5, 0, 1, 2, 4]  # neighbors in list order
     assert parent == [3, 3, 5, -1, 1, 3]
-    parent, order = tree_bfs([sorted(a) for a in adj], 3)
+    assert depth == [1, 1, 2, 0, 2, 1]
+    parent, order, _ = tree_bfs([sorted(a) for a in adj], 3)
     assert order == [3, 0, 1, 5, 4, 2]
-    # unreached nodes keep parent -1 and stay out of the order
-    parent, order = tree_bfs([[1], [0], []], 0)
-    assert (parent, order) == ([-1, 0, -1], [0, 1])
+    # unreached nodes keep parent and depth -1 and stay out of the order
+    assert tree_bfs([[1], [0], []], 0) == ([-1, 0, -1], [0, 1], [0, 1, -1])
     # no node is a root of a nonempty list outside its range; an empty one has none
     for root in (-1, 3):
         with pytest.raises(ValueError, match="is not a node"):
             tree_bfs([[1], [0], []], root)
-    assert tree_bfs([], 0) == ([], [])
+    assert tree_bfs([], 0) == ([], [], [])
