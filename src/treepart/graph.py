@@ -176,13 +176,17 @@ def connected_components(g: Graph, vertices=None):
     """Connected components of g, or of the subgraph induced by `vertices`,
     as sorted vertex lists ordered by minimum vertex: one search from each
     least vertex, in a scan in vertex order.  An isolated vertex costs
-    O(1), an edgeless g no search, and a hub one set intersection."""
+    O(1), an edgeless g no search, and a hub one set intersection.  A
+    vertex of `vertices` outside 0..n-1 raises ValueError."""
     if vertices is None and not g.m:
         return [[v] for v in range(g.n)]
     adj = g.adj
     left = set(range(g.n) if vertices is None else vertices)  # not yet reached
+    seeds = range(g.n) if vertices is None else sorted(left)
+    if seeds and not 0 <= seeds[0] <= seeds[-1] < g.n:
+        raise ValueError(f"vertex {seeds[0] if seeds[0] < 0 else seeds[-1]} is out of range")
     comps = []
-    for s in range(g.n) if vertices is None else sorted(left):
+    for s in seeds:
         if s not in left:
             continue
         comp = [s]

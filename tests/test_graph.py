@@ -187,6 +187,14 @@ def test_connected_components_of_a_vertex_subset():
     assert connected_components(g, range(7)) == connected_components(g)
 
 
+def test_connected_components_rejects_vertices_out_of_range():
+    # ids outside the graph are named, not read as other vertices
+    g = Graph(4, [(0, 1), (2, 3)])
+    for vertices, v in (([0, -1], -1), ([0, 7], 7)):
+        with pytest.raises(ValueError, match=f"vertex {v} is out of range"):
+            connected_components(g, vertices)
+
+
 def test_connected_components_through_hubs_match_union_find():
     # vertices of degree above 16 take their unvisited neighbours in one
     # set intersection; with a vertex subset, some of those neighbours are
