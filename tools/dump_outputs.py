@@ -29,12 +29,15 @@ on the grids and walls at k in {3, 4, 8, 16}.  Then the flow corpus:
 random 2-trees and random outerplanar graphs (`_two_tree`, `_outerplanar`)
 of 250, 500 and 1,000 vertices at k = 3, seeds 0-3, whose step 2 runs
 the max-flows that the smaller graphs above mostly settle without one.
-Last, grids and walls of side 60 and 100 at k = 16, with step-1 seeds 0
+Then grids and walls of side 60 and 100 at k = 16, with step-1 seeds 0
 and 3, where a change to step 4's width shows at a scale the sides up to
-30 do not reach.  The `treepart` on PYTHONPATH is the one dumped, so
-pointing PYTHONPATH at another checkout's `src` dumps that version
-against the same corpus.  The dump exits 1 when
-any accept fails `verify_tp`, or when any run leaves a reference cycle:
+30 do not reach.  Last, the outerplanar graphs again at k = 2: each
+rejects on its block degree after hundreds of flows, every one of which
+must find mu < b = 3, so a flow that wrongly found more would add an
+edge to G^b and change the record.  The `treepart` on PYTHONPATH is the
+one dumped, so pointing PYTHONPATH at another checkout's `src` dumps that
+version against the same corpus.  The dump exits 1 when any accept fails
+`verify_tp`, or when any run leaves a reference cycle:
 each run starts after a full collection, and `run` pauses the cyclic
 collector, so everything the run allocated is still in generation 0 when
 it returns, and collecting that generation finds every cycle it left.
@@ -142,6 +145,9 @@ def _corpus():
             g = gen(side)
             for seed in (0, 3):
                 yield f"{name} large", f"{name}/{side} seed {seed}", g, P(16, seed=seed)
+    for n in (250, 500, 1000):
+        for seed in range(4):
+            yield "outerplanar k=2", f"outerplanar({n},{seed})", _outerplanar(n, seed), P(2)
 
 
 def _certificate(cert):
