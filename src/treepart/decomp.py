@@ -129,10 +129,10 @@ def _check_tree_shape(t: BaggedTree, root: int = 0):
         raise MalformedDecomposition(
             f"tree must have {num_nodes - 1} edges, got {len(tree_edges)}"
         )
-    walk = tree_bfs(t.node_adj(), root)
-    if len(walk[1]) != num_nodes:
+    parent, order, depth = tree_bfs(t.node_adj(), root)
+    if len(order) != num_nodes:
         raise MalformedDecomposition("tree is disconnected")
-    return walk
+    return parent, order, depth
 
 
 def _check_bag_indices(g: Graph, bags) -> None:
