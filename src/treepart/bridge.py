@@ -9,20 +9,15 @@ one of any prescribed subdivision, of width at most k(k+1).
 
 from __future__ import annotations
 
-import logging
-
 from .decomp import (
     TreeCutDecomposition,
     TreePartition,
     Violation,
-    _checked_tcd_cuts,
-    non_nice_node,
+    read_tcd,
     tree_climbs,
     verify_tp,
 )
-from .graph import Graph, SubdivisionMap, part_index, subdivide, tree_bfs
-
-log = logging.getLogger(__name__)
+from .graph import Graph, part_index, subdivide, tree_bfs
 
 
 def tcd_to_subdivision_tp(g: Graph, tcd: TreeCutDecomposition):
@@ -35,19 +30,16 @@ def tcd_to_subdivision_tp(g: Graph, tcd: TreeCutDecomposition):
     vertices of the same or adjacent bags.  Empty nodes are contracted
     away.  Returns (subdivided graph, subdivision map, tree-partition).
     """
-    res = _checked_tcd_cuts(g, tcd)
+    res = read_tcd(g, tcd)
     if isinstance(res, Violation):
         raise ValueError(f"invalid tree-cut decomposition: {res}")
-    width, cuts = res
-    thin = non_nice_node(cuts)
+    width, (_, parent, depth, _, thin), node_of = res
     if thin is not None:
         raise ValueError(f"decomposition is not nice: thin node {thin} has edges into a sibling subtree")
 
-    _, parent, depth, _, _ = cuts
     # sorted adjacency: the walk lists children in ascending order, which
     # fixes the bag numbering of the output
     order = tree_bfs([sorted(a) for a in tcd.node_adj()], tcd.root)[1]
-    node_of = part_index(tcd.bags, g.n)[0]
     edges = g.edges()
     climbs = [tree_climbs(parent, depth, node_of[u], node_of[v]) for u, v in edges]
     tree_paths = [up_u + [top] + up_v[::-1] for up_u, top, up_v in climbs]  # u's node to v's
@@ -87,9 +79,6 @@ def tcd_to_subdivision_tp(g: Graph, tcd: TreeCutDecomposition):
     bound = 2 + width * (width + 2) // 2 + width
     assert not isinstance(realized, Violation), realized
     assert realized <= bound, (realized, bound)
-    if log.isEnabledFor(logging.DEBUG):
-        for i, bag in enumerate(tp.bags):
-            log.debug("bag %d size %d", i, len(bag))
     return g2, smap, tp
 
 

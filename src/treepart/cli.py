@@ -20,7 +20,7 @@ from .bridge import tcd_to_subdivision_tp, tp_lift_subdivision
 from .decomp import MalformedDecomposition, Violation
 from .decomp import verify_domino, verify_td, verify_tp, verify_tcd
 from .exact import CapacityError, exact_domino_tw, exact_tpw
-from .graph import Graph
+from .graph import Graph, subdivide
 from .ioformats import (
     ParseError,
     emit_gr,
@@ -93,7 +93,6 @@ def _cmd_decompose(args) -> int:
             step1=step1,
             seed=args.seed,
             import_td=import_td,
-            b_override=args.b,
         )
         out = run(g, params)
     except (ValueError, CapacityError) as exc:
@@ -266,9 +265,11 @@ def _cmd_bridge(args) -> int:
     except ValueError as exc:  # a violation, a negative count, a non-edge
         print(f"RESULT status=invalid reason={exc}")
         return 1
+    g2 = subdivide(g, counts)[0]  # the graph the partition lifts onto
+    if args.out_gr:
+        _write(args.out_gr, emit_gr(g2))
     if args.output:
-        n2 = g.n + sum(counts.values())
-        _write(args.output, emit_tp(out, n2))
+        _write(args.output, emit_tp(out, g2.n))
     print(f"RESULT status=ok width={out.width()}")
     return 0
 
@@ -336,7 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="run the construction pipeline")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--step1", default="heur:min-degree")
-    p.add_argument("--b", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("input")
     p.add_argument("-o", "--output")

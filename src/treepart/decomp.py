@@ -231,70 +231,51 @@ def tree_climbs(parent, depth, a, b):
     return up_a, a, up_b
 
 
-def tcd_cuts(g: Graph, tcd: TreeCutDecomposition):
-    """cut(e) sizes for every tree edge, keyed by the child endpoint.
+def read_tcd(g: Graph, tcd: TreeCutDecomposition):
+    """(width, (cut, parent, depth, order, thin), node_of) of a valid
+    tree-cut decomposition, or a Violation; `verify_tcd` and the
+    subdivision bridge both read it.
 
-    Requires a valid tree shape and root, and every vertex in one bag.
-    Each host edge adds one to the cut of every node it climbs
-    (`tree_climbs`), and when both its sides climb, marks the last node of
-    each: two sibling subtrees that it joins.  The climbs sum to the total
-    cut, so the cost is O(n + m + nodes * width).  Returns (cut, parent,
-    depth, order, marked), cut 0 at the root, rooted by `tree_bfs`.
+    The tree is rooted by `tree_bfs` from tcd.root, and node_of is
+    `part_index` of the bags.  Each host edge adds one to the cut of every
+    node it climbs (`tree_climbs`), cut 0 at the root, so the cost is
+    O(n + m + nodes * width).  A node is thin when the cut of its parent
+    edge is at most 2, and thin is the first thin node, in walk order,
+    whose subtree has an edge into a sibling subtree (both sides of the
+    edge climb), or None when the decomposition is nice.
     """
-    parent, order, depth = tree_bfs(tcd.node_adj(), tcd.root)
-    node_of = part_index(tcd.bags, g.n)[0]
-    cut = [0] * tcd.num_nodes
-    marked = [False] * tcd.num_nodes
-    for u, v in g.edges():
-        up_u, _, up_v = tree_climbs(parent, depth, node_of[u], node_of[v])
-        for t in up_u + up_v:
-            cut[t] += 1
-        if up_u and up_v:
-            marked[up_u[-1]] = marked[up_v[-1]] = True
-    return cut, parent, depth, order, marked
-
-
-def non_nice_node(cuts):
-    """First thin node, in the order of `tcd_cuts`, whose subtree has an
-    edge into a sibling subtree, or None when the decomposition is nice.
-
-    A node is thin when the cut of its parent edge is at most 2; cuts is
-    `tcd_cuts(g, tcd)`, whose marked nodes are those with such an edge.
-    """
-    cut, _, _, order, marked = cuts
-    return next((t for t in order[1:] if marked[t] and cut[t] <= 2), None)
-
-
-def _checked_tcd_cuts(g: Graph, tcd: TreeCutDecomposition):
-    """(width, `tcd_cuts(g, tcd)`) of a valid tree-cut decomposition, or
-    a Violation; `verify_tcd` and the subdivision bridge both read it, so
-    the cuts are counted once."""
     _check_bag_indices(g, tcd.bags)
-    _check_tree_shape(tcd)
     if not (0 <= tcd.root < max(tcd.num_nodes, 1)):
         raise MalformedDecomposition(f"bad root {tcd.root}")
-
+    parent, order, depth = _check_tree_shape(tcd, tcd.root)
     node_of, twice = part_index(tcd.bags, g.n)
     if twice is not None:
         return Violation("vertex-in-two-bags", twice)
     if -1 in node_of:
         return Violation("near-partition-coverage", node_of.index(-1))
 
-    cuts = tcd_cuts(g, tcd)
-    cut, parent, _, order, _ = cuts
+    cut = [0] * tcd.num_nodes
+    joins = [False] * tcd.num_nodes  # an edge joins its subtree to a sibling's
+    for u, v in g.edges():
+        up_u, _, up_v = tree_climbs(parent, depth, node_of[u], node_of[v])
+        for t in up_u + up_v:
+            cut[t] += 1
+        if up_u and up_v:
+            joins[up_u[-1]] = joins[up_v[-1]] = True
     bold = [0] * tcd.num_nodes  # bold edges at each node: cut at least 3
     for t in order[1:]:
         if cut[t] >= 3:
             bold[t] += 1
             bold[parent[t]] += 1
     width = max((max(len(bag) + b, c) for bag, b, c in zip(tcd.bags, bold, cut)), default=0)
-    return width, cuts
+    thin = next((t for t in order[1:] if joins[t] and cut[t] <= 2), None)
+    return width, (cut, parent, depth, order, thin), node_of
 
 
 def verify_tcd(g: Graph, tcd: TreeCutDecomposition):
     """(width, nice) of a valid tree-cut decomposition, or a Violation."""
-    res = _checked_tcd_cuts(g, tcd)
+    res = read_tcd(g, tcd)
     if isinstance(res, Violation):
         return res
-    width, cuts = res
-    return width, non_nice_node(cuts) is None
+    width, (*_, thin), _ = res
+    return width, thin is None

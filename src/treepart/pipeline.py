@@ -51,7 +51,6 @@ class PipelineParams:
     step1: str = "heur:min-degree"  # "exact" | "heur:<strategy>" | "import"
     seed: int = 0
     import_td: TreeDecomposition | None = None
-    b_override: int | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -237,10 +236,6 @@ def _run_component(gc: Graph, params: PipelineParams, old_ids, stats, imported):
         return "reject", TreewidthLB(lb, 2 * k - 1)
 
     b = max(2 * k - 1, w + 1)
-    if params.b_override is not None:
-        if params.b_override < b:
-            raise ValueError(f"b_override {params.b_override} below required {b}")
-        b = params.b_override
     blocks = []  # gc's block forest and block edges, when step 2 builds them
     gb = build_gb(gc, b, _step2_pairs(gc, own, b), blocks, k)  # all of G^b unless it rejects
     gb_comps = connected_components(gb)
@@ -365,9 +360,9 @@ def _run(g: Graph, params: PipelineParams) -> PipelineOutcome:
                 f"{res.clause} at {res.witness!r}"
             )
 
-    stats = {s: {} for s in ("step1", "step2", "step3", "step4", "step5")}
+    trace = [TraceRecord(s, {}) for s in ("step1", "step2", "step3", "step4", "step5")]
+    stats = {r.step: r.fields for r in trace}
     if g.n == 0:
-        trace = [TraceRecord(s, stats[s]) for s in stats]
         return PipelineOutcome(
             accepted=True,
             tp=TreePartition([], [], root=None),
@@ -387,7 +382,6 @@ def _run(g: Graph, params: PipelineParams) -> PipelineOutcome:
         gc, old_ids = g.induced(comp)
         status, payload = _run_component(gc, params, old_ids, stats, imported)
         if status == "reject":
-            trace = [TraceRecord(s, stats[s]) for s in stats]
             return PipelineOutcome(accepted=False, certificate=payload, trace=trace)
         offset = len(bags)
         if gc is g:  # a connected input: old_ids is the identity
@@ -402,5 +396,4 @@ def _run(g: Graph, params: PipelineParams) -> PipelineOutcome:
     tp = TreePartition(bags, edges, root=roots[0])
     width = max(len(b) for b in bags)
     stats["step5"]["width"] = width
-    trace = [TraceRecord(s, stats[s]) for s in stats]
     return PipelineOutcome(accepted=True, tp=tp, width=width, trace=trace)

@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 
+from treepart import bridge, decomp
 from treepart.bridge import tcd_to_subdivision_tp, tp_lift_subdivision
 from treepart.decomp import (
     TreeCutDecomposition,
@@ -154,6 +155,30 @@ def test_from_tcd_names_the_thin_offender():
     tcd = TreeCutDecomposition([[0], [1], [2]], [(0, 1), (0, 2)], root=0)
     with pytest.raises(ValueError, match=r"not nice: thin node 1 has edges"):
         tcd_to_subdivision_tp(g, tcd)
+
+
+def test_tcd_readers_walk_and_index_their_input_once(monkeypatch):
+    """verify_tcd walks the tree and indexes the vertices once; the bridge
+    adds one sorted walk, which numbers its bags, and the output's
+    verify_tp, so it makes 3 walks and 2 indexes."""
+    calls = {"tree_bfs": 0, "part_index": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    for mod in (decomp, bridge):
+        for name in calls:
+            monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+    g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    tcd = TreeCutDecomposition([[2, 3], [0], [1]], [(0, 1), (0, 2)], root=0)
+    assert verify_tcd(g, tcd) == (4, True)
+    assert calls == {"tree_bfs": 1, "part_index": 1}
+    calls.update(tree_bfs=0, part_index=0)
+    tcd_to_subdivision_tp(g, tcd)
+    assert calls == {"tree_bfs": 3, "part_index": 2}
 
 
 def test_long_path_tcd_verifies_and_bridges_in_linear_memory():

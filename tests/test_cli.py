@@ -215,9 +215,13 @@ def test_bridge_subcommand(tmp_path, capsys):
     counts = tmp_path / "counts.txt"
     counts.write_text("1 2 3\n")
     lifted = str(tmp_path / "lifted.tp")
+    lifted_gr = str(tmp_path / "lifted.gr")
     assert main(
-        ["bridge", src, "--lift", str(tp), "--counts", str(counts), "-o", lifted]
+        ["bridge", src, "--lift", str(tp), "--counts", str(counts), "-o", lifted, "--out-gr", lifted_gr]
     ) == 0
+    # the subdivided graph, a path on 2 + 3 vertices, holds the lifted partition
+    assert parse_gr(Path(lifted_gr).read_text()).n == 5
+    assert main(["verify", "tp", lifted_gr, lifted]) == 0
     # bags: {0}, {1, penultimate}, and one folded bag for the remaining two
     out_tp = parse_tp(Path(lifted).read_text())
     assert len(out_tp.bags) == 3

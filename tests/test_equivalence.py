@@ -53,9 +53,8 @@ from treepart.decomp import (
     TreeCutDecomposition,
     TreeDecomposition,
     TreePartition,
-    non_nice_node,
     occupancy_tables,
-    tcd_cuts,
+    read_tcd,
     verify_td,
 )
 from treepart.exact import _bits
@@ -1918,13 +1917,11 @@ def test_tcd_climbs_match_subtree_sets():
     do, on decompositions both nice and not."""
     offenders = 0
     for idx, (g, tcd) in enumerate(random_tcds()):
-        cuts = tcd_cuts(g, tcd)
-        cut, parent, depth, order, _ = cuts
+        cut, parent, depth, order, offender = read_tcd(g, tcd)[1]
         ref = ref_tcd_cuts(g, tcd)
         assert (parent, order) == (ref[1], ref[2]), idx
         assert {t: cut[t] for t in order[1:]} == ref[0] and cut[tcd.root] == 0, idx
         assert all(depth[t] == depth[parent[t]] + 1 for t in order[1:]), idx
-        offender = non_nice_node(cuts)
         assert offender == ref_non_nice_node(g, tcd, ref), idx
         offenders += offender is not None
     assert 400 < offenders < 2100, offenders

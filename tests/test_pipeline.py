@@ -7,7 +7,7 @@ import pytest
 
 from treepart import graph, pipeline, separators, treewidth
 from treepart.decomp import MalformedDecomposition, TreeDecomposition, Violation, verify_td, verify_tp
-from treepart.exact import exact_tpw
+from treepart.exact import CapacityError, exact_tpw
 from treepart.families import (
     gen_complete_bipartite,
     gen_fan,
@@ -228,14 +228,6 @@ def test_unknown_step1_mode_is_refused():
     for step1 in ("heur:bogus", "exact:min-degree", "nonsense"):
         with pytest.raises(ValueError, match="unknown step1 mode"):
             PipelineParams(k=2, step1=step1)
-
-
-def test_b_override_validation():
-    g = cycle(6)
-    with pytest.raises(ValueError):
-        run(g, PipelineParams(k=2, b_override=1))
-    out = run(g, PipelineParams(k=2, b_override=10))
-    assert out.accepted
 
 
 def test_deterministic_across_runs():
@@ -580,8 +572,8 @@ def test_run_leaves_no_cyclic_garbage(g, params, certificate):
 @pytest.mark.parametrize("enabled", [True, False])
 def test_run_pauses_the_collector_and_restores_it(monkeypatch, enabled):
     """The collector is off while a run works and left as the caller had
-    it, also after a run that raises part-way (a b_override below the
-    required b)."""
+    it, also after a run that raises part-way (exact mode on a component
+    over its capacity)."""
     during = []
     real = pipeline._run_component
     monkeypatch.setattr(pipeline, "_run_component", lambda *args: during.append(gc.isenabled()) or real(*args))
@@ -590,8 +582,8 @@ def test_run_pauses_the_collector_and_restores_it(monkeypatch, enabled):
     try:
         assert run(gen_grid(6), PipelineParams(k=4)).accepted
         assert gc.isenabled() is enabled
-        with pytest.raises(ValueError, match="b_override 2 below required"):
-            run(gen_grid(6), PipelineParams(k=4, b_override=2))
+        with pytest.raises(CapacityError, match="n=36 exceeds cap"):
+            run(gen_grid(6), PipelineParams(k=4, step1="exact"))
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()

@@ -12,7 +12,9 @@ versions agree on all of it, so a change meant to keep outputs
 byte-identical is checked with `cmp`, and one that changes them is
 reported by `--compare`: verdict changes, and per family the accepts,
 their width sums and maxima on each side, how many got narrower and how
-many wider, and the records that differ.  `dump_outputs.sha256`
+many wider, and the records that differ.  A grown corpus compares too:
+when one dump's records extend the other's, the shared ones are compared
+and the rest are listed per family.  `dump_outputs.sha256`
 pins the current outputs:
 
     PYTHONPATH=src python tools/dump_outputs.py dump.json
@@ -215,11 +217,14 @@ def dump(path: str) -> int:
 
 
 def compare(path_a: str, path_b: str) -> int:
-    """Print verdict changes and per-family width sums; 1 when any record
-    differs, else 0."""
+    """Print verdict changes and per-family width sums of the records the
+    two dumps share, and per family the records only one of them holds;
+    1 when any shared record differs, else 0.  One dump's (family, label,
+    k) keys must extend the other's, as a grown corpus's do, else 2."""
     a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
-    if [(r["family"], r["label"], r["k"]) for r in a] != [
-        (r["family"], r["label"], r["k"]) for r in b
+    shared = min(len(a), len(b))
+    if [(r["family"], r["label"], r["k"]) for r in a[:shared]] != [
+        (r["family"], r["label"], r["k"]) for r in b[:shared]
     ]:
         print("the two dumps cover different corpora")
         return 2
@@ -257,7 +262,14 @@ def compare(path_a: str, path_b: str) -> int:
         row(name, fam[name])
         tot = [max(x, y) if c.startswith("max") else x + y for c, x, y in zip(cols, tot, fam[name])]
     row("total", tot)
-    print(f"{len(a)} records, {flips} verdict changes, {tot[7]} records changed")
+    side = "added in B" if len(b) > shared else "only in A"
+    extra = defaultdict(list)
+    for r in (a if len(a) > shared else b)[shared:]:
+        extra[r["family"]].append(f'{r["label"]} k={r["k"]}')
+    for name in sorted(extra):
+        print(f"{side}, {name}: {len(extra[name])} records: {', '.join(extra[name])}")
+    print(f"{shared} records shared, {flips} verdict changes, {tot[7]} records changed, "
+          f"{len(b) - shared} added in B, {len(a) - shared} only in A")
     return 1 if tot[7] or flips else 0
 
 
