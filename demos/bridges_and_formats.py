@@ -7,7 +7,6 @@ from treepart import (
     Graph,
     TreeCutDecomposition,
     TreePartition,
-    subdivide,
     tcd_to_subdivision_tp,
     tp_lift_subdivision,
     verify_tcd,
@@ -34,8 +33,7 @@ def lift_demo():
     c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     tp = TreePartition([[0, 3], [1, 2]], [(0, 1)], root=0)
     counts = {e: 2 for e in c4.edges()}
-    lifted = tp_lift_subdivision(c4, tp, counts)
-    g2, _ = subdivide(c4, counts)
+    g2, _, lifted = tp_lift_subdivision(c4, tp, counts)
     print(f"lifted C_4 partition across a double subdivision: width "
           f"{verify_tp(g2, lifted)} (bound {2 * 3})")
     print()

@@ -82,9 +82,22 @@ def tcd_to_subdivision_tp(g: Graph, tcd: TreeCutDecomposition):
     return g2, smap, tp
 
 
-def tp_lift_subdivision(g: Graph, tp: TreePartition, counts) -> TreePartition:
+def hang_folded(bags, edges, anchor: int, groups):
+    """Append the bags groups[0] + groups[-1], groups[1] + groups[-2], ...
+    as a path hung below the anchor bag; returns each group's bag."""
+    node = [None] * len(groups)
+    for a in range((len(groups) + 1) // 2):
+        b = len(groups) - 1 - a
+        bags.append(list(groups[a]) + (list(groups[b]) if a < b else []))
+        edges.append((anchor, len(bags) - 1))
+        anchor = node[a] = node[b] = len(bags) - 1
+    return node
+
+
+def tp_lift_subdivision(g: Graph, tp: TreePartition, counts):
     """Tree-partition of subdivide(g, counts) from a width-k partition of g,
-    of width at most k(k+1).
+    of width at most k(k+1).  Returns (subdivided graph, subdivision map,
+    tree-partition); the partition is tp itself when no edge is subdivided.
 
     The partition is rooted at bag 0.  Same-bag edges fold their path into
     a fresh branch of width at most 2; child-to-parent edges put the path
@@ -95,31 +108,19 @@ def tp_lift_subdivision(g: Graph, tp: TreePartition, counts) -> TreePartition:
         raise ValueError(f"invalid tree-partition: {k}")
     g2, smap = subdivide(g, counts)
     if g2.n == g.n:
-        return tp
+        return g2, smap, tp
 
     parent = tree_bfs(tp.node_adj(), 0)[0]
     node_of = part_index(tp.bags, g.n)[0]
     bags = [list(b) for b in tp.bags]
     edges = list(tp.tree_edges)
-
-    def fold(anchor: int, path):
-        a, b = 0, len(path) - 1
-        prev = anchor
-        while a <= b:
-            bag = [path[a]] if a == b else [path[a], path[b]]
-            bags.append(bag)
-            edges.append((prev, len(bags) - 1))
-            prev = len(bags) - 1
-            a += 1
-            b -= 1
-
     for u, v in g.edges():
         path = smap.paths[(u, v)]
         if not path:
             continue
         nu, nv = node_of[u], node_of[v]
         if nu == nv:
-            fold(nu, path)
+            hang_folded(bags, edges, nu, [[x] for x in path])
             continue
         if parent[nv] == nu:
             child, path = nv, list(reversed(path))
@@ -129,10 +130,10 @@ def tp_lift_subdivision(g: Graph, tp: TreePartition, counts) -> TreePartition:
             raise AssertionError("edge between non-adjacent bags")
         # path now runs from the child-bag endpoint to the parent-bag one
         bags[child].append(path[-1])
-        fold(child, path[:-1])
+        hang_folded(bags, edges, child, [[x] for x in path[:-1]])
 
     out = TreePartition([sorted(b) for b in bags], edges, root=0)
     realized = verify_tp(g2, out)
     assert not isinstance(realized, Violation), realized
     assert realized <= k * (k + 1), (realized, k)
-    return out
+    return g2, smap, out

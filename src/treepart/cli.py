@@ -20,7 +20,6 @@ from .bridge import tcd_to_subdivision_tp, tp_lift_subdivision
 from .decomp import MalformedDecomposition, Violation
 from .decomp import verify_domino, verify_td, verify_tp, verify_tcd
 from .exact import CapacityError, exact_domino_tw, exact_tpw
-from .graph import Graph, subdivide
 from .ioformats import (
     ParseError,
     emit_gr,
@@ -259,13 +258,12 @@ def _cmd_bridge(args) -> int:
     tp = _load(args.lift, parse_tp)
     counts = _load(args.counts, parse_counts, g.n) if args.counts else {}
     try:
-        out = tp_lift_subdivision(g, tp, counts)
+        g2, _, out = tp_lift_subdivision(g, tp, counts)
     except MalformedDecomposition as exc:
         raise CliError(f"{args.lift}: {exc}")
     except ValueError as exc:  # a violation, a negative count, a non-edge
         print(f"RESULT status=invalid reason={exc}")
         return 1
-    g2 = subdivide(g, counts)[0]  # the graph the partition lifts onto
     if args.out_gr:
         _write(args.out_gr, emit_gr(g2))
     if args.output:

@@ -12,31 +12,58 @@ verification instead of a construction-time error.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
-from .decomp import TreePartition, TreeDecomposition
+from .bridge import hang_folded
+from .decomp import TreePartition, TreeDecomposition, Violation, verify_tp
 from .graph import Graph, connected_components, part_index, tree_bfs
+
+
+class _Builder:
+    """Next vertex id and edge list of a graph under construction."""
+
+    def __init__(self, n=0, edges=None):
+        self.n = n
+        self.edges = [] if edges is None else edges
+
+    def alloc(self, count):
+        self.n += count
+        return list(range(self.n - count, self.n))
+
+    def clique(self, count):
+        vs = self.alloc(count)
+        self.edges += itertools.combinations(vs, 2)
+        return vs
+
+    def join(self, xs, ys):
+        self.edges += itertools.product(xs, ys)
+
+    def cluster(self, z, big_l):
+        """A 2L-clique whose first L vertices are joined to z; returns its
+        two halves."""
+        cv = self.clique(2 * big_l)
+        self.join(z, cv[:big_l])
+        return cv[:big_l], cv[big_l:]
 
 
 def gen_cluster_gadget(h: Graph, z, big_l: int):
     """Extend h with a 2L-clique whose first L vertices are joined to the
-    clique z; the new vertices are h.n .. h.n + 2L - 1 in order."""
+    clique z; the new vertices are h.n .. h.n + 2L - 1 in order.  Raises
+    ValueError unless L >= 1 and z is a nonempty clique of h."""
     z = sorted(z)
     if not z:
         raise ValueError("z must be nonempty")
-    for a in range(len(z)):
-        for b in range(a + 1, len(z)):
-            if not h.has_edge(z[a], z[b]):
-                raise ValueError(f"z is not a clique: missing edge {z[a]},{z[b]}")
-    new = list(range(h.n, h.n + 2 * big_l))
-    edges = h.edges()
-    for a in range(len(new)):
-        for b in range(a + 1, len(new)):
-            edges.append((new[a], new[b]))
-    for u in z:
-        for c in new[:big_l]:
-            edges.append((u, c))
-    return Graph(h.n + 2 * big_l, edges)
+    if big_l < 1:
+        raise ValueError(f"L must be >= 1, got {big_l}")
+    if z[0] < 0 or z[-1] >= h.n:
+        raise ValueError(f"z has a vertex outside 0..{h.n - 1}")
+    for a, b in itertools.combinations(z, 2):
+        if not h.has_edge(a, b):
+            raise ValueError(f"z is not a clique: missing edge {a},{b}")
+    out = _Builder(h.n, h.edges())
+    out.cluster(z, big_l)
+    return Graph(out.n, out.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +119,6 @@ class TcmisGadget:
     parent: list  # trunk-tree parent per trunk node (-1 at the root)
     orig_of: list  # trunk node of each instance tree node
     grand_of: list  # trunk node of each instance node's grandparent
-    original: list  # per trunk node: instance node id or None
     p_count: list  # path-cover count per trunk node
     markers: dict  # trunk node -> list of edge indices checked there
     trunk: list  # trunk node -> vertex list of its clique
@@ -129,26 +155,17 @@ def gen_tcmis_gadget(inst: TcmisInstance) -> TcmisGadget:
     # sorted adjacency fixes the walk order, and with it the trunk vertex ids
     ext_parent, ext_order, _ = tree_bfs([sorted(a) for a in ext_adj], r0)
 
-    # trunk tree: the extended tree with every edge subdivided big_n times
-    parent = []
-    original = []
-
-    def new_trunk(orig):
-        parent.append(-1)
-        original.append(orig)
-        return len(parent) - 1
-
-    trunk_of_ext = {r0: new_trunk(None if r0 >= inst.tree_n else r0)}
-    original[0] = None  # r0 is not an instance node
+    # trunk tree: the extended tree with every edge subdivided big_n times;
+    # node 0 is r0, and each later node gets its big_n subdivision nodes
+    # and then itself
+    parent = [-1]
+    trunk_of_ext = {r0: 0}
     for x in ext_order[1:]:
         up = trunk_of_ext[ext_parent[x]]
-        for _ in range(big_n):
-            mid = new_trunk(None)
-            parent[mid] = up
-            up = mid
-        node = new_trunk(x if x < inst.tree_n else None)
-        parent[node] = up
-        trunk_of_ext[x] = node
+        for _ in range(big_n + 1):
+            parent.append(up)
+            up = len(parent) - 1
+        trunk_of_ext[x] = up
     num_trunk = len(parent)
     orig_of = [trunk_of_ext[i] for i in range(inst.tree_n)]
 
@@ -203,33 +220,8 @@ def gen_tcmis_gadget(inst: TcmisInstance) -> TcmisGadget:
                 )
 
     # vertex and edge assembly
-    edges = []
-    nxt = 0
-
-    def alloc(count):
-        nonlocal nxt
-        out = list(range(nxt, nxt + count))
-        nxt += count
-        return out
-
-    def clique(vs):
-        for a in range(len(vs)):
-            for b in range(a + 1, len(vs)):
-                edges.append((vs[a], vs[b]))
-
-    def join(xs, ys):
-        for x in xs:
-            for y in ys:
-                edges.append((x, y))
-
+    out = _Builder()
     clusters = []
-
-    def add_cluster(key, z):
-        cv = alloc(2 * big_l)
-        clique(cv)
-        join(z, cv[:big_l])
-        clusters.append((key, cv[:big_l], cv[big_l:]))
-
     trunk = []
     for t in range(num_trunk):
         size = big_l - 6 * k * p_count[t] - (1 if t in markers else 2)
@@ -238,13 +230,11 @@ def gen_tcmis_gadget(inst: TcmisInstance) -> TcmisGadget:
                 f"trunk clique at node {t} would need size {size}; "
                 f"a node is covered by {p_count[t]} paths"
             )
-        vs = alloc(size)
-        clique(vs)
-        trunk.append(vs)
+        trunk.append(out.clique(size))
     for t in range(num_trunk):
         if parent[t] != -1:
-            join(trunk[t], trunk[parent[t]])
-        add_cluster(("A", t), trunk[t])
+            out.join(trunk[t], trunk[parent[t]])
+        clusters.append((("A", t), *out.cluster(trunk[t], big_l)))
 
     chains = {}
     for i in range(inst.tree_n):
@@ -258,18 +248,16 @@ def gen_tcmis_gadget(inst: TcmisInstance) -> TcmisGadget:
                     size = 7
                 else:
                     size = 6
-                vs = alloc(size)
-                clique(vs)
-                cliques.append(vs)
+                cliques.append(out.clique(size))
             for pos in range(1, chain_len):
-                join(cliques[pos], cliques[pos + 1])
-            join(cliques[1], trunk[orig_of[i]])
-            join(cliques[chain_len], trunk[grand_of[i]])
+                out.join(cliques[pos], cliques[pos + 1])
+            out.join(cliques[1], trunk[orig_of[i]])
+            out.join(cliques[chain_len], trunk[grand_of[i]])
             for pos in range(1, chain_len + 1):
-                add_cluster(("CC", i, c, pos), cliques[pos])
+                clusters.append((("CC", i, c, pos), *out.cluster(cliques[pos], big_l)))
             chains[key] = cliques
 
-    h = Graph(nxt, edges)
+    h = Graph(out.n, out.edges)
     assert h.max_degree() < 5 * k * big_l + 5 * big_l, "degree audit failed"
     return TcmisGadget(
         h=h,
@@ -279,7 +267,6 @@ def gen_tcmis_gadget(inst: TcmisInstance) -> TcmisGadget:
         parent=parent,
         orig_of=orig_of,
         grand_of=grand_of,
-        original=original,
         p_count=p_count,
         markers=markers,
         trunk=trunk,
@@ -324,50 +311,26 @@ def tcmis_witness_to_partition(gadget: TcmisGadget, witness) -> TcmisPartition:
 
     clique_bag = {("A", t): trunk_bag[t] for t in range(len(gadget.trunk))}
 
-    def fold(anchor, key_i, key_c, lo, hi, cliques):
-        """Hang bags {lo, hi}, {lo+1, hi-1}, ... off the anchor bag."""
-        prev = anchor
-        a, b = lo, hi
-        while a <= b:
-            vs = list(cliques[a])
-            clique_bag[("CC", key_i, key_c, a)] = None
-            if a < b:
-                vs += cliques[b]
-            bag = emit(vs)
-            clique_bag[("CC", key_i, key_c, a)] = bag
-            if a < b:
-                clique_bag[("CC", key_i, key_c, b)] = bag
-            edges.append((prev, bag))
-            prev = bag
-            a += 1
-            b -= 1
-
     for i in range(inst.tree_n):
         for c in range(1, inst.k + 1):
             h = witness[(i, c)]
             if not (1 <= h <= r):
                 raise ValueError(f"witness index {h} for class {(i, c)} not in 1..{r}")
             cliques = gadget.chains[(i, c)]
-            start = list(cliques[1])
-            if h > 1:
-                start += cliques[h]
-            b0 = emit(start)
-            clique_bag[("CC", i, c, 1)] = b0
-            clique_bag[("CC", i, c, h)] = b0
-            edges.append((b0, trunk_bag[gadget.orig_of[i]]))
-            fold(b0, i, c, 2, h - 1, cliques)
             t = gadget.orig_of[i]
-            for delta in range(0, 2 * big_n + 3):
-                pos = h + 1 + delta
+            for pos in range(h + 1, h + 2 * big_n + 4):
                 bags[trunk_bag[t]].extend(cliques[pos])
                 clique_bag[("CC", i, c, pos)] = trunk_bag[t]
                 t = gadget.parent[t]
-            end = list(cliques[chain_len]) + list(cliques[h + 2 * big_n + 4])
-            bend = emit(end)
-            clique_bag[("CC", i, c, chain_len)] = bend
-            clique_bag[("CC", i, c, h + 2 * big_n + 4)] = bend
-            edges.append((bend, trunk_bag[gadget.grand_of[i]]))
-            fold(bend, i, c, h + 2 * big_n + 5, chain_len - 1, cliques)
+            # positions 1..h fold below the origin, the rest of the chain
+            # below the grandparent
+            for lo, hi, top in (
+                (1, h, gadget.orig_of[i]),
+                (h + 2 * big_n + 4, chain_len, gadget.grand_of[i]),
+            ):
+                nodes = hang_folded(bags, edges, trunk_bag[top], cliques[lo : hi + 1])
+                for pos, node in enumerate(nodes, start=lo):
+                    clique_bag[("CC", i, c, pos)] = node
 
     for key, first, second in gadget.clusters:
         bf = emit(first)
@@ -417,39 +380,23 @@ def gen_domino_reduction(g: Graph, k: int):
     big_l = k * d + 1
     big_m = (k + 1) * big_l - 1
 
-    edges = []
-    nxt = 0
-
-    def alloc(count):
-        nonlocal nxt
-        out = list(range(nxt, nxt + count))
-        nxt += count
-        return out
-
+    out = _Builder()
     c_v = []
     s_w = {}
     y_w = {}
     for v in range(g.n):
-        cv = alloc(big_l)
-        for a in range(big_l):
-            for b in range(a + 1, big_l):
-                edges.append((cv[a], cv[b]))
+        cv = out.clique(big_l)
         c_v.append(cv)
         for w in cv:
-            sw = alloc(2 * big_m - 2)
-            yw = sw[0]
+            yw, *s_w[w] = out.alloc(2 * big_m - 2)
             y_w[w] = yw
-            s_w[w] = sw[1:]
-            edges.append((w, yw))
-            for x in sw[1:]:
-                edges.append((yw, x))
+            out.join([yw], [w, *s_w[w]])
     z_e = {}
     for u, v in g.edges():
-        (ze,) = alloc(1)
+        (ze,) = out.alloc(1)
         z_e[(u, v)] = ze
-        for w in c_v[u] + c_v[v]:
-            edges.append((ze, w))
-    h = Graph(nxt, edges)
+        out.join([ze], c_v[u] + c_v[v])
+    h = Graph(out.n, out.edges)
     return h, DominoRegistry(k, d, big_l, big_m, c_v, s_w, y_w, z_e)
 
 
@@ -458,8 +405,6 @@ def tp_witness_to_domino(
 ) -> TreeDecomposition:
     """Domino tree decomposition of the reduction host from a width-k
     tree-partition of g; the result has width at most M-1."""
-    from .decomp import verify_tp, Violation
-
     w = verify_tp(g, tp)
     if isinstance(w, Violation) or w > k:
         raise ValueError(f"witness partition invalid or wider than {k}: {w}")

@@ -290,11 +290,11 @@ def test_criterion_09_subdivision_bridges():
         parts = valid_partitions_upto(g, k, cap=10)[0]
         tp = TreePartition(parts, completion_tree(g, parts), root=0)
         counts = {e: rnd.randrange(0, 4) for e in g.edges()}
-        out = tp_lift_subdivision(g, tp, counts)
+        lifted, _, out = tp_lift_subdivision(g, tp, counts)
         g2, _ = subdivide(g, counts)
         realized = verify_tp(g2, out)
         lifts += 1
-        if isinstance(realized, Violation) or realized > k * (k + 1):
+        if lifted != g2 or isinstance(realized, Violation) or realized > k * (k + 1):
             failures += 1
     _report(9, failures == 0, f"10 hand-built lowerings + {lifts} random lifts, {failures} failures")
 

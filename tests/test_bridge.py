@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 
 from treepart import bridge, decomp
-from treepart.bridge import tcd_to_subdivision_tp, tp_lift_subdivision
+from treepart.bridge import hang_folded, tcd_to_subdivision_tp, tp_lift_subdivision
 from treepart.decomp import (
     TreeCutDecomposition,
     TreePartition,
@@ -91,26 +91,41 @@ def test_from_tcd_width_bound():
         assert realized <= 2 + width * (width + 2) // 2 + width
 
 
+def test_hang_folded_pairs_the_ends_of_its_groups():
+    bags, edges = [[0]], []
+    assert hang_folded(bags, edges, 0, [[1], [2, 3], [4], [5]]) == [1, 2, 2, 1]
+    assert bags == [[0], [1, 5], [2, 3, 4]]
+    assert edges == [(0, 1), (1, 2)]
+    # an odd count leaves the middle group alone in the last bag
+    assert hang_folded(bags, edges, 2, [[6], [7], [8]]) == [3, 4, 3]
+    assert bags[3:] == [[6, 8], [7]] and edges[2:] == [(2, 3), (3, 4)]
+    assert hang_folded(bags, edges, 0, []) == [] and len(bags) == 5
+
+
 def test_lift_k2_count3():
     g = Graph(2, [(0, 1)])
     tp = TreePartition([[0], [1]], [(0, 1)], root=0)
-    out = tp_lift_subdivision(g, tp, {(0, 1): 3})
+    lifted, _, out = tp_lift_subdivision(g, tp, {(0, 1): 3})
     g2, _ = subdivide(g, {(0, 1): 3})
+    assert lifted == g2
     assert verify_tp(g2, out) <= 2
 
 
 def test_lift_zero_counts_identity():
     g = Graph(2, [(0, 1)])
     tp = TreePartition([[0], [1]], [(0, 1)], root=0)
-    assert tp_lift_subdivision(g, tp, {}) is tp
+    lifted, _, out = tp_lift_subdivision(g, tp, {})
+    assert lifted == subdivide(g, {})[0] == g
+    assert out is tp
 
 
 def test_lift_c4_pinned():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     tp = TreePartition([[0, 3], [1, 2]], [(0, 1)], root=0)
     counts = {e: 1 for e in g.edges()}
-    out = tp_lift_subdivision(g, tp, counts)
+    lifted, _, out = tp_lift_subdivision(g, tp, counts)
     g2, _ = subdivide(g, counts)
+    assert lifted == g2
     # both cross edges land their path vertex in the child bag: width 4,
     # within the k(k+1) = 6 bound
     assert verify_tp(g2, out) == 4
@@ -134,8 +149,9 @@ def test_lift_random_bound():
         tp = TreePartition(parts, completion_tree(g, parts), root=0)
         rnd = random.Random(seed)
         counts = {e: rnd.randrange(0, 4) for e in g.edges()}
-        out = tp_lift_subdivision(g, tp, counts)
+        lifted, _, out = tp_lift_subdivision(g, tp, counts)
         g2, _ = subdivide(g, counts)
+        assert lifted == g2
         realized = verify_tp(g2, out)
         assert not isinstance(realized, Violation)
         assert realized <= k * (k + 1), seed

@@ -1,5 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
+from treepart import cli
 from treepart.decomp import TreePartition, Violation, verify_domino, verify_tp
 from treepart.exact import exact_tpw
 from treepart.gadgets import (
@@ -11,6 +15,7 @@ from treepart.gadgets import (
     tp_witness_to_domino,
 )
 from treepart.graph import Graph
+from treepart.ioformats import emit_gr
 
 
 def triangle():
@@ -27,6 +32,41 @@ def test_cluster_gadget_layout():
         gen_cluster_gadget(Graph(3, [(0, 1)]), [0, 1, 2], 4)
     with pytest.raises(ValueError):
         gen_cluster_gadget(triangle(), [], 4)
+    for big_l in (-1, 0):  # no clique to add
+        with pytest.raises(ValueError, match="L must be >= 1"):
+            gen_cluster_gadget(Graph(5, [(0, 1)]), [0, 1], big_l)
+    for z in ([0, 7], [-1, 0]):
+        with pytest.raises(ValueError, match="outside 0..4"):
+            gen_cluster_gadget(Graph(5, [(0, 1)]), z, 2)
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_gadget_layouts_are_pinned():
+    # vertex ids of both reductions and the bags of one witness partition;
+    # a builder that allocates ids in another order changes every hash
+    gad = gen_tcmis_gadget(cli._random_tcmis(2, 1, 1, 1, 0))
+    assert (gad.h.n, gad.h.m) == (3001, 142709)
+    assert _sha(emit_gr(gad.h)) == (
+        "53cba5a00713d62aae9dc820c3a456fe01189aabf4681b94069055847a76ddab"
+    )
+    h, _ = gen_domino_reduction(triangle(), 2)
+    assert (h.n, h.m) == (408, 450)
+    assert _sha(emit_gr(h)) == (
+        "50c103dc893668fdedc433da32ce0fd6a6220b8aac4f2a6aaec27ef83ca1757c"
+    )
+    inst = TcmisInstance(2, [(0, 1)], 1, 2, [((0, 1, 1), (1, 1, 1))])
+    res = tcmis_witness_to_partition(gen_tcmis_gadget(inst), {(0, 1): 2, (1, 1): 1})
+    assert len(res.tp.bags) == 113 and res.tp.root == 0 and res.overflow == []
+    assert _sha(json.dumps(res.tp.bags)) == (
+        "cc0d1a67352ea48c9652128f3aa2499750bf8ff457e3027ea566eac9a78e75b1"
+    )
+    # tree edges as unordered pairs: no reader depends on their orientation
+    assert _sha(json.dumps(sorted(sorted(e) for e in res.tp.tree_edges))) == (
+        "7d324f053184ce22d35a2c28544d4c43419d03bcf7caac934f15304ee6773cf5"
+    )
 
 
 def test_tcmis_instance_validation():
